@@ -21,6 +21,9 @@ echo "concurrency ok: gate clean, report deterministic"
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
+echo "== benchmark self-tests (counts repeat, checks fire, every trace wrap point resolves) =="
+python -m pytest bench/tests -q
+
 echo "== trace determinism =="
 PYTHONPATH=src python scripts/trace_determinism.py
 
@@ -51,7 +54,8 @@ if python -c "import mypy" >/dev/null 2>&1; then
         src/repro/core/ids.py src/repro/core/naming.py \
         src/repro/core/entry.py src/repro/core/block.py \
         src/repro/core/catalog.py src/repro/core/sublog.py \
-        src/repro/core/timeindex.py src/repro/core/recovery.py
+        src/repro/core/timeindex.py src/repro/core/recovery.py \
+        src/repro/core/reader.py
 else
     echo "== mypy not installed; skipping type check =="
 fi

@@ -15,7 +15,9 @@ The pool has two tiers:
   per-block interpretation work entirely.  A parsed object exists only
   while its raw block is resident; eviction, invalidation, replacement and
   :meth:`clear` drop both tiers together, so the decoded tier can never
-  serve bytes the raw tier no longer holds.
+  serve bytes the raw tier no longer holds.  The parsed object also carries
+  the reader's per-record decode memo, which therefore shares this
+  lifetime; :meth:`BlockCache.get_warm` is the one-call access to it.
 
 Sim-time accounting is unchanged by the parsed tier: the reader still
 charges ``cached_block_ms`` per cached access (the paper's ~0.6 ms covers
@@ -32,7 +34,7 @@ matching the paper's cost decomposition.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.cache.stats import CacheStats
 
@@ -53,7 +55,9 @@ class BlockCache:
         self._pinned: set[Hashable] = set()
         #: Decoded-object pool, keyed like ``_entries``; strictly a subset
         #: of the raw tier's keys (dropped together with the raw block).
-        self._parsed: dict[Hashable, object] = {}
+        #: Opaque to the cache (``Any``): whoever pools an object knows its
+        #: type.
+        self._parsed: dict[Hashable, Any] = {}
         #: Keys staged by read-ahead and not yet demand-accessed.
         self._prefetched: set[Hashable] = set()
         #: Optional ``(key)`` callback invoked after each block leaves the
@@ -139,7 +143,7 @@ class BlockCache:
 
     # -- the parsed tier ---------------------------------------------------
 
-    def get_parsed(self, key: Hashable) -> object | None:
+    def get_parsed(self, key: Hashable) -> Any:
         """The decoded object pooled for a resident block, else None.
 
         A hit is counted in ``stats.parse_avoided`` — the caller was about
@@ -150,7 +154,27 @@ class BlockCache:
             self.stats.parse_avoided += 1
         return parsed
 
-    def put_parsed(self, key: Hashable, parsed: object) -> None:
+    def get_warm(self, key: Hashable) -> Any:
+        """One access to a resident block whose decoded object is pooled.
+
+        Accounts exactly as a :meth:`get` hit followed by a
+        :meth:`get_parsed` hit — a hit, a parse avoided, LRU refresh — in
+        one call that never touches the raw bytes.  Returns None, and
+        counts nothing, when no decoded object is pooled: the caller then
+        takes the ``get`` path, which accounts for that access itself.
+        """
+        parsed = self._parsed.get(key)
+        if parsed is not None:
+            stats = self.stats
+            stats.hits += 1
+            stats.parse_avoided += 1
+            if self._prefetched and key in self._prefetched:
+                self._prefetched.discard(key)
+                stats.prefetch_hits += 1
+            self._entries.move_to_end(key)
+        return parsed
+
+    def put_parsed(self, key: Hashable, parsed: Any) -> None:
         """Pool the decoded form of a block.
 
         Ignored unless the raw block is resident: the parsed tier may never

@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.entry import LogEntry
+    from repro.core.entrymap import EntrymapRecord
 
 __all__ = [
     "BlockFormatError",
@@ -42,7 +46,8 @@ _FLAG_CONT_IN = 0x01
 _FLAG_CONT_OUT = 0x02
 _HEADER = struct.Struct(">BBHHHH")
 _HEADER_SIZE = _HEADER.size  # 10
-_CRC_SIZE = 4
+_CRC = struct.Struct(">I")
+_CRC_SIZE = _CRC.size
 _INDEX_ENTRY_SIZE = 2
 #: Fixed per-block overhead (header + CRC trailer), excluding the index.
 BLOCK_OVERHEAD = _HEADER_SIZE + _CRC_SIZE
@@ -56,7 +61,6 @@ class BlockFormatError(ValueError):
     """The block image does not parse (bad magic, CRC, or geometry)."""
 
 
-@dataclass(frozen=True, slots=True)
 class ParsedBlock:
     """A decoded block: its fragments plus continuation flags.
 
@@ -64,20 +68,67 @@ class ParsedBlock:
     ``cont_in`` is set; the final fragment is the head of an entry finished
     in a later block when ``cont_out`` is set.  Every other fragment is one
     complete record.
+
+    A parsed block is also where the read path keeps what it has already
+    decoded out of these fragments, so each record is interpreted once per
+    *resident* block rather than once per access:
+
+    ``record_ids``
+        per fragment, the validated logfile id of the record starting
+        there (None for the continuation-in fragment and for a record whose
+        header does not validate); None until first asked for.
+    ``entries``
+        per fragment, the decoded :class:`~repro.core.entry.LogEntry` of
+        the record starting there (for a record that continues into the
+        next block: its header fields and the part of its data held here).
+    ``entrymaps``
+        slot → decoded entrymap record (None if it does not decode), for
+        complete entrymap records only.
+
+    :class:`~repro.core.reader.LogReader` fills all three lazily.  They
+    need no invalidation rule of their own: the block cache drops a parsed
+    block together with the raw bytes it was parsed from.
     """
 
-    cont_in: bool
-    cont_out: bool
-    fragments: tuple[bytes, ...]
+    __slots__ = (
+        "cont_in",
+        "cont_out",
+        "fragments",
+        "_starts",
+        "record_ids",
+        "entries",
+        "entrymaps",
+    )
+
+    def __init__(
+        self, cont_in: bool, cont_out: bool, fragments: tuple[bytes, ...]
+    ) -> None:
+        self.cont_in = cont_in
+        self.cont_out = cont_out
+        self.fragments = fragments
+        self._starts = list(range(1 if cont_in else 0, len(fragments)))
+        self.record_ids: list[int | None] | None = None
+        self.entries: list[LogEntry | None] = [None] * len(fragments)
+        self.entrymaps: dict[int, EntrymapRecord | None] = {}
+
+    def __repr__(self) -> str:
+        return (
+            f"ParsedBlock(cont_in={self.cont_in}, cont_out={self.cont_out}, "
+            f"fragments={self.fragments!r})"
+        )
 
     @property
     def fragment_count(self) -> int:
         return len(self.fragments)
 
     def entry_start_slots(self) -> list[int]:
-        """Indices of fragments that *begin* an entry in this block."""
-        first = 1 if self.cont_in else 0
-        return list(range(first, len(self.fragments)))
+        """Indices of fragments that *begin* an entry in this block (one
+        shared list per block — callers must not mutate it)."""
+        return self._starts
+
+    def starts_entry(self, slot: int) -> bool:
+        """True if an entry begins at fragment ``slot`` of this block."""
+        return (1 if self.cont_in else 0) <= slot < len(self.fragments)
 
     def is_complete(self, slot: int) -> bool:
         """True if the record starting at ``slot`` ends inside this block."""
@@ -101,21 +152,21 @@ def parse_block(data: bytes) -> ParsedBlock:
     magic, flags, count, cont_len, data_len, _reserved = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise BlockFormatError(f"bad block magic 0x{magic:02x}")
-    (stored_crc,) = struct.unpack_from(">I", data, block_size - _CRC_SIZE)
-    actual_crc = zlib.crc32(data[: block_size - _CRC_SIZE])
+    index_end = block_size - _CRC_SIZE
+    (stored_crc,) = _CRC.unpack_from(data, index_end)
+    actual_crc = zlib.crc32(memoryview(data)[:index_end])
     if stored_crc != actual_crc:
         raise BlockFormatError(
             f"CRC mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
         )
-    max_payload = _payload_region(block_size) - _INDEX_ENTRY_SIZE * count
-    if data_len > max_payload or count * _INDEX_ENTRY_SIZE > _payload_region(block_size):
+    index_size = _INDEX_ENTRY_SIZE * count
+    payload_region = _payload_region(block_size)
+    if index_size > payload_region or data_len > payload_region - index_size:
         raise BlockFormatError("block geometry inconsistent (data overlaps index)")
 
-    sizes = []
-    for i in range(count):
-        offset = block_size - _CRC_SIZE - _INDEX_ENTRY_SIZE * (i + 1)
-        (size,) = struct.unpack_from(">H", data, offset)
-        sizes.append(size)
+    # The index runs right-to-left (s_n .. s_1), so one read yields the
+    # sizes in reverse; the geometry check above keeps it inside the block.
+    sizes = struct.unpack_from(f">{count}H", data, index_end - index_size)[::-1]
     if sum(sizes) != data_len:
         raise BlockFormatError(
             f"size index sums to {sum(sizes)} but data length is {data_len}"

@@ -28,11 +28,19 @@ from dataclasses import dataclass
 
 from repro.core.ids import validate_logfile_id
 
-__all__ = ["HeaderForm", "LogEntry", "DecodedRecord", "decode_record", "CorruptRecord"]
+__all__ = [
+    "HeaderForm",
+    "LogEntry",
+    "DecodedRecord",
+    "decode_record",
+    "peek_logfile_id",
+    "CorruptRecord",
+]
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_U64_U32 = struct.Struct(">QI")
 
 
 class HeaderForm(enum.IntEnum):
@@ -52,6 +60,11 @@ _HEADER_SIZES = {
     HeaderForm.TIMESTAMPED: 10,
     HeaderForm.FULL: 14,
 }
+#: Header size by raw version nibble — the one table both
+#: :func:`decode_record` and :func:`peek_logfile_id` validate against.
+_SIZE_BY_VERSION = {form.value: size for form, size in _HEADER_SIZES.items()}
+_TIMESTAMPED_SIZE = _HEADER_SIZES[HeaderForm.TIMESTAMPED]
+_FULL_SIZE = _HEADER_SIZES[HeaderForm.FULL]
 
 
 class CorruptRecord(ValueError):
@@ -124,38 +137,48 @@ class DecodedRecord:
     record_size: int
 
 
+def peek_logfile_id(record: bytes) -> int:
+    """Validate a record's header and return its logfile id.
+
+    This is the header check of :func:`decode_record` on its own — length,
+    header-version nibble, room for that form's header — without building
+    the entry, so the payload is never copied.  It accepts the first
+    fragment of a fragmented record too: the writer guarantees the whole
+    header fits there.  Raises :class:`CorruptRecord` exactly when
+    ``decode_record`` would.
+    """
+    length = len(record)
+    if length < 2:
+        raise CorruptRecord(f"record of {length} bytes has no header")
+    first = record[0]
+    header_size = _SIZE_BY_VERSION.get(first >> 4)
+    if header_size is None:
+        raise CorruptRecord(f"unknown header-version {first >> 4}")
+    if length < header_size:
+        raise CorruptRecord(
+            f"record of {length} bytes shorter than its {header_size}-byte "
+            f"{HeaderForm(first >> 4).name} header"
+        )
+    return ((first & 0x0F) << 8) | record[1]
+
+
 def decode_record(record: bytes) -> DecodedRecord:
     """Parse one complete (reassembled, if fragmented) record.
 
     Raises :class:`CorruptRecord` if the header-version nibble is not a
     known form or the record is shorter than its header.
     """
-    if len(record) < 2:
-        raise CorruptRecord(f"record of {len(record)} bytes has no header")
-    (first,) = _U16.unpack_from(record, 0)
-    version = first >> 12
-    logfile_id = first & 0x0FFF
-    try:
-        form = HeaderForm(version)
-    except ValueError:
-        raise CorruptRecord(f"unknown header-version {version}") from None
-    if len(record) < form.header_size:
-        raise CorruptRecord(
-            f"record of {len(record)} bytes shorter than its "
-            f"{form.header_size}-byte {form.name} header"
-        )
+    logfile_id = peek_logfile_id(record)
+    header_size = _SIZE_BY_VERSION[record[0] >> 4]
     timestamp = None
     client_seq = None
-    offset = 2
-    if form is not HeaderForm.MINIMAL:
-        (timestamp,) = _U64.unpack_from(record, offset)
-        offset += 8
-    if form is HeaderForm.FULL:
-        (client_seq,) = _U32.unpack_from(record, offset)
-        offset += 4
+    if header_size == _TIMESTAMPED_SIZE:
+        (timestamp,) = _U64.unpack_from(record, 2)
+    elif header_size == _FULL_SIZE:
+        timestamp, client_seq = _U64_U32.unpack_from(record, 2)
     entry = LogEntry(
         logfile_id=logfile_id,
-        data=record[offset:],
+        data=record[header_size:],
         timestamp=timestamp,
         client_seq=client_seq,
     )

@@ -18,11 +18,13 @@ surfaces as :class:`TornEntryError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
-from repro.core.entry import CorruptRecord, LogEntry, decode_record
+from repro.core.catalog import CatalogError
+from repro.core.entry import CorruptRecord, LogEntry, decode_record, peek_logfile_id
 from repro.core.entrymap import (
+    UNTRACKED_IDS,
     EntrymapRecord,
     EntrymapSearch,
     SearchStats,
@@ -38,8 +40,9 @@ from repro.worm.errors import (
 
 __all__ = ["LogReader", "ReadStats", "TornEntryError", "ReadEntry"]
 
-#: Sentinel distinguishing "memo miss" from a memoized None result.
-_MEMO_MISS = object()
+#: Sentinel distinguishing "memo miss" from a memoized None result (block
+#: addresses are never negative).
+_MEMO_MISS = -1
 
 #: Locate-memo entries kept before the memo is wholesale cleared.  The memo
 #: lives only until the next append anyway, so a small bound merely guards
@@ -154,7 +157,7 @@ class LogReader:
         on_corrupt: Callable[[int, int], None] | None = None,
         tail_image: Callable[[], bytes | None] | None = None,
         on_volume_demand: Callable[[int], bool] | None = None,
-    ):
+    ) -> None:
         self.store = store
         #: () -> (active_volume_index, tail_block_addr); tail_block_addr is
         #: the local address one past the last *readable* block, i.e. the
@@ -182,6 +185,9 @@ class LogReader:
         #: (volume, block, slot) triples already reported as corrupt
         #: records, so re-scans of the same damage count and journal once.
         self._corrupt_slots_reported: set[tuple[int, int, int]] = set()
+        #: One entrymap search per volume, rebuilt when recovery installs a
+        #: fresh ``EntrymapState`` for that volume.
+        self._searches: dict[int, EntrymapSearch] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -207,16 +213,20 @@ class LogReader:
         if local_block < 0 or local_block >= self.volume_extent(volume_index):
             return None
         key = self.store.cache_key(volume_index, local_block)
+        warm = self._warm_parsed(volume_index, local_block, key)
+        if warm is not None:
+            return warm
         volume = self.store.sequence.volumes[volume_index]
 
+        # ``_warm_parsed`` has already shown the access to the sequential-
+        # run detector.
         readahead = self.store.config.readahead_blocks
-        if readahead > 0:
-            self._note_access(volume_index, local_block)
-            if (
-                self._seq_run >= _PREFETCH_TRIGGER
-                and key not in self.store.cache
-            ):
-                self._prefetch(volume_index, local_block, readahead)
+        if (
+            readahead > 0
+            and self._seq_run >= _PREFETCH_TRIGGER
+            and key not in self.store.cache
+        ):
+            self._prefetch(volume_index, local_block, readahead)
 
         def loader() -> bytes:
             with self.store.tracer.span(
@@ -256,13 +266,8 @@ class LogReader:
                 raise
         self.stats.block_accesses += 1
         self.store.charge("cache_interpret", self.store.costs.cached_block_ms)
-        # Parsed-tier fast path: the sim-time charge above already covers
-        # "access and interpretation" (the paper's ~0.6 ms cached-block
-        # cost); if the decoded object is still pooled we skip the actual
-        # wall-clock re-parse.
-        pooled = self.store.cache.get_parsed(key)
-        if pooled is not None:
-            return pooled
+        # No decoded object is pooled for this block (the warm access above
+        # would have returned it), so this access pays the real parse.
         try:
             parsed = parse_block(data)
         except BlockFormatError:
@@ -276,6 +281,26 @@ class LogReader:
             return None
         self.stats.blocks_parsed += 1
         self.store.cache.put_parsed(key, parsed)
+        return parsed
+
+    def _warm_parsed(
+        self, volume_index: int, local_block: int, key: Hashable
+    ) -> ParsedBlock | None:
+        """One access to a readable block whose decoded form is pooled.
+
+        Counts and charges exactly what :meth:`read_parsed` does for a
+        block that is resident and decoded — the paper's ~0.6 ms "access
+        and interpretation" of a cached block — without touching the raw
+        bytes.  Returns None, having counted nothing, when the block has no
+        pooled decode; the caller then goes through ``read_parsed``.
+        """
+        store = self.store
+        if store.config.readahead_blocks > 0:
+            self._note_access(volume_index, local_block)
+        parsed: ParsedBlock | None = store.cache.get_warm(key)
+        if parsed is not None:
+            self.stats.block_accesses += 1
+            store.charge("cache_interpret", store.costs.cached_block_ms)
         return parsed
 
     def read_parsed_global(self, global_block: int) -> ParsedBlock | None:
@@ -345,47 +370,83 @@ class LogReader:
         parsed = self.read_parsed_global(location.global_block)
         if parsed is None:
             raise TornEntryError(f"block {location.global_block} unreadable")
-        starts = parsed.entry_start_slots()
-        if location.slot not in starts:
+        return self._entry_in(parsed, location)
+
+    def _entry_in(self, parsed: ParsedBlock, location: EntryLocation) -> LogEntry:
+        """The entry starting at ``location``, whose block — ``parsed`` —
+        the caller has just accessed.  A record that ends inside the block
+        is decoded once per resident block; a fragmented one is reassembled
+        through further block reads every time."""
+        slot = location.slot
+        if not parsed.starts_entry(slot):
             raise TornEntryError(
-                f"no entry starts at slot {location.slot} of block "
-                f"{location.global_block}"
+                f"no entry starts at slot {slot} of block {location.global_block}"
             )
-        record = parsed.fragments[location.slot]
-        complete = parsed.is_complete(location.slot)
+        in_block = parsed.is_complete(slot)
+        if in_block:
+            entry = parsed.entries[slot]
+            if entry is not None:
+                return entry
+        record = parsed.fragments[slot]
+        complete = in_block
         next_block = location.global_block + 1
         while not complete:
             tail_parsed = self.read_parsed_global(next_block)
             if tail_parsed is None or not tail_parsed.cont_in:
                 raise TornEntryError(
                     f"entry at block {location.global_block} slot "
-                    f"{location.slot} is missing its continuation in block "
+                    f"{slot} is missing its continuation in block "
                     f"{next_block}"
                 )
             record += tail_parsed.fragments[0]
             complete = not (tail_parsed.cont_out and tail_parsed.fragment_count == 1)
             next_block += 1
         try:
-            return decode_record(record).entry
+            entry = decode_record(record).entry
         except CorruptRecord as exc:
             raise TornEntryError(str(exc)) from exc
+        if in_block:
+            parsed.entries[slot] = entry
+        return entry
 
     def entry_header_at(
         self, parsed: ParsedBlock, slot: int
     ) -> LogEntry | None:
-        """Decode just the header of the record starting at ``slot``.
+        """Decode the record starting at ``slot`` from this block alone,
+        once per resident block.
 
-        Works even for incomplete fragments (the writer guarantees the full
-        header fits in the first fragment).  Returns None if undecodable.
+        Works even for a record that continues into the next block (the
+        writer guarantees the full header fits in the first fragment): its
+        header fields are right and its data is the part held here.
+        Returns None if undecodable.
         """
-        fragment = parsed.fragments[slot]
-        try:
-            if parsed.is_complete(slot):
-                return decode_record(fragment).entry
-            # Incomplete: decode header fields only by padding a copy.
-            return decode_record(fragment).entry
-        except CorruptRecord:
-            return None
+        entry = parsed.entries[slot]
+        if entry is None:
+            try:
+                entry = decode_record(parsed.fragments[slot]).entry
+            except CorruptRecord:
+                return None
+            parsed.entries[slot] = entry
+        return entry
+
+    def record_ids(self, parsed: ParsedBlock) -> list[int | None]:
+        """Per fragment, the logfile id of the record starting there.
+
+        None for a continuation-in fragment and for a record whose header
+        does not validate.  Every id in a block is peeked on the first call
+        — a header check, no payload copied — and kept with the block, so
+        filtering a block by log file never decodes a record.
+        """
+        if parsed.record_ids is None:
+            fragments = parsed.fragments
+            ids: list[int | None] = [None] * len(fragments)
+            for slot in parsed.entry_start_slots():
+                try:
+                    ids[slot] = peek_logfile_id(fragments[slot])
+                except CorruptRecord:
+                    pass
+            parsed.record_ids = ids
+        return parsed.record_ids
 
     # -- membership ------------------------------------------------------------------
 
@@ -400,17 +461,17 @@ class LogReader:
         if parsed is None:
             return None
         members: set[int] = set()
-        catalog = self.store.catalog
+        ids = self.record_ids(parsed)
         for slot in parsed.entry_start_slots():
-            header = self.entry_header_at(parsed, slot)
-            if header is None:
+            record_id = ids[slot]
+            if record_id is None:
                 # The writer guarantees every record's header fits in its
                 # first fragment, so an undecodable header means the slot
                 # carries garbage (e.g. a torn write inside a structurally
                 # intact block).  Report it once per location.
                 self._report_corrupt_record(volume_index, local_block, slot)
                 continue
-            members.update(self._tracked_ancestors(header.logfile_id))
+            members.update(self._tracked_ancestors(record_id))
         if parsed.cont_in:
             owner = self._continuation_owner(volume_index, local_block)
             if owner is not None:
@@ -430,11 +491,11 @@ class LogReader:
         )
 
     def _tracked_ancestors(self, logfile_id: int) -> list[int]:
-        from repro.core.entrymap import UNTRACKED_IDS
-
         try:
             chain = self.store.catalog.ancestors(logfile_id)
-        except Exception:
+        except CatalogError:
+            # An id the catalog has never seen (garbage that happens to
+            # carry a valid header-version) belongs to itself alone.
             chain = [logfile_id]
         return [a for a in chain if a not in UNTRACKED_IDS]
 
@@ -448,8 +509,7 @@ class LogReader:
                 return None
             starts = parsed.entry_start_slots()
             if starts:
-                header = self.entry_header_at(parsed, starts[-1])
-                return header.logfile_id if header else None
+                return self.record_ids(parsed)[starts[-1]]
             if not parsed.cont_in:
                 return None
             probe -= 1
@@ -474,37 +534,60 @@ class LogReader:
             parsed = self.read_parsed(volume_index, local)
             if parsed is None:
                 continue
+            ids = self.record_ids(parsed)
             for slot in parsed.entry_start_slots():
-                header = self.entry_header_at(parsed, slot)
-                if header is None or header.logfile_id != ENTRYMAP_ID:
+                if ids[slot] != ENTRYMAP_ID:
                     continue
-                try:
-                    if parsed.is_complete(slot):
-                        # Decode in place — no extra block access.
-                        record = EntrymapRecord.decode(header.data)
-                    else:
-                        location = EntryLocation(
-                            global_block=self.store.sequence.to_global(
-                                volume_index, local
-                            ),
-                            slot=slot,
-                        )
-                        record = EntrymapRecord.decode(self.entry_at(location).data)
-                except (TornEntryError, ValueError):
-                    continue
-                if record.level == level and record.cover_start == boundary - span:
+                record = self._entrymap_at(parsed, slot, volume_index, local)
+                if (
+                    record is not None
+                    and record.level == level
+                    and record.cover_start == boundary - span
+                ):
                     return record
         return None
 
+    def _entrymap_at(
+        self, parsed: ParsedBlock, slot: int, volume_index: int, local_block: int
+    ) -> EntrymapRecord | None:
+        """The entrymap record starting at ``slot``; None if it is torn or
+        does not decode.  A record that ends inside the block is decoded in
+        place — no extra block access — and once per resident block; a
+        fragmented one pays its continuation reads on every fetch."""
+        if not parsed.is_complete(slot):
+            location = EntryLocation(
+                global_block=self.store.sequence.to_global(volume_index, local_block),
+                slot=slot,
+            )
+            try:
+                return EntrymapRecord.decode(self.entry_at(location).data)
+            except (TornEntryError, ValueError):
+                return None
+        memo = parsed.entrymaps
+        if slot in memo:
+            return memo[slot]
+        record: EntrymapRecord | None = None
+        entry = self.entry_header_at(parsed, slot)
+        if entry is not None:
+            try:
+                record = EntrymapRecord.decode(entry.data)
+            except ValueError:
+                pass
+        memo[slot] = record
+        return record
+
     def volume_search(self, volume_index: int) -> EntrymapSearch:
         state = self.store.states[volume_index]
-        return EntrymapSearch(
-            state,
-            fetch=lambda level, boundary: self._fetch_entrymap(
-                volume_index, level, boundary
-            ),
-            scan=lambda block: self.block_members(volume_index, block),
-        )
+        search = self._searches.get(volume_index)
+        if search is None or search.state is not state:
+            search = self._searches[volume_index] = EntrymapSearch(
+                state,
+                fetch=lambda level, boundary: self._fetch_entrymap(
+                    volume_index, level, boundary
+                ),
+                scan=lambda block: self.block_members(volume_index, block),
+            )
+        return search
 
     # -- cross-volume locate ---------------------------------------------------------------
 
@@ -512,7 +595,7 @@ class LogReader:
         """Greatest readable global block < ``before_global`` with entries
         of ``logfile_id`` (descending through predecessor volumes)."""
         memoized = self._memo_get("prev", logfile_id, before_global)
-        if memoized is not _MEMO_MISS:
+        if memoized != _MEMO_MISS:
             self.stats.locate_memo_hits += 1
             return memoized
         store = self.store
@@ -525,7 +608,7 @@ class LogReader:
         self._memo_put("prev", logfile_id, before_global, found)
         return found
 
-    def _memo_get(self, direction: str, logfile_id: int, position: int):
+    def _memo_get(self, direction: str, logfile_id: int, position: int) -> int | None:
         """Look up a memoized locate result, dropping the memo whenever an
         append has moved the log tail since it was filled."""
         generation = self.store.append_generation
@@ -542,7 +625,11 @@ class LogReader:
         self._locate_memo[(direction, logfile_id, position)] = found
 
     def _locate_observed(
-        self, direction: str, impl, logfile_id: int, position: int
+        self,
+        direction: str,
+        impl: Callable[[int, int], int | None],
+        logfile_id: int,
+        position: int,
     ) -> int | None:
         """Run one locate with a span and the Figure-3 per-operation count."""
         store = self.store
@@ -586,7 +673,7 @@ class LogReader:
         """Smallest readable global block >= ``start_global`` with entries
         of ``logfile_id`` (ascending through successor volumes)."""
         memoized = self._memo_get("next", logfile_id, start_global)
-        if memoized is not _MEMO_MISS:
+        if memoized != _MEMO_MISS:
             self.stats.locate_memo_hits += 1
             return memoized
         store = self.store
@@ -633,7 +720,7 @@ class LogReader:
             return True
         try:
             return wanted in self.store.catalog.ancestors(entry_logfile_id)
-        except Exception:
+        except CatalogError:
             return False
 
     def iter_entries(
@@ -654,37 +741,55 @@ class LogReader:
         else:
             yield from self._iter_forward(logfile_id, start_global, start_slot)
 
-    def _block_matches(
-        self, global_block: int, logfile_id: int
-    ) -> list[tuple[int, LogEntry]]:
+    def _block_matches(self, global_block: int, logfile_id: int) -> list[int]:
+        """Slots of the entries starting in a block that belong to
+        ``logfile_id`` — one block access, no record decoded."""
         parsed = self.read_parsed_global(global_block)
         if parsed is None:
             return []
-        matches = []
-        for slot in parsed.entry_start_slots():
-            header = self.entry_header_at(parsed, slot)
-            if header is None or not self._belongs(header.logfile_id, logfile_id):
+        belongs = self._belongs
+        return [
+            slot
+            for slot, owner in enumerate(self.record_ids(parsed))
+            if owner is not None and belongs(owner, logfile_id)
+        ]
+
+    def _serve(self, global_block: int, slots: list[int]) -> Iterator[ReadEntry]:
+        """Yield the entries starting at ``slots`` of one readable block.
+
+        Each entry is one block access, as a client reading entry by entry
+        makes it; while the block stays resident and decoded that access is
+        the warm one and the entry comes straight out of the block's memo.
+        When it does not — the block was evicted, or was the tail and an
+        append rewrote it, since the last entry was yielded — the entry
+        takes the full :meth:`entry_at` path.
+        """
+        if not slots:
+            return
+        volume_index, local = self.store.sequence.to_local(global_block)
+        key = self.store.cache_key(volume_index, local)
+        for slot in slots:
+            location = EntryLocation(global_block=global_block, slot=slot)
+            try:
+                parsed = self._warm_parsed(volume_index, local, key)
+                if parsed is None:
+                    entry = self.entry_at(location)
+                else:
+                    entry = self._entry_in(parsed, location)
+            except TornEntryError:
+                self.stats.torn_entries_skipped += 1
                 continue
-            matches.append((slot, header))
-        return matches
+            yield ReadEntry(location=location, entry=entry)
 
     def _iter_forward(
         self, logfile_id: int, start_global: int, start_slot: int
     ) -> Iterator[ReadEntry]:
         current = self.locate_next_global(logfile_id, start_global)
-        first = True
         while current is not None:
-            for slot, _header in self._block_matches(current, logfile_id):
-                if first and current == start_global and slot < start_slot:
-                    continue
-                location = EntryLocation(global_block=current, slot=slot)
-                try:
-                    entry = self.entry_at(location)
-                except TornEntryError:
-                    self.stats.torn_entries_skipped += 1
-                    continue
-                yield ReadEntry(location=location, entry=entry)
-            first = False
+            slots = self._block_matches(current, logfile_id)
+            if current == start_global:
+                slots = [slot for slot in slots if slot >= start_slot]
+            yield from self._serve(current, slots)
             current = self.locate_next_global(logfile_id, current + 1)
 
     def _iter_reverse(
@@ -695,22 +800,11 @@ class LogReader:
         if start_global < 0:
             return
         current: int | None = start_global
-        if self._block_matches(start_global, logfile_id):
-            pass
-        else:
+        if not self._block_matches(start_global, logfile_id):
             current = self.locate_prev_global(logfile_id, start_global)
-        first = True
         while current is not None:
-            matches = self._block_matches(current, logfile_id)
-            for slot, _header in reversed(matches):
-                if first and current == start_global and slot > start_slot:
-                    continue
-                location = EntryLocation(global_block=current, slot=slot)
-                try:
-                    entry = self.entry_at(location)
-                except TornEntryError:
-                    self.stats.torn_entries_skipped += 1
-                    continue
-                yield ReadEntry(location=location, entry=entry)
-            first = False
+            slots = self._block_matches(current, logfile_id)
+            if current == start_global:
+                slots = [slot for slot in slots if slot <= start_slot]
+            yield from self._serve(current, slots[::-1])
             current = self.locate_prev_global(logfile_id, current)

@@ -29,6 +29,7 @@ from repro.core.ids import (
     CORRUPTED_BLOCK_ID,
     ClientEntryId,
     EntryId,
+    EntryLocation,
 )
 from repro.core.logfile import LogFile
 from repro.core.naming import parent_path, split_path
@@ -715,8 +716,6 @@ class LogService:
             if position is None:
                 return None
             global_block, slot = position
-            from repro.core.ids import EntryLocation
-
             location = EntryLocation(global_block=global_block, slot=slot)
             return ReadEntry(
                 location=location, entry=self.reader.entry_at(location)
@@ -738,8 +737,6 @@ class LogService:
         )
         if position is None:
             return None
-        from repro.core.ids import EntryLocation
-
         location = EntryLocation(global_block=position[0], slot=position[1])
         return ReadEntry(location=location, entry=self.reader.entry_at(location))
 

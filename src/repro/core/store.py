@@ -12,7 +12,7 @@ both operate on one store; :class:`repro.core.service.LogService` owns it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.cache import BlockCache
 from repro.core.catalog import Catalog
@@ -141,11 +141,13 @@ class LogStore:
     device_factory: Callable[[], WormDevice] | None = None
     #: Observability (repro.obs), shared by writer/reader/service.  The
     #: defaults are the disabled state: a no-op tracer and no registry, so
-    #: the hot paths pay one attribute check per operation.
-    tracer: object = NULL_TRACER
-    metrics: object | None = None
-    instruments: object | None = None
-    journal: object = NULL_JOURNAL
+    #: the hot paths pay one attribute check per operation.  Typed ``Any``
+    #: until the instrumentation seam gets its protocol (ROADMAP item 4):
+    #: the plug-ins are duck-typed and callers use their whole surface.
+    tracer: Any = NULL_TRACER
+    metrics: Any = None
+    instruments: Any = None
+    journal: Any = NULL_JOURNAL
     #: Bumped by the writer on every appended entry; readers use it to
     #: invalidate tail-dependent memos (the locate-result memo).
     append_generation: int = 0
