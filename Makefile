@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint check campaign workload bench bench-fastpath bench-tables bench-wallclock examples fsck-demo obs-demo health-demo outputs clean
+.PHONY: install test lint check campaign workload bench bench-fastpath bench-tables examples fsck-demo obs-demo health-demo outputs clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -47,11 +47,6 @@ bench-fastpath:
 # see docs/PERFORMANCE.md) so captured numbers always carry counters.
 bench-tables:
 	CLIO_BENCH_RECORD_DIR=. $(PYTHON) -m pytest benchmarks/ -s -q
-
-# The wall-clock harness (real appends/sec, scan MB/s, recovery blocks/s):
-# writes BENCH_wallclock.json; `clio perf run` is the CLI equivalent.
-bench-wallclock:
-	CLIO_BENCH_RECORD_DIR=. PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -k wallclock -s -q
 
 examples:
 	@for script in examples/*.py; do \

@@ -565,103 +565,6 @@ def _cmd_health(args) -> int:
     return 1
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint.cli import run as lint_run
-
-    return lint_run(args)
-
-
-def _cmd_perf_run(args) -> int:
-    """Run the wall-clock harness (see docs/PERFORMANCE.md for the
-    methodology).  Real time comes from one PerfWallClock constructed
-    here and injected down — the purity rule's whole point."""
-    import json
-    import tempfile
-
-    from repro.obs import perfbench
-    from repro.obs.wallclock import PerfWallClock
-
-    if args.profile not in perfbench.PROFILES:
-        print(f"error: unknown profile {args.profile!r}", file=sys.stderr)
-        return 1
-    with tempfile.TemporaryDirectory(prefix="clio-perf-") as workdir:
-        if args.check_determinism:
-            ok, detail = perfbench.check_determinism(
-                args.profile, workdir, PerfWallClock()
-            )
-            print(f"determinism: {detail}")
-            if not ok:
-                return 2
-            report = perfbench.run_profile(
-                args.profile,
-                os.path.join(workdir, "report"),
-                PerfWallClock(),
-            )
-        else:
-            report = perfbench.run_profile(
-                args.profile, workdir, PerfWallClock()
-            )
-    record = perfbench.report_to_dict(report)
-    print(perfbench.format_report(record))
-    if report.coverage < 0.95:
-        print(
-            f"warning: wall attribution covers only "
-            f"{report.coverage:.1%} of harness wall time (< 95%)",
-            file=sys.stderr,
-        )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-        print(f"(wrote {args.out})")
-    recorded = perfbench.maybe_record(record)
-    if recorded:
-        print(f"(recorded {recorded})")
-    return 0
-
-
-def _cmd_perf_report(args) -> int:
-    import json
-
-    from repro.obs import perfbench
-
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(perfbench.format_report(record))
-    return 0
-
-
-def _cmd_perf_compare(args) -> int:
-    """The CI gate: non-zero exit on a deterministic count regression."""
-    import json
-
-    from repro.obs import perfbench
-
-    with open(args.current) as handle:
-        current = json.load(handle)
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    failures, advisories = perfbench.compare_reports(
-        current, baseline, threshold=args.threshold
-    )
-    for line in advisories:
-        print(f"advisory: {line}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    if failures:
-        print(
-            f"{len(failures)} count regression(s) beyond "
-            f"{args.threshold:.0%} of baseline",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"ok: counts within {args.threshold:.0%} of baseline "
-        f"({len(advisories)} advisory note(s))"
-    )
-    return 0
-
-
 def _cmd_campaign_run(args) -> int:
     """Run the deterministic fault campaign; exit 2 on any silent miss,
     control mismatch, or determinism failure (see docs/FAULTS.md)."""
@@ -1071,60 +974,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_health)
 
-    p = commands.add_parser(
+    # Listed for ``clio --help`` only: main() hands ``clio lint ...`` to the
+    # linter's own parser, so no other verb pays for importing repro.lint.
+    commands.add_parser(
         "lint",
+        add_help=False,
         help="run the clio-lint invariant analyzer (see docs/LINTING.md)",
     )
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p)
-    p.set_defaults(handler=_cmd_lint)
-
-    p = commands.add_parser(
-        "perf",
-        help="wall-clock benchmarks: run, report, compare (CI gate)",
-    )
-    perf_commands = p.add_subparsers(dest="perf_command", required=True)
-
-    pp = perf_commands.add_parser(
-        "run", help="run the wall-clock harness on a throwaway store"
-    )
-    pp.add_argument(
-        "--profile",
-        default="smoke",
-        help="workload size: smoke (CI) or full (default: smoke)",
-    )
-    pp.add_argument(
-        "--out", metavar="FILE", help="also write the JSON record to FILE"
-    )
-    pp.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="first prove sim counters are byte-identical with and "
-        "without wall instrumentation (exit 2 if not)",
-    )
-    pp.set_defaults(handler=_cmd_perf_run)
-
-    pp = perf_commands.add_parser(
-        "report", help="render a recorded perf JSON file"
-    )
-    pp.add_argument("file")
-    pp.set_defaults(handler=_cmd_perf_report)
-
-    pp = perf_commands.add_parser(
-        "compare",
-        help="gate a perf record against a baseline: non-zero exit on "
-        "deterministic count regressions; rate changes are advisory",
-    )
-    pp.add_argument("current")
-    pp.add_argument("--baseline", required=True)
-    pp.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="relative regression tolerance (default: 0.30)",
-    )
-    pp.set_defaults(handler=_cmd_perf_compare)
 
     p = commands.add_parser(
         "campaign",
@@ -1249,6 +1105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.handler(args)
 

@@ -129,11 +129,9 @@ def max_level_for(degree: int, data_capacity: int) -> int:
 class SearchStats:
     """Instrumentation for one locate operation (Table 1's columns)."""
 
-    # Incremented by EntrymapSearch and folded by merge(); must become
-    # request-local before searches can interleave.
-    entrymap_entries_examined: int = 0  # concurrency: multi-writer
-    accumulator_examinations: int = 0  # concurrency: multi-writer
-    fallback_blocks_scanned: int = 0  # concurrency: multi-writer
+    entrymap_entries_examined: int = 0
+    accumulator_examinations: int = 0
+    fallback_blocks_scanned: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         self.entrymap_entries_examined += other.entrymap_entries_examined
@@ -161,9 +159,7 @@ class EntrymapState:
         levels = self.max_level
         # Index 0 unused; levels are 1-based for clarity.
         self.acc: list[dict[int, int]] = [dict() for _ in range(levels + 1)]
-        # Advanced by emit() and rebuilt wholesale by recovery; the
-        # scheduler PR must serialize append vs. recovery access.
-        self.next_emit: list[int] = [0] + [degree**i for i in range(1, levels + 1)]  # concurrency: multi-writer
+        self.next_emit: list[int] = [0] + [degree**i for i in range(1, levels + 1)]
         # Membership notes for blocks past the level-1 boundary whose entry
         # has not been emitted yet (emission can be deferred when the
         # boundary block opens with a continuation fragment).
@@ -239,7 +235,7 @@ class EntrymapState:
                 upper[logfile_id] = upper.get(logfile_id, 0) | bit
         self.acc[level].clear()
         self.next_emit[level] = boundary + span
-        if level == 1 and self._pending_level1:  # clio-lint: disable=atomicity — replay loop is single-client-atomic today
+        if level == 1 and self._pending_level1:
             pending, self._pending_level1 = self._pending_level1, []
             for block, ids in pending:
                 self.note_membership(block, ids)

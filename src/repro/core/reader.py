@@ -599,7 +599,7 @@ class LogReader:
             self.stats.locate_memo_hits += 1
             return memoized
         store = self.store
-        if store.instruments is None and not store.tracer.enabled:  # clio-lint: disable=atomicity — stale observability toggle only skips instrumentation
+        if store.instruments is None and not store.tracer.enabled:
             found = self._locate_prev_impl(logfile_id, before_global)
         else:
             found = self._locate_observed(
@@ -677,7 +677,7 @@ class LogReader:
             self.stats.locate_memo_hits += 1
             return memoized
         store = self.store
-        if store.instruments is None and not store.tracer.enabled:  # clio-lint: disable=atomicity — stale observability toggle only skips instrumentation
+        if store.instruments is None and not store.tracer.enabled:
             found = self._locate_next_impl(logfile_id, start_global)
         else:
             found = self._locate_observed(
@@ -696,7 +696,7 @@ class LogReader:
             # Every block belongs to the volume sequence log file.
             return start_global
         volume_index, local = sequence.to_local(start_global)
-        while volume_index < len(sequence.volumes):  # clio-lint: disable=atomicity — volume list can grow mid-scan; scheduler must snapshot
+        while volume_index < len(sequence.volumes):
             limit = self.volume_extent(volume_index)
             found = self.volume_search(volume_index).locate_next(
                 logfile_id, local, limit, self.stats.search

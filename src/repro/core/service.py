@@ -20,7 +20,6 @@ Lifecycle:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.cache import BlockCache
 from repro.core.catalog import Catalog
@@ -51,9 +50,6 @@ from repro.worm.device import WormDevice
 from repro.worm.errors import StorageError
 from repro.worm.nvram import NvramTail
 from repro.worm.volume import LogVolume, VolumeSequence
-
-if TYPE_CHECKING:
-    from repro.obs.wallclock import WallClock
 
 __all__ = ["LogService", "CrashRemains", "ReadOnlyService", "ServiceCrashed"]
 
@@ -202,7 +198,6 @@ class LogService:
         read_only: bool = False,
         observability: bool = False,
         readahead_blocks: int = 0,
-        wall_clock: "WallClock | None" = None,
     ) -> tuple["LogService", RecoveryReport]:
         """Mount surviving media after a crash (or cold start) and run the
         three-step recovery of Section 2.3.1 / 3.4.
@@ -211,9 +206,7 @@ class LogService:
         shelf): every mutating operation raises :class:`ReadOnlyService`,
         and corruption found while reading is reported but not repaired.
         ``observability=True`` enables metrics and tracing *before* the
-        recovery pass runs, so the mount itself produces a span tree;
-        ``wall_clock`` additionally makes those recovery spans dual-clock
-        (the ``clio perf`` harness measures recovery blocks/sec with it).
+        recovery pass runs, so the mount itself produces a span tree.
         """
         if not devices:
             raise ValueError("mount requires at least one device")
@@ -253,7 +246,7 @@ class LogService:
         service = cls(store, writer)
         service._read_only = read_only
         if observability:
-            service.enable_observability(wall_clock=wall_clock)
+            service.enable_observability()
         report = service._recover()
         return service, report
 
@@ -268,7 +261,7 @@ class LogService:
             nvram=self.store.nvram is not None,
         )
         self._crashed = True
-        if self.store.nvram is not None:  # clio-lint: disable=atomicity — crash path; clients are stopped
+        if self.store.nvram is not None:
             self.store.nvram.crash()
         self.store.cache.clear()
         return CrashRemains(
@@ -320,7 +313,7 @@ class LogService:
                 )
 
             # Adopt the NVRAM tail image if it continues the active volume.
-            if store.nvram is not None:  # clio-lint: disable=atomicity — recovery runs before clients attach
+            if store.nvram is not None:
                 image = store.nvram.load()
                 if image is None:
                     # Nothing staged: either the last burn completed cleanly
@@ -811,7 +804,7 @@ class LogService:
             return
         volume.invalidate_data_block(local_block)
         self.known_corrupt_blocks.add((volume_index, local_block))
-        if was_beyond_tail and not self._crashed and not self._read_only:  # clio-lint: disable=atomicity — crash flag may flip during the report append
+        if was_beyond_tail and not self._crashed and not self._read_only:
             try:
                 self.writer.append_reserved(
                     CORRUPTED_BLOCK_ID,
@@ -831,7 +824,6 @@ class LogService:
         tracing: bool = True,
         registry=None,
         events: bool = True,
-        wall_clock: "WallClock | None" = None,
     ):
         """Attach a metrics registry (and, by default, a span tracer and an
         event journal).
@@ -839,10 +831,7 @@ class LogService:
         Idempotent; safe to call on a running service — the registry's
         samplers read the live stats objects, so counters reflect the full
         history, while histograms, traces and events start from this call.
-        ``wall_clock`` (a :class:`~repro.obs.wallclock.WallClock`) makes the
-        tracer dual-clock: spans carry real nanoseconds beside simulated
-        time.  Simulated results are unaffected — the clock is only read
-        into span annotations.  Returns the registry.
+        Returns the registry.
         """
         from repro.obs.events import EventJournal
         from repro.obs.registry import MetricsRegistry
@@ -854,8 +843,8 @@ class LogService:
             store.metrics = registry if registry is not None else MetricsRegistry()
             store.instruments = wire_service(self)
         if tracing and not store.tracer.enabled:
-            store.tracer = SpanTracer(store.clock, wall_clock=wall_clock)
-        if events and not store.journal.enabled:  # clio-lint: disable=atomicity — admin-time toggle
+            store.tracer = SpanTracer(store.clock)
+        if events and not store.journal.enabled:
             journal = EventJournal(store.clock)
             store.journal = journal
             store.bind_device_events()
@@ -868,7 +857,7 @@ class LogService:
     def metrics(self):
         """The service's :class:`~repro.obs.MetricsRegistry` (enabling
         metrics collection — but not tracing — on first access)."""
-        if self.store.metrics is None:  # clio-lint: disable=atomicity — admin-time toggle
+        if self.store.metrics is None:
             self.enable_observability(tracing=False)
         return self.store.metrics
 

@@ -134,7 +134,7 @@ class LogStore:
     catalog: Catalog
     #: One entrymap state per volume, indexed like ``sequence.volumes``.
     #: Extended by TailWriter on volume switch and rebuilt by recovery.
-    states: list[EntrymapState] = field(default_factory=list)  # concurrency: multi-writer
+    states: list[EntrymapState] = field(default_factory=list)
     nvram: NvramTail | None = None
     space: SpaceStats = field(default_factory=SpaceStats)
     #: Called to supply a fresh medium when the active volume fills.

@@ -207,9 +207,9 @@ class TailWriter:
             # consistent prefix: re-encode the tail once so readers see it.
             self._amortize_timestamps = False
             self._defer_tail_refresh = False
-            if self._tail_refresh_pending:  # clio-lint: disable=atomicity — batch epilogue; writer is the only appender today
+            if self._tail_refresh_pending:
                 self._tail_refresh_pending = False
-                if self._builder is not None:  # clio-lint: disable=atomicity — batch epilogue; writer is the only appender today
+                if self._builder is not None:
                     self._refresh_tail_cache()
         if force:
             self._force()
@@ -249,7 +249,7 @@ class TailWriter:
     def flush(self) -> None:
         """Burn the tail block even if partially filled (volume unmount,
         clean shutdown without NVRAM)."""
-        if self._builder is not None and not self._builder.is_empty:  # clio-lint: disable=atomicity — flush must become an atomic section
+        if self._builder is not None and not self._builder.is_empty:
             self.store.journal.emit(
                 "writer.flush", volume=self._volume_index, block=self._block_addr
             )
@@ -281,7 +281,7 @@ class TailWriter:
         self, entry: LogEntry, tracked: frozenset[int]
     ) -> tuple[EntryLocation, LogEntry]:
         """Pack the entry into the tail, fragmenting across blocks as needed."""
-        if self._builder is None:  # clio-lint: disable=atomicity — open-tail check-then-act is THE append atomic section
+        if self._builder is None:
             self._open_block(cont_in=False)
         entry = self._upgrade_if_first(entry)
         record = entry.encode()
@@ -304,12 +304,12 @@ class TailWriter:
             taken += self._builder.add_continuation(record[taken:])
             self._note_fragment(tracked)
             self.store.space.size_index += 2
-            if not self._builder.cont_out:  # clio-lint: disable=atomicity — continuation emission rides inside the append atomic section
+            if not self._builder.cont_out:
                 # The continuation fragment is in place; any entrymap
                 # entries due at this block can now be emitted after it.
                 self._emit_due_entrymap_entries()
         self._carry_tracked_ids = frozenset()
-        if self._defer_tail_refresh:  # clio-lint: disable=atomicity — toggle read inside the append atomic section
+        if self._defer_tail_refresh:
             self._tail_refresh_pending = True
         else:
             self._refresh_tail_cache()
@@ -370,7 +370,7 @@ class TailWriter:
                         (self._volume_index, bad_local)
                     )
             sp.set("block", local)
-        if local != self._block_addr:  # clio-lint: disable=atomicity — burn relocation inside the append atomic section
+        if local != self._block_addr:
             # Relocated past one or more corrupt blocks: drop the stale
             # tail images cached under the skipped addresses and re-note
             # the memberships under the block's final address.
@@ -382,7 +382,7 @@ class TailWriter:
             self._block_addr = local
         self.store.cache.put(self.store.cache_key(self._volume_index, local), image)
         self.store.space.blocks_written += 1
-        if self.store.nvram is not None:  # clio-lint: disable=atomicity — NVRAM clear rides the burn atomic section
+        if self.store.nvram is not None:
             self.store.nvram.clear()
         self._builder = None
         self._block_has_entry_start = False
@@ -420,7 +420,7 @@ class TailWriter:
 
         self._draining = True
         try:
-            while self._pending_corrupt_reports:  # clio-lint: disable=atomicity — drain loop re-appends by design; must stay atomic
+            while self._pending_corrupt_reports:
                 volume_index, local = self._pending_corrupt_reports.pop(0)
                 self.append_reserved(
                     CORRUPTED_BLOCK_ID,
@@ -536,7 +536,7 @@ class TailWriter:
             block=self._block_addr,
             target="nvram" if self.store.nvram is not None else "burn",
         ):
-            if self.store.nvram is not None:  # clio-lint: disable=atomicity — force path rides the append atomic section
+            if self.store.nvram is not None:
                 global_block = self.store.sequence.to_global(
                     self._volume_index, self._block_addr
                 )

@@ -1,12 +1,8 @@
-"""Whole-program call-graph machinery shared by the project rules.
+"""Call-graph facts for the project rules.
 
-The charge-discipline rule (PR 4) grew the first call-graph fixpoint: a
-per-function record of callees resolved by *short name* (``read_block``,
-``_charge``), iterated to a fixpoint over every definition of that name in
-the project.  The concurrency-readiness rules need the same skeleton —
-who calls whom, which functions reach a charging/IPC/NVRAM sink, which
-functions (transitively) write a given attribute — so the machinery lives
-here and both rule families import it.
+A per-function record of callees resolved by *short name* (``read_block``,
+``_charge``), which the charge-discipline rule iterates to a fixpoint
+over every definition of that name in the project.
 
 Resolution is deliberately name-based, not type-based: ``x.read_block()``
 matches *every* project definition of ``read_block``.  That
@@ -22,37 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.lint.base import FileContext
 
-__all__ = [
-    "FunctionInfo",
-    "is_abstract",
-    "collect_functions",
-    "names_reaching",
-    "names_writing",
-    "MUTATOR_METHODS",
-]
-
-#: Method names whose call mutates the receiver in place (container and
-#: staging-buffer mutators).  Used to treat ``self.queue.append(x)`` as a
-#: write to ``queue``.
-MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "popitem",
-        "remove",
-        "setdefault",
-        "sort",
-        "reverse",
-        "update",
-    }
-)
+__all__ = ["FunctionInfo", "is_abstract", "collect_functions"]
 
 
 @dataclass
@@ -64,24 +30,15 @@ class FunctionInfo:
     lineno: int
     #: bare names of everything this function calls (attr or name).
     callees: set[str] = field(default_factory=set)
-    #: every call made, in source order: ``(bare name, lineno)``.
-    calls: list[tuple[str, int]] = field(default_factory=list)
     #: True when the function directly calls one of the ``sinks`` passed to
     #: :func:`collect_functions`.
     direct_sink: bool = False
     #: ``(name, lineno)`` of calls to the ``primitives`` passed to
     #: :func:`collect_functions`.
     io_calls: list[tuple[str, int]] = field(default_factory=list)
-    #: attribute names this function assigns, augments, or mutates in
-    #: place via a :data:`MUTATOR_METHODS` call (receiver-agnostic).
-    attr_writes: set[str] = field(default_factory=set)
     #: @abstractmethod or a docstring/pass/raise-only body: an interface
     #: declaration, not an implementation — exempt from most checks.
     abstract: bool = False
-
-    @property
-    def short_name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 def is_abstract(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -109,26 +66,6 @@ def _call_name(node: ast.Call) -> str | None:
         return func.attr
     if isinstance(func, ast.Name):
         return func.id
-    return None
-
-
-def _written_attr(node: ast.AST) -> str | None:
-    """The attribute name a statement-level node writes, if any."""
-    if isinstance(node, ast.Assign):
-        for target in node.targets:
-            if isinstance(target, ast.Attribute):
-                return target.attr
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        if isinstance(node.target, ast.Attribute):
-            return node.target.attr
-    elif isinstance(node, ast.Call):
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in MUTATOR_METHODS
-            and isinstance(func.value, ast.Attribute)
-        ):
-            return func.value.attr
     return None
 
 
@@ -168,14 +105,10 @@ def collect_functions(
                     name = _call_name(child)
                     if name is not None:
                         info.callees.add(name)
-                        info.calls.append((name, child.lineno))
                         if name in sinks:
                             info.direct_sink = True
                         if name in primitives:
                             info.io_calls.append((name, child.lineno))
-                written = _written_attr(child)
-                if written is not None:
-                    info.attr_writes.add(written)
             infos.append(info)
 
         def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -190,54 +123,3 @@ def collect_functions(
 
     Visitor().visit(ctx.tree)
     return infos
-
-
-def names_reaching(
-    functions: list[FunctionInfo], sinks: frozenset[str]
-) -> set[str]:
-    """Bare names of functions that transitively reach a ``sinks`` call.
-
-    Least fixpoint over short-name resolution: a function reaches a sink
-    if it calls one directly, or calls any name some definition of which
-    reaches one.  The over-approximation (any definition of the name)
-    matches :func:`collect_functions`'s name-based callee edges.
-    """
-    reaches: set[str] = set()
-    by_short: dict[str, list[FunctionInfo]] = {}
-    for info in functions:
-        by_short.setdefault(info.short_name, []).append(info)
-    changed = True
-    while changed:
-        changed = False
-        for info in functions:
-            short = info.short_name
-            if short in reaches:
-                continue
-            if info.direct_sink or (info.callees & sinks):
-                reaches.add(short)
-                changed = True
-                continue
-            if info.callees & reaches:
-                reaches.add(short)
-                changed = True
-    return reaches
-
-
-def names_writing(functions: list[FunctionInfo], attr: str) -> set[str]:
-    """Bare names of functions that directly or transitively write ``attr``.
-
-    Same least-fixpoint shape as :func:`names_reaching`, seeded with the
-    functions whose own body assigns or mutates the attribute.
-    """
-    writers: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for info in functions:
-            short = info.short_name
-            if short in writers:
-                continue
-            if attr in info.attr_writes or (info.callees & writers):
-                writers.add(short)
-                changed = True
-    return writers

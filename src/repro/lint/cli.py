@@ -22,15 +22,22 @@ from repro.lint.engine import run_lint
 from repro.lint.output import render_json, render_sarif, render_text
 from repro.lint.rules import default_rules
 
-__all__ = ["add_lint_arguments", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared with ``clio lint``)."""
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="clio lint",
+        description=(
+            "AST-based invariant analyzer for the Clio reproduction: "
+            "write-once encapsulation, sim-time purity, charge discipline, "
+            "and friends.  See docs/LINTING.md."
+        ),
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -78,23 +85,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
             "(they need the full tree), so run a full pass before merging"
         ),
     )
-    parser.add_argument(
-        "--concurrency-report",
-        default=None,
-        metavar="PATH",
-        help=(
-            "also write the byte-deterministic shared-state inventory "
-            "(concurrency_report.json) to PATH"
-        ),
-    )
-    parser.add_argument(
-        "--concurrency-gate",
-        action="store_true",
-        help=(
-            "exit 2 if the inventory contains unannotated multi-writer "
-            "state or stale '# concurrency: multi-writer' annotations"
-        ),
-    )
+    return parser
 
 
 def _changed_paths(root: Path, requested: list[Path]) -> list[Path]:
@@ -156,27 +147,11 @@ def run(args: argparse.Namespace) -> int:
         if not paths:
             print("0 finding(s): no changed Python files")
             return EXIT_CLEAN
-        # Whole-program rules over a partial file set would misclassify
-        # (a writer outside the selection looks like it does not exist).
+        # Whole-program rules over a partial file set would misjudge (a
+        # definition outside the selection looks like it does not exist).
         rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
 
     result = run_lint(root, paths, rules)
-
-    if args.concurrency_report or args.concurrency_gate:
-        from repro.lint.concurrency import build_inventory, gate_violations
-        from repro.lint.concurrency import render_report as render_concurrency
-
-        assert result.project is not None
-        if args.concurrency_report:
-            Path(args.concurrency_report).write_text(
-                render_concurrency(result.project), encoding="utf-8"
-            )
-        if args.concurrency_gate:
-            problems = gate_violations(build_inventory(result.project))
-            if problems:
-                for problem in problems:
-                    print(f"clio lint: concurrency gate: {problem}", file=sys.stderr)
-                return EXIT_ERROR
 
     baseline_path = (
         Path(args.baseline)
@@ -214,16 +189,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="clio lint",
-        description=(
-            "AST-based invariant analyzer for the Clio reproduction: "
-            "write-once encapsulation, sim-time purity, charge discipline, "
-            "and friends.  See docs/LINTING.md."
-        ),
-    )
-    add_lint_arguments(parser)
-    return run(parser.parse_args(argv))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -41,9 +41,6 @@ class LintResult:
     files_checked: int = 0
     #: Findings suppressed by ``# clio-lint: disable`` comments.
     suppressed: int = 0
-    #: Every successfully parsed file, for post-run whole-program passes
-    #: (the concurrency report renders from this without re-parsing).
-    project: ProjectContext | None = None
 
 
 def discover_files(paths: list[Path]) -> list[Path]:
@@ -164,5 +161,4 @@ def run_lint(
         kept.append(finding)
 
     result.findings = _number_occurrences(kept)
-    result.project = project
     return result

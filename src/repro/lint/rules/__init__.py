@@ -1,6 +1,6 @@
 """The default rule set for ``clio lint``.
 
-Thirteen rules, each protecting an invariant the runtime can only catch
+Eleven rules, each protecting an invariant the runtime can only catch
 late or not at all; see ``docs/LINTING.md`` for the catalog with paper
 references.
 """
@@ -8,12 +8,6 @@ references.
 from __future__ import annotations
 
 from repro.lint.base import Rule
-from repro.lint.rules.concurrency import (
-    AtomicityRule,
-    DeterministicIterationRule,
-    ExceptionSafetyRule,
-    SharedStateRule,
-)
 from repro.lint.rules.encoding import DeterministicJsonRule
 from repro.lint.rules.hygiene import (
     ExceptionHygieneRule,
@@ -22,6 +16,10 @@ from repro.lint.rules.hygiene import (
 )
 from repro.lint.rules.metrics import MetricsDriftRule, SpanDriftRule
 from repro.lint.rules.purity import SimTimePurityRule
+from repro.lint.rules.robustness import (
+    DeterministicIterationRule,
+    ExceptionSafetyRule,
+)
 from repro.lint.rules.worm import ChargeDisciplineRule, WormEncapsulationRule
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "DeterministicJsonRule",
     "MetricsDriftRule",
     "SpanDriftRule",
-    "SharedStateRule",
-    "AtomicityRule",
     "ExceptionSafetyRule",
     "DeterministicIterationRule",
 ]
@@ -53,8 +49,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     DeterministicJsonRule,
     MetricsDriftRule,
     SpanDriftRule,
-    SharedStateRule,
-    AtomicityRule,
     ExceptionSafetyRule,
     DeterministicIterationRule,
 )

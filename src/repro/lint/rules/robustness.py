@@ -1,20 +1,5 @@
-"""Rules: concurrency readiness ahead of the multi-client core.
+"""Rules: state that survives an exception, order that survives a rerun.
 
-ROADMAP item 1 will interleave multiple client requests through
-``vsystem.ipc`` and ``LogService``.  Today's code is single-client and
-correct; these four rules find the places where that correctness depends
-on *not* being interleaved, so the scheduler PR inherits a worklist
-instead of a minefield:
-
-* ``shared-state`` — every multi-writer attribute in the
-  :mod:`repro.lint.concurrency` inventory must carry an explicit
-  ``# concurrency: multi-writer`` acknowledgement on its declaration, and
-  annotations must not go stale.
-* ``atomicity`` — a guard (``if``/``while``) that tests shared mutable
-  state and then, after a call that reaches a charging/IPC/NVRAM-force
-  operation (the future yield points), writes that same state is a
-  check-then-act window: under interleaving the guard may be stale by the
-  time the write lands.
 * ``exception-safety`` — the mutate → risky call → restore toggle
   pattern without ``try/finally``: an exception in the middle leaves the
   object in the mutated state forever (the exact ``suppress()`` bug class
@@ -30,303 +15,26 @@ instead of a minefield:
 from __future__ import annotations
 
 import ast
-from typing import Callable
+from typing import Iterator
 
-from repro.lint.base import FileContext, Finding, ProjectContext, ProjectRule, Rule
-from repro.lint.callgraph import (
-    MUTATOR_METHODS,
-    FunctionInfo,
-    collect_functions,
-    names_reaching,
-    names_writing,
-)
-from repro.lint.concurrency import (
-    MULTI_WRITER,
-    READ_ONLY,
-    AttrRecord,
-    Inventory,
-    build_inventory,
-    function_env,
-    in_scope,
-    iter_functions,
-    parse_annotation,
-    resolve_expr,
-    shallow_walk,
-)
+from repro.lint.base import FileContext, Finding, Rule
 
-__all__ = [
-    "SharedStateRule",
-    "AtomicityRule",
-    "ExceptionSafetyRule",
-    "DeterministicIterationRule",
-]
+__all__ = ["ExceptionSafetyRule", "DeterministicIterationRule"]
 
 
-class SharedStateRule(ProjectRule):
-    name = "shared-state"
-    description = (
-        "Every multi-writer attribute in the core/vsystem/worm shared-state "
-        "inventory must be acknowledged with '# concurrency: multi-writer' "
-        "on its declaration line, and annotations must not go stale."
-    )
-    paper_section = "§4 (multiple clients); ROADMAP item 1"
-
-    def check_project(self, project: ProjectContext) -> list[Finding]:
-        inventory = build_inventory(project)
-        by_path = {ctx.relpath: ctx for ctx in project.files}
-        findings: list[Finding] = []
-        for record in sorted(
-            inventory.registry.values(), key=lambda r: (r.module, r.name)
-        ):
-            for attr in sorted(record.attrs.values(), key=lambda a: a.name):
-                ctx = by_path.get(attr.declared_module)
-                if ctx is None:
-                    continue
-                classification = attr.classification
-                if classification == MULTI_WRITER and not attr.annotated:
-                    writers = ", ".join(sorted(attr.writer_units))
-                    findings.append(
-                        ctx.finding(
-                            self.name,
-                            attr.declared_line,
-                            f"'{attr.owner}.{attr.name}' is multi-writer "
-                            f"shared state (written by {writers}); "
-                            f"acknowledge the hazard with "
-                            f"'# concurrency: multi-writer' on this line or "
-                            f"eliminate the extra writer",
-                        )
-                    )
-                elif classification != MULTI_WRITER and attr.annotated:
-                    findings.append(
-                        ctx.finding(
-                            self.name,
-                            attr.declared_line,
-                            f"'{attr.owner}.{attr.name}' is marked "
-                            f"'# concurrency: multi-writer' but is now "
-                            f"{classification}; drop the stale annotation",
-                        )
-                    )
-        return findings
-
-
-#: Leaf operations the future scheduler will yield around: simulated-time
-#: charging, IPC transfer, and the NVRAM tail force.
-_YIELD_SINKS = frozenset(
-    {
-        "charge",
-        "charge_us",
-        "charge_many",
-        "_charge",
-        "_charge_bulk",
-        "advance_ms",
-        "advance_us",
-        "call",
-        "send",
-        "store",
-    }
-)
-
-
-class AtomicityRule(ProjectRule):
-    name = "atomicity"
-    description = (
-        "No check-then-act on shared state across a future yield point: a "
-        "guard that tests a shared attribute and then writes it after a "
-        "call reaching a charging/IPC/NVRAM operation may act on a stale "
-        "check once requests interleave."
-    )
-    paper_section = "§4 (multiple clients); ROADMAP item 1"
-
-    def check_project(self, project: ProjectContext) -> list[Finding]:
-        scoped = [ctx for ctx in project.files if in_scope(ctx)]
-        if not scoped:
-            return []
-        inventory = build_inventory(project)
-        infos: list[FunctionInfo] = []
-        for ctx in scoped:
-            infos.extend(collect_functions(ctx, sinks=_YIELD_SINKS))
-        yielders = names_reaching(infos, _YIELD_SINKS)
-        writer_names: dict[str, set[str]] = {}
-
-        findings: list[Finding] = []
-        for ctx in scoped:
-            for node, enclosing_class, qualname in iter_functions(ctx):
-                env = function_env(node, enclosing_class, inventory)
-
-                def resolve(expr: ast.expr) -> tuple[str, object] | None:
-                    return resolve_expr(expr, env, inventory, enclosing_class)
-
-                for stmt in shallow_walk(node):
-                    if not isinstance(stmt, (ast.If, ast.While)):
-                        continue
-                    tested = _tested_shared_attrs(
-                        stmt.test, resolve, inventory
-                    )
-                    if not tested:
-                        continue
-                    suite = list(stmt.body) + list(stmt.orelse)
-                    for attr in tested:
-                        if attr.name not in writer_names:
-                            writer_names[attr.name] = names_writing(
-                                infos, attr.name
-                            )
-                        hazard = _yield_then_write(
-                            suite, attr, resolve, yielders,
-                            writer_names[attr.name], inventory,
-                        )
-                        if hazard is None:
-                            continue
-                        call_name, write_line = hazard
-                        findings.append(
-                            ctx.finding(
-                                self.name,
-                                stmt,
-                                f"check-then-act on shared state: "
-                                f"'{attr.owner}.{attr.name}' is tested "
-                                f"here but written (line {write_line}) "
-                                f"after a call to '{call_name}(...)' that "
-                                f"reaches a charge/IPC/NVRAM operation — a "
-                                f"future scheduler yield point; the guard "
-                                f"may be stale under concurrent clients",
-                            )
-                        )
-        return findings
-
-
-def _tested_shared_attrs(
-    test: ast.expr,
-    resolve: Callable[[ast.expr], tuple[str, object] | None],
-    inventory: Inventory,
-) -> list[AttrRecord]:
-    """Shared (non-read-only) inventoried attributes read by a guard."""
-    out: list[AttrRecord] = []
-    seen: set[tuple[str, str]] = set()
-    for node in ast.walk(test):
-        if not isinstance(node, ast.Attribute) or not isinstance(
-            node.ctx, ast.Load
-        ):
-            continue
-        receiver = resolve(node.value)
-        if receiver is None or receiver[0] != "inst":
-            continue
-        attr = inventory.lookup_attr(str(receiver[1]), node.attr)
-        if attr is None or attr.classification == READ_ONLY:
-            continue
-        key = (attr.owner, attr.name)
-        if key not in seen:
-            seen.add(key)
-            out.append(attr)
-    return out
-
-
-def _yield_then_write(
-    suite: list[ast.stmt],
-    attr: AttrRecord,
-    resolve: Callable[[ast.expr], tuple[str, object] | None],
-    yielders: set[str],
-    writers: set[str],
-    inventory: Inventory,
-) -> tuple[str, int] | None:
-    """First ``(yielding call name, later write line)`` in the suite, if
-    the guarded body crosses a yield point before writing ``attr``."""
-    first_yield: tuple[int, str] | None = None
-    events: list[tuple[int, str, str]] = []  # (line, kind, detail)
-    for stmt in suite:
-        for child in shallow_walk(stmt):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = (
-                    func.attr
-                    if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else None
-                )
-                if name is None:
-                    continue
-                # ``d.clear()`` on a plain dict would match NvramTail.clear
-                # by short name; a container-mutator call only counts when
-                # its receiver resolves to a class that defines the method.
-                if name in MUTATOR_METHODS:
-                    if not isinstance(func, ast.Attribute):
-                        continue
-                    receiver = resolve(func.value)
-                    if (
-                        receiver is None
-                        or receiver[0] != "inst"
-                        or not inventory.has_method(str(receiver[1]), name)
-                    ):
-                        continue
-                if name in yielders or name in _YIELD_SINKS:
-                    events.append((child.lineno, "yield", name))
-                if name in writers:
-                    events.append((child.lineno, "write", name))
-            for target_attr, lineno in _direct_writes(
-                child, resolve, inventory
+def _shallow_walk(node: ast.AST) -> Iterator[ast.AST]:
+    """Like :func:`ast.walk` but does not descend into nested class or
+    function definitions (they are analyzed as their own scopes)."""
+    stack: list[ast.AST] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                if (
-                    target_attr.owner == attr.owner
-                    and target_attr.name == attr.name
-                ):
-                    events.append((lineno, "write", "<assign>"))
-    events.sort(key=lambda e: e[0])
-    for line, kind, detail in events:
-        if kind == "yield" and first_yield is None:
-            first_yield = (line, detail)
-        elif kind == "write" and first_yield is not None:
-            return (first_yield[1], line)
-        elif kind == "write" and first_yield is None:
-            # A single call both yielding and writing counts: the write
-            # happens somewhere beyond the yield inside the callee.
-            matching = [e for e in events if e[0] == line and e[1] == "yield"]
-            if matching:
-                return (matching[0][2], line)
-    return None
-
-
-def _direct_writes(
-    node: ast.AST,
-    resolve: Callable[[ast.expr], tuple[str, object] | None],
-    inventory: Inventory,
-) -> list[tuple[AttrRecord, int]]:
-    """Inventoried attributes this single AST node writes directly:
-    attribute assignments, ``x.attr[i] = ...`` item stores, and in-place
-    container mutators (``x.attr.append(...)``)."""
-    out: list[tuple[AttrRecord, int]] = []
-
-    def record(receiver: ast.expr, attr_name: str, lineno: int) -> None:
-        ref = resolve(receiver)
-        if ref is None or ref[0] != "inst":
-            return
-        attr = inventory.lookup_attr(str(ref[1]), attr_name)
-        if attr is not None:
-            out.append((attr, lineno))
-
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    for target in targets:
-        flat: list[ast.expr] = (
-            list(target.elts)
-            if isinstance(target, (ast.Tuple, ast.List))
-            else [target]
-        )
-        for part in flat:
-            if isinstance(part, ast.Attribute):
-                record(part.value, part.attr, part.lineno)
-            elif isinstance(part, ast.Subscript) and isinstance(
-                part.value, ast.Attribute
-            ):
-                record(part.value.value, part.value.attr, part.lineno)
-    if isinstance(node, ast.Call):
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in MUTATOR_METHODS
-            and isinstance(func.value, ast.Attribute)
-        ):
-            record(func.value.value, func.value.attr, node.lineno)
-    return out
+                continue
+            stack.append(child)
 
 
 class ExceptionSafetyRule(Rule):
@@ -337,7 +45,7 @@ class ExceptionSafetyRule(Rule):
         "object stays in its temporary state (the PR-7 suppress() bug "
         "class)."
     )
-    paper_section = "§2.3 (failure recovery); ROADMAP item 1"
+    paper_section = "§2.3 (failure recovery)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -391,7 +99,7 @@ def _suites(
 ) -> list[list[ast.stmt]]:
     """Every statement list inside ``func``, excluding nested defs."""
     out: list[list[ast.stmt]] = []
-    for node in shallow_walk(func):
+    for node in _shallow_walk(func):
         for attr in ("body", "orelse", "finalbody"):
             suite = getattr(node, attr, None)
             if (
@@ -472,7 +180,7 @@ def _looks_like_toggle(
 
 def _risky_part(stmt: ast.stmt) -> str | None:
     """A description of the first raise-capable construct in ``stmt``."""
-    for child in shallow_walk(stmt):
+    for child in _shallow_walk(stmt):
         if isinstance(child, (ast.Yield, ast.YieldFrom)):
             return "yield"
         if isinstance(child, ast.Await):
@@ -494,6 +202,9 @@ _SET_METHODS = frozenset(
         "symmetric_difference",
     }
 )
+
+#: Subscript heads of annotations that declare a set.
+_SET_ANNOTATION_HEADS = frozenset({"set", "Set", "frozenset", "FrozenSet"})
 
 #: Calls whose argument order becomes the result order.
 _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
@@ -595,7 +306,7 @@ class DeterministicIterationRule(Rule):
 def _scope_walk(root: ast.AST, is_module: bool) -> "list[ast.AST]":
     """Nodes belonging to this scope (module bodies skip all defs)."""
     out: list[ast.AST] = []
-    for child in shallow_walk(root):
+    for child in _shallow_walk(root):
         out.append(child)
     if is_module:
         out = [
@@ -608,9 +319,26 @@ def _scope_walk(root: ast.AST, is_module: bool) -> "list[ast.AST]":
     return out
 
 
-def _is_set_annotation(expr: ast.expr | None) -> bool:
-    ref = parse_annotation(expr)
-    return ref is not None and ref[0] == "set"
+def _is_set_annotation(node: ast.expr | None) -> bool:
+    """True for ``set[...]``/``frozenset[...]`` annotations, also inside
+    ``Optional[...]``, a ``|`` union, or a string annotation."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return _is_set_annotation(ast.parse(node.value, mode="eval").body)
+        except SyntaxError:
+            return False
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _is_set_annotation(node.left) or _is_set_annotation(node.right)
+    if isinstance(node, ast.Subscript):
+        head = (
+            node.value.id
+            if isinstance(node.value, ast.Name)
+            else node.value.attr if isinstance(node.value, ast.Attribute) else ""
+        )
+        if head == "Optional":
+            return _is_set_annotation(node.slice)
+        return head in _SET_ANNOTATION_HEADS
+    return False
 
 
 def _is_set_expr(
@@ -720,7 +448,7 @@ def _local_set_names(
     ):
         if _is_set_annotation(arg.annotation):
             names.add(arg.arg)
-    for child in shallow_walk(func):
+    for child in _shallow_walk(func):
         if isinstance(child, ast.Assign):
             if _is_set_expr(child.value, names, self_sets):
                 for target in child.targets:

@@ -14,18 +14,6 @@ counts every charged millisecond exactly once; the breakdown's components
 therefore sum to the root's traced duration up to the clock's
 microsecond rounding (one rounding step per ``charge``/``charge_many``
 call).  ``repro profile`` asserts that coverage.
-
-**Wall-time attribution** (dual-clock spans): when a tracer was built
-with an injected :class:`~repro.obs.wallclock.WallClock`, every span also
-carries wall nanoseconds, and :func:`wall_attribution` folds them by
-Section-3 component.  Wall time has no ``charge`` call sites of its own —
-it accrues continuously — so each span's *self* wall time (duration minus
-children) is distributed across the span's charged sim components in
-proportion to their charged milliseconds; spans that charged nothing
-attribute their self time to their span name (prefixed ``span:``).  Every
-traced wall nanosecond lands in exactly one bucket, so the attribution
-sums to the roots' total wall time — the ``clio perf`` harness asserts
->= 95% coverage of its own end-to-end wall measurement against that sum.
 """
 
 from __future__ import annotations
@@ -40,9 +28,6 @@ __all__ = [
     "profile_roots",
     "format_profile",
     "attribution_summary",
-    "wall_attribution",
-    "total_wall_ns",
-    "format_wall_attribution",
 ]
 
 
@@ -64,8 +49,6 @@ class CostBreakdown:
     count: int = 0
     total_ms: float = 0.0
     components: dict[str, float] = field(default_factory=dict)
-    #: Wall nanoseconds across merged roots (0 when spans are single-clock).
-    total_wall_ns: int = 0
 
     @property
     def attributed_ms(self) -> float:
@@ -87,7 +70,6 @@ class CostBreakdown:
     def merge(self, span: Span) -> None:
         self.count += 1
         self.total_ms += span.duration_us / 1000.0
-        self.total_wall_ns += span.wall_duration_ns or 0
         for component, ms in profile_span(span).items():
             self.components[component] = self.components.get(component, 0.0) + ms
 
@@ -113,92 +95,17 @@ def attribution_summary(breakdowns: list[CostBreakdown]) -> tuple[float, float]:
     return attributed, total
 
 
-def total_wall_ns(roots: list[Span]) -> int:
-    """Wall nanoseconds covered by the given roots (0 if single-clock)."""
-    return sum(root.wall_duration_ns or 0 for root in roots)
-
-
-def wall_attribution(roots: list[Span]) -> dict[str, int]:
-    """Fold the forest's wall time into per-component nanoseconds.
-
-    Each span's self wall time (its duration minus its direct children's)
-    is split across its charged sim-cost components proportionally to the
-    charged milliseconds; uncharged spans bucket under ``span:<name>``.
-    Integer remainders from the proportional split go to the largest
-    component, so the totals sum exactly to :func:`total_wall_ns` — no
-    traced nanosecond is lost or double-counted.
-    """
-    totals: dict[str, int] = {}
-    for root in roots:
-        for span in root.walk():
-            self_ns = span.wall_self_ns
-            if self_ns is None or self_ns <= 0:
-                continue
-            costs = span.costs
-            if not costs:
-                key = f"span:{span.name}"
-                totals[key] = totals.get(key, 0) + self_ns
-                continue
-            charged = sum(costs.values())
-            assigned = 0
-            largest = max(sorted(costs), key=costs.__getitem__)
-            for component in sorted(costs):
-                if component == largest:
-                    continue
-                share = int(self_ns * (costs[component] / charged))
-                if share:
-                    totals[component] = totals.get(component, 0) + share
-                assigned += share
-            totals[largest] = totals.get(largest, 0) + (self_ns - assigned)
-    return totals
-
-
-def format_wall_attribution(
-    attribution: dict[str, int], harness_total_ns: int | None = None
-) -> str:
-    """Render a wall attribution table (``clio perf report``'s breakdown).
-
-    ``harness_total_ns`` — the harness's own end-to-end wall measurement —
-    adds a coverage line: how much of the real elapsed time the traced
-    spans explain.
-    """
-    if not attribution:
-        return "no wall-clock data (tracer had no injected WallClock?)"
-    lines: list[str] = []
-    attributed = sum(attribution.values())
-    for component, ns in sorted(
-        attribution.items(), key=lambda kv: (-kv[1], kv[0])
-    ):
-        share = ns / attributed if attributed else 0.0
-        lines.append(
-            f"    {component:<20s} {ns / 1e6:10.3f}ms  {100.0 * share:5.1f}%"
-        )
-    if harness_total_ns:
-        coverage = attributed / harness_total_ns
-        lines.append(
-            f"attributed {attributed / 1e6:.3f}ms of "
-            f"{harness_total_ns / 1e6:.3f}ms harness wall time "
-            f"({100.0 * coverage:.1f}% coverage)"
-        )
-    return "\n".join(lines)
-
-
 def format_profile(breakdowns: list[CostBreakdown]) -> str:
     """Render breakdowns as the ``repro profile`` table."""
     if not breakdowns:
         return "no finished spans to profile (is tracing enabled?)"
     lines: list[str] = []
     for breakdown in breakdowns:
-        wall = (
-            f"  wall {breakdown.total_wall_ns / 1e6:.3f}ms"
-            if breakdown.total_wall_ns
-            else ""
-        )
         lines.append(
             f"{breakdown.operation:<24s} x{breakdown.count:<6d} "
             f"total {breakdown.total_ms:10.3f}ms  "
             f"mean {breakdown.mean_ms:8.3f}ms  "
-            f"attributed {100.0 * breakdown.coverage:5.1f}%{wall}"
+            f"attributed {100.0 * breakdown.coverage:5.1f}%"
         )
         for component, ms in sorted(
             breakdown.components.items(), key=lambda kv: -kv[1]

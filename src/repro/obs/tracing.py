@@ -17,15 +17,6 @@ the client reply (Section 3.3's delayed-write window) — attaches to the
 originating request.  Ids are derived deterministically from the sim
 clock plus a monotone sequence, never from randomness.
 
-Spans are **dual-clock capable**: a tracer constructed with an injected
-:class:`~repro.obs.wallclock.WallClock` additionally stamps each span with
-wall-clock nanoseconds (``wall_start_ns``/``wall_end_ns``), so the same
-span tree answers both "where did the *simulated* time go" (the paper's
-Section-3 decomposition) and "where does the *real* time go" (the
-``clio perf`` harness).  Without a wall clock — the default everywhere —
-the wall fields stay ``None``, span persistence is byte-identical to the
-single-clock format, and sim-time determinism is untouched.
-
 Tracing is disabled by default; the shared :data:`NULL_TRACER` makes every
 instrumentation point a single no-op method call.
 """
@@ -35,10 +26,7 @@ from __future__ import annotations
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.wallclock import WallClock
+from typing import Callable, Iterator, Protocol
 
 __all__ = [
     "ClockLike",
@@ -86,8 +74,6 @@ class Span:
         "trace_id",
         "span_id",
         "parent_id",
-        "wall_start_ns",
-        "wall_end_ns",
     )
 
     def __init__(
@@ -115,11 +101,6 @@ class Span:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        #: Wall-clock nanoseconds (dual-clock spans).  None — the default
-        #: everywhere — means the tracer had no injected WallClock; only
-        #: the perf harness and wall-clock benches populate these.
-        self.wall_start_ns: int | None = None
-        self.wall_end_ns: int | None = None
 
     def set(self, key: str, value: object) -> None:
         """Attach an attribute discovered mid-span (e.g. a result count)."""
@@ -136,27 +117,6 @@ class Span:
         return (self.end_us if self.end_us is not None else self.start_us) - (
             self.start_us
         )
-
-    @property
-    def wall_duration_ns(self) -> int | None:
-        """Wall nanoseconds this span covered, or None on single-clock
-        spans (no WallClock was injected into the tracer)."""
-        if self.wall_start_ns is None or self.wall_end_ns is None:
-            return None
-        return self.wall_end_ns - self.wall_start_ns
-
-    @property
-    def wall_self_ns(self) -> int | None:
-        """Wall nanoseconds spent in this span itself: duration minus the
-        wall durations of its direct children (the attribution unit the
-        wall-time profiler folds).  None on single-clock spans."""
-        duration = self.wall_duration_ns
-        if duration is None:
-            return None
-        children = sum(
-            child.wall_duration_ns or 0 for child in self.children
-        )
-        return duration - children
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth first."""
@@ -186,12 +146,6 @@ class Span:
             out["trace_id"] = self.trace_id
             out["span_id"] = self.span_id
             out["parent_id"] = self.parent_id
-        if self.wall_start_ns is not None:
-            # Dual-clock spans only; single-clock span records stay
-            # byte-identical to the pre-wall-clock format (the /traces
-            # byte-determinism check depends on that).
-            out["wall_start_ns"] = self.wall_start_ns
-            out["wall_end_ns"] = self.wall_end_ns
         return out
 
     @classmethod
@@ -225,12 +179,6 @@ class Span:
         dropped = record.get("dropped_children")
         if isinstance(dropped, int):
             span.dropped_children = dropped
-        wall_start = record.get("wall_start_ns")
-        wall_end = record.get("wall_end_ns")
-        if isinstance(wall_start, int):
-            span.wall_start_ns = wall_start
-        if isinstance(wall_end, int):
-            span.wall_end_ns = wall_end
         children = record.get("children")
         if isinstance(children, list):
             for child in children:
@@ -283,14 +231,6 @@ class SpanTracer:
     adopts the activated context's trace id and records its span id as
     ``parent_id`` — that is how deferred deliveries drained after the
     client reply join the originating request's trace.
-
-    Dual-clock mode: pass ``wall_clock`` (a
-    :class:`~repro.obs.wallclock.WallClock` — real or fake, always
-    injected, never read ambiently) and every span is additionally
-    stamped with wall nanoseconds at open and finish.  Wall stamps live
-    only on the in-memory spans and the explicitly dual-clock record
-    format; sim timestamps, span identity, and cost charges are
-    byte-for-byte unaffected.
     """
 
     enabled = True
@@ -300,10 +240,8 @@ class SpanTracer:
         clock: ClockLike,
         max_roots: int = 64,
         max_children: int = 512,
-        wall_clock: "WallClock | None" = None,
     ):
         self._clock = clock
-        self._wall_clock = wall_clock
         self.max_roots = max_roots
         self.max_children = max_children
         self._stack: list[Span] = []
@@ -346,8 +284,6 @@ class SpanTracer:
             span_id=span_id,
             parent_id=parent_id,
         )
-        if self._wall_clock is not None:
-            span.wall_start_ns = self._wall_clock.now_ns()
         if self._stack:
             parent = self._stack[-1]
             if len(parent.children) < self.max_children:
@@ -417,8 +353,6 @@ class SpanTracer:
 
     def _finish(self, span: Span) -> None:
         span.end_us = self._clock.now_us
-        if self._wall_clock is not None and span.wall_start_ns is not None:
-            span.wall_end_ns = self._wall_clock.now_ns()
         # Unwind to (and past) the finished span; tolerates generator-driven
         # exits finishing an outer span while an abandoned inner one is
         # still on the stack.
@@ -428,8 +362,6 @@ class SpanTracer:
                 break
             if top.end_us is None:
                 top.end_us = span.end_us
-            if top.wall_end_ns is None and top.wall_start_ns is not None:
-                top.wall_end_ns = span.wall_end_ns
         if not self._stack:
             self._roots.append(span)
             if len(self._roots) > self.max_roots:
@@ -465,8 +397,6 @@ class _NullSpan:
     trace_id: str | None = None
     span_id: int = 0
     parent_id: int | None = None
-    wall_start_ns: int | None = None
-    wall_end_ns: int | None = None
 
     def set(self, key: str, value: object) -> None:
         pass

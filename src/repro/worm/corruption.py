@@ -176,7 +176,7 @@ class CrashingWormDevice:
 
     def write_block(self, block: int, data: bytes) -> None:
         self._check_alive()
-        if self._remaining == 0:  # clio-lint: disable=atomicity — fault-injection device; never shared between clients
+        if self._remaining == 0:
             self._crashed = True
             if self._torn:
                 cut = self._rng.randrange(1, self._inner.block_size)

@@ -50,18 +50,16 @@ class DeviceStats:
     counts (blocks read, seeks performed), so every benchmark reads them.
     """
 
-    # Incremented by the device classes and zeroed by reset(); concurrent
-    # requests sharing one arm race on these counters.
-    reads: int = 0  # concurrency: multi-writer
-    writes: int = 0  # concurrency: multi-writer
-    invalidations: int = 0  # concurrency: multi-writer
-    tail_queries: int = 0  # concurrency: multi-writer
-    written_probes: int = 0  # concurrency: multi-writer
+    reads: int = 0
+    writes: int = 0
+    invalidations: int = 0
+    tail_queries: int = 0
+    written_probes: int = 0
     #: Head positionings charged: one per single-block operation, one per
     #: multi-block transfer (:meth:`WormDevice.read_blocks`) regardless of
     #: how many blocks it streams.
-    seeks: int = 0  # concurrency: multi-writer
-    busy_ms: float = 0.0  # concurrency: multi-writer
+    seeks: int = 0
+    busy_ms: float = 0.0
 
     def snapshot(self) -> "DeviceStats":
         return DeviceStats(
@@ -202,7 +200,7 @@ class WormDevice(BlockDevice):
         self._blocks: dict[int, bytes] = {}
         self._invalidated: set[int] = set()
         # Also advanced by CrashingWormDevice's fault-injection back door.
-        self._next_writable = 0  # concurrency: multi-writer
+        self._next_writable = 0
         #: Whether the drive firmware can report the append point directly.
         #: When False, recovery must binary-search for it (Section 2.3.1).
         self.supports_tail_query = supports_tail_query

@@ -107,39 +107,49 @@ class FileBackedWormDevice(WormDevice):
         clock: "SimClock | None" = None,
     ) -> "FileBackedWormDevice":
         handle = open(path, "r+b")
-        header = handle.read(_HEADER.size)
         try:
-            magic, block_size, capacity, tail_query = _HEADER.unpack(header)
-        except struct.error as exc:
-            raise StorageError(f"{path!r} is not a Clio device image: {exc}") from None
-        if magic != _MAGIC:
-            raise StorageError(f"{path!r} is not a Clio device image")
-        device = cls(
-            path,
-            block_size=block_size,
-            capacity_blocks=capacity,
-            geometry=geometry,
-            clock=clock,
-            supports_tail_query=bool(tail_query),
-            _file=handle,
-        )
-        device._load()
+            header = handle.read(_HEADER.size)
+            if len(header) < _HEADER.size or not header.startswith(_MAGIC):
+                raise StorageError(f"{path!r} is not a Clio device image")
+            _, block_size, capacity, tail_query = _HEADER.unpack(header)
+            if block_size == 0 or capacity == 0:
+                raise StorageError(f"{path!r}: header declares an empty device")
+            device = cls(
+                path,
+                block_size=block_size,
+                capacity_blocks=capacity,
+                geometry=geometry,
+                clock=clock,
+                supports_tail_query=bool(tail_query),
+                _file=handle,
+            )
+            device._load()
+        except BaseException:
+            handle.close()
+            raise
         return device
 
     def _load(self) -> None:
-        """Populate the in-memory state from the image."""
+        """Populate the in-memory state from the image, trusting none of it."""
         if self._file is None:
             raise StorageError("device image is closed")
         self._file.seek(self._map_offset)
         states = self._file.read(self.capacity_blocks)
+        if len(states) < self.capacity_blocks:
+            raise StorageError(f"{self.path!r} ends inside its state map")
+        if states.translate(None, b"\x00\x01\x02"):
+            raise StorageError(f"{self.path!r} has an unknown block state")
+        # _persist puts a block's bytes in the file before its state byte,
+        # so an image shorter than its last marked block was cut afterwards.
+        marked = max(states.rfind(b"\x01"), states.rfind(b"\x02")) + 1
+        marked_end = self._block_offset(marked)
+        if os.fstat(self._file.fileno()).st_size < marked_end:
+            raise StorageError(f"{self.path!r} ends inside its written blocks")
         for block, state in enumerate(states):
             if state == _STATE_UNWRITTEN:
                 continue
             self._file.seek(self._block_offset(block))
-            data = self._file.read(self.block_size)
-            if len(data) < self.block_size:
-                data = data.ljust(self.block_size, b"\x00")
-            self._blocks[block] = data
+            self._blocks[block] = self._file.read(self.block_size)
             if state == _STATE_INVALID:
                 self._invalidated.add(block)
         # The append point is the lowest unwritten block.
@@ -151,7 +161,7 @@ class FileBackedWormDevice(WormDevice):
             self._next_writable += 1
 
     def close(self) -> None:
-        if self._file is not None:  # clio-lint: disable=atomicity — close() is teardown; no concurrent access
+        if self._file is not None:
             self._file.flush()
             self._file.close()
             self._file = None

@@ -303,64 +303,6 @@ class TestStatsWatchReplay:
         assert "replay complete" in headers[-1]
 
 
-class TestPerfCommand:
-    RATE_NAMES = ("append_single", "append_batched", "locate", "scan", "recovery")
-
-    def _record(self, capsys, tmp_path):
-        out_file = str(tmp_path / "perf.json")
-        out = run(capsys, "perf", "run", "--profile", "smoke", "--out", out_file)
-        return out, out_file
-
-    def test_run_smoke_prints_rates_and_writes_record(self, tmp_path, capsys):
-        out, out_file = self._record(capsys, tmp_path)
-        for name in self.RATE_NAMES:
-            assert name in out
-        assert "coverage" in out
-        with open(out_file) as handle:
-            record = json.load(handle)
-        assert record["bench"] == "wallclock"
-        assert record["profile"] == "smoke"
-        assert [m["name"] for m in record["measurements"]] == list(
-            self.RATE_NAMES
-        )
-        assert record["headline"]["wall_coverage"] >= 0.95
-
-    def test_unknown_profile_exits_one(self, capsys):
-        assert main(["perf", "run", "--profile", "nope"]) == 1
-
-    def test_report_rerenders_record(self, tmp_path, capsys):
-        _, out_file = self._record(capsys, tmp_path)
-        out = run(capsys, "perf", "report", out_file)
-        for name in self.RATE_NAMES:
-            assert name in out
-
-    def test_compare_self_exits_zero(self, tmp_path, capsys):
-        _, out_file = self._record(capsys, tmp_path)
-        capsys.readouterr()
-        assert main(
-            ["perf", "compare", out_file, "--baseline", out_file]
-        ) == 0
-
-    def test_compare_injected_count_regression_exits_two(
-        self, tmp_path, capsys
-    ):
-        _, out_file = self._record(capsys, tmp_path)
-        with open(out_file) as handle:
-            record = json.load(handle)
-        regressed = str(tmp_path / "regressed.json")
-        for m in record["measurements"]:
-            if m["name"] == "locate":
-                m["counts"]["locates"] *= 2
-        with open(regressed, "w") as handle:
-            json.dump(record, handle, sort_keys=True)
-        capsys.readouterr()
-        assert main(
-            ["perf", "compare", regressed, "--baseline", out_file]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "locate.locates" in err
-
-
 class TestEventsFilters:
     def test_since_filters_early_events(self, store, capsys):
         full = run(capsys, "events", store)

@@ -2,8 +2,13 @@
 baseline workflow, and ``--changed`` scoping."""
 
 import json
+import os
 import subprocess
+import sys
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main as clio_main
 from repro.lint.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
@@ -54,7 +59,7 @@ class TestExitCodes:
         (tmp_path / ".clio-lint-baseline.json").write_text("[]")
         assert main(["--root", str(tmp_path), "pkg"]) == EXIT_ERROR
 
-    def test_list_rules_names_all_thirteen(self, tmp_path, capsys):
+    def test_list_rules_names_every_rule(self, tmp_path, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule in (
@@ -67,12 +72,12 @@ class TestExitCodes:
             "nondeterministic-json",
             "metrics-drift",
             "span-drift",
-            "shared-state",
-            "atomicity",
             "exception-safety",
             "deterministic-iteration",
         ):
             assert rule in out
+        # One two-line entry per rule: the eleven above and no others.
+        assert len([l for l in out.splitlines() if not l.startswith(" ")]) == 11
 
 
 class TestBaselineWorkflow:
@@ -113,7 +118,7 @@ class TestOutputFormats:
         assert document["version"] == "2.1.0"
         driver = document["runs"][0]["tool"]["driver"]
         assert driver["name"] == "clio-lint"
-        assert len(driver["rules"]) == 13
+        assert len(driver["rules"]) == 11
         results = document["runs"][0]["results"]
         assert results
         for entry in results:
@@ -185,40 +190,28 @@ class TestChangedFlag:
         self, tmp_path, capsys
     ):
         self.make_repo(tmp_path)
-        # A partial view of core/ would misclassify shared state, so the
-        # project rules must not run: a file that the shared-state rule
-        # would flag on a full pass stays quiet under --changed.
+        # A partial view of core/ cannot tell whether a primitive charges
+        # somewhere outside the selection, so the project rules must not
+        # run: a file that charge-discipline flags on a full pass stays
+        # quiet under --changed.
         write(
             tmp_path,
-            "core/shared.py",
+            "core/dev.py",
             """\
-            __all__ = ["Counter", "Alpha", "Beta"]
+            __all__ = ["FlatDevice"]
 
 
-            class Counter:
+            class FlatDevice:
                 def __init__(self) -> None:
-                    self.hits = 0
+                    self._data = {}
 
-
-            class Alpha:
-                def __init__(self, counter: Counter) -> None:
-                    self.counter = counter
-
-                def bump(self) -> None:
-                    self.counter.hits += 1
-
-
-            class Beta:
-                def __init__(self, counter: Counter) -> None:
-                    self.counter = counter
-
-                def bump(self) -> None:
-                    self.counter.hits += 1
+                def read_block(self, block):
+                    return self._data[block]
             """,
         )
         full = ["--root", str(tmp_path), "core", "--no-baseline"]
         assert main(full) == EXIT_FINDINGS
-        assert "[shared-state]" in capsys.readouterr().out
+        assert "[charge-discipline]" in capsys.readouterr().out
         assert main(full + ["--changed"]) == EXIT_CLEAN
         assert "in 1 file(s)" in capsys.readouterr().out
 
@@ -230,3 +223,34 @@ class TestClioSubcommand:
         assert "[sim-time]" in capsys.readouterr().out
         write(tmp_path, "pkg/mod.py", CLEAN)
         assert clio_main(["lint", "--root", str(tmp_path), "pkg"]) == 0
+
+    def test_remainder_starting_with_an_option_reaches_the_linter(
+        self, tmp_path, capsys
+    ):
+        assert clio_main(["lint", "--list-rules"]) == 0
+        assert "deterministic-iteration" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            clio_main(["lint", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: clio lint" in capsys.readouterr().out
+        write(tmp_path, "pkg/mod.py", CLEAN)
+        argv = ["lint", "--format", "sarif", "--root", str(tmp_path), "pkg"]
+        assert clio_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"
+
+    def test_only_the_lint_verb_imports_the_linter(self):
+        """Every ``clio append``/``cat`` is a cold process: building the
+        parser must not pay for the analyzer's engine and rule modules."""
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print([m for m in sys.modules if m.startswith('repro.lint')])"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"

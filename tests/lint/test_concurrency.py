@@ -1,18 +1,10 @@
-"""Fixture tests for the concurrency-readiness analyzer: the shared-state
-inventory and its gate, and the atomicity / exception-safety /
-deterministic-iteration rules."""
+"""Fixture tests for the exception-safety and deterministic-iteration
+rules (``repro.lint.rules.robustness``).  They arrived with the PR-8
+concurrency analyzer and outlived it; the file keeps its name so the test
+ids stay stable."""
 
 import textwrap
 
-from repro.lint.cli import EXIT_CLEAN, EXIT_ERROR, main
-from repro.lint.concurrency import (
-    MULTI_WRITER,
-    READ_ONLY,
-    SINGLE_WRITER,
-    build_inventory,
-    gate_violations,
-    render_report,
-)
 from repro.lint.engine import run_lint
 
 
@@ -27,226 +19,6 @@ def lint(tmp_path, files, rule):
     write_tree(tmp_path, files)
     result = run_lint(tmp_path, [tmp_path])
     return [f for f in result.findings if f.rule == rule]
-
-
-def project_for(tmp_path, files):
-    write_tree(tmp_path, files)
-    result = run_lint(tmp_path, [tmp_path])
-    assert result.project is not None
-    return result.project
-
-
-#: Two unrelated classes both bumping a third class's counter: the
-#: canonical multi-writer hazard.  Lives under ``core/`` so the inventory
-#: scopes it in.
-MULTI_WRITER_FIXTURE = """\
-    __all__ = ["Counter", "Alpha", "Beta"]
-
-
-    class Counter:
-        def __init__(self) -> None:
-            self.hits = 0
-
-
-    class Alpha:
-        def __init__(self, counter: Counter) -> None:
-            self.counter = counter
-
-        def bump(self) -> None:
-            self.counter.hits += 1
-
-
-    class Beta:
-        def __init__(self, counter: Counter) -> None:
-            self.counter = counter
-
-        def bump(self) -> None:
-            self.counter.hits += 1
-    """
-
-
-class TestInventory:
-    def test_classifications(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {"core/shapes.py": """\
-                __all__ = ["Thing", "Toucher"]
-
-
-                class Thing:
-                    def __init__(self, label: str) -> None:
-                        self.label = label
-                        self.spins = 0
-
-                    def spin(self) -> None:
-                        self.spins += 1
-
-
-                class Toucher:
-                    def __init__(self, thing: Thing) -> None:
-                        self.thing = thing
-
-                    def read(self) -> str:
-                        return self.thing.label
-                """},
-        )
-        inventory = build_inventory(project)
-        thing = inventory.registry["Thing"]
-        assert thing.attrs["label"].classification == READ_ONLY
-        assert thing.attrs["spins"].classification == SINGLE_WRITER
-        assert thing.attrs["spins"].writer_units == {"Thing"}
-        # Toucher only reads.
-        assert "Toucher" in thing.attrs["label"].read_units
-
-    def test_multi_writer_detected_through_parameter_types(self, tmp_path):
-        project = project_for(
-            tmp_path, {"core/shared.py": MULTI_WRITER_FIXTURE}
-        )
-        inventory = build_inventory(project)
-        hits = inventory.registry["Counter"].attrs["hits"]
-        assert hits.classification == MULTI_WRITER
-        assert hits.writer_units == {"Alpha", "Beta"}
-        assert gate_violations(inventory)
-
-    def test_subclass_writes_unify_with_the_owner(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {"core/devices.py": """\
-                __all__ = ["Base", "Sub"]
-
-
-                class Base:
-                    def __init__(self) -> None:
-                        self.cursor = 0
-
-
-                class Sub(Base):
-                    def advance(self) -> None:
-                        self.cursor += 1
-                """},
-        )
-        inventory = build_inventory(project)
-        cursor = inventory.registry["Base"].attrs["cursor"]
-        assert cursor.classification == SINGLE_WRITER
-        assert cursor.writer_units == {"Base"}
-
-    def test_frozen_dataclasses_are_read_only(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {"core/config.py": """\
-                from dataclasses import dataclass
-
-                __all__ = ["Config"]
-
-
-                @dataclass(frozen=True)
-                class Config:
-                    degree: int = 4
-                """},
-        )
-        inventory = build_inventory(project)
-        record = inventory.registry["Config"]
-        assert record.frozen
-        assert record.attrs["degree"].classification == READ_ONLY
-
-    def test_files_outside_core_vsystem_worm_are_not_inventoried(
-        self, tmp_path
-    ):
-        project = project_for(
-            tmp_path, {"apps/shared.py": MULTI_WRITER_FIXTURE}
-        )
-        inventory = build_inventory(project)
-        assert "Counter" not in inventory.registry
-        assert gate_violations(inventory) == []
-
-
-class TestSharedStateRule:
-    def test_unannotated_multi_writer_is_flagged_at_declaration(
-        self, tmp_path
-    ):
-        findings = lint(
-            tmp_path, {"core/shared.py": MULTI_WRITER_FIXTURE}, "shared-state"
-        )
-        assert len(findings) == 1
-        assert findings[0].line == 6  # the ``self.hits = 0`` line
-        assert "Counter.hits" in findings[0].message
-        assert "Alpha" in findings[0].message
-        assert "Beta" in findings[0].message
-
-    def test_annotation_acknowledges_the_hazard(self, tmp_path):
-        acknowledged = MULTI_WRITER_FIXTURE.replace(
-            "self.hits = 0", "self.hits = 0  # concurrency: multi-writer"
-        )
-        findings = lint(
-            tmp_path, {"core/shared.py": acknowledged}, "shared-state"
-        )
-        assert findings == []
-
-    def test_stale_annotation_is_flagged(self, tmp_path):
-        source = """\
-            __all__ = ["Counter"]
-
-
-            class Counter:
-                def __init__(self) -> None:
-                    self.hits = 0  # concurrency: multi-writer
-
-                def bump(self) -> None:
-                    self.hits += 1
-            """
-        findings = lint(tmp_path, {"core/shared.py": source}, "shared-state")
-        assert len(findings) == 1
-        assert "stale" in findings[0].message
-
-
-ATOMICITY_FIXTURE = """\
-    __all__ = ["Writer"]
-
-
-    class Writer:
-        def __init__(self, clock) -> None:
-            self.clock = clock
-            self.builder = None
-
-        def open_builder(self) -> None:
-            self.clock.charge(1)
-            self.builder = object()
-
-        def append(self) -> None:
-            if self.builder is None:
-                self.open_builder()
-    """
-
-
-class TestAtomicityRule:
-    def test_check_then_act_across_yield_point_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path, {"core/writer.py": ATOMICITY_FIXTURE}, "atomicity"
-        )
-        assert len(findings) == 1
-        assert "Writer.builder" in findings[0].message
-        assert "open_builder" in findings[0].message
-
-    def test_write_without_yield_point_is_clean(self, tmp_path):
-        source = ATOMICITY_FIXTURE.replace(
-            "self.open_builder()", "self.builder = object()"
-        )
-        findings = lint(tmp_path, {"core/writer.py": source}, "atomicity")
-        assert findings == []
-
-    def test_suppression_comment_is_honored(self, tmp_path):
-        source = ATOMICITY_FIXTURE.replace(
-            "if self.builder is None:",
-            "if self.builder is None:  # clio-lint: disable=atomicity",
-        )
-        findings = lint(tmp_path, {"core/writer.py": source}, "atomicity")
-        assert findings == []
-
-    def test_outside_scoped_packages_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path, {"apps/writer.py": ATOMICITY_FIXTURE}, "atomicity"
-        )
-        assert findings == []
 
 
 class TestExceptionSafetyRule:
@@ -422,72 +194,3 @@ class TestDeterministicIterationRule:
             "deterministic-iteration",
         )
         assert findings == []
-
-
-class TestConcurrencyReport:
-    def test_report_is_byte_identical_across_runs(self, tmp_path):
-        project = project_for(
-            tmp_path, {"core/shared.py": MULTI_WRITER_FIXTURE}
-        )
-        first = render_report(project)
-        # A second, fully independent parse of the same tree.
-        second_result = run_lint(tmp_path, [tmp_path])
-        assert second_result.project is not None
-        second = render_report(second_result.project)
-        assert first == second
-        assert first.endswith("\n")
-
-    def test_report_records_hazards_and_gate(self, tmp_path):
-        import json
-
-        write_tree(
-            tmp_path,
-            {
-                "core/shared.py": MULTI_WRITER_FIXTURE,
-                "core/writer.py": ATOMICITY_FIXTURE.replace(
-                    "if self.builder is None:",
-                    "if self.builder is None:  # clio-lint: disable=atomicity",
-                ),
-            },
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        assert result.project is not None
-        document = json.loads(render_report(result.project))
-        assert document["report"] == "concurrency-readiness"
-        assert document["scope"] == ["core/shared.py", "core/writer.py"]
-        # The unacknowledged multi-writer attr shows up in the gate...
-        assert any("Counter.hits" in g for g in document["gate"])
-        # ...and the suppressed atomicity hazard is still on the worklist.
-        suppressed = [h for h in document["hazards"] if h["suppressed"]]
-        assert any(h["rule"] == "atomicity" for h in suppressed)
-
-    def test_cli_writes_report_and_gate_exits_two_on_seeded_hazard(
-        self, tmp_path, capsys
-    ):
-        write_tree(tmp_path, {"core/shared.py": MULTI_WRITER_FIXTURE})
-        report_a = tmp_path / "report_a.json"
-        report_b = tmp_path / "report_b.json"
-        argv = ["--root", str(tmp_path), "core", "--no-baseline"]
-        # Seeded multi-writer hazard: findings exit 1; the gate exits 2.
-        assert (
-            main(argv + ["--concurrency-report", str(report_a),
-                         "--concurrency-gate"])
-            == EXIT_ERROR
-        )
-        assert "concurrency gate" in capsys.readouterr().err
-        assert main(argv + ["--concurrency-report", str(report_b)]) == 1
-        assert report_a.read_bytes() == report_b.read_bytes()
-
-    def test_gate_passes_on_acknowledged_tree(self, tmp_path, capsys):
-        acknowledged = MULTI_WRITER_FIXTURE.replace(
-            "self.hits = 0", "self.hits = 0  # concurrency: multi-writer"
-        )
-        write_tree(tmp_path, {"core/shared.py": acknowledged})
-        assert (
-            main(
-                ["--root", str(tmp_path), "core", "--no-baseline",
-                 "--concurrency-gate"]
-            )
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()

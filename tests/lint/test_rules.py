@@ -73,9 +73,10 @@ class TestSimTimePurity:
         )
         assert findings == []
 
-    def test_wallclock_boundary_module_is_exempt(self, tmp_path):
-        """obs/wallclock.py is the sanctioned wall-clock boundary: the
-        one place outside the sim clock allowed to read real time."""
+    def test_wallclock_module_is_no_longer_exempt(self, tmp_path):
+        """obs/wallclock.py was the sanctioned wall-clock boundary until
+        bench/ took over wall measurement from outside the package; a
+        module of that name reading real time is flagged like any other."""
         findings = lint(
             tmp_path,
             {"obs/wallclock.py": """\
@@ -88,11 +89,11 @@ class TestSimTimePurity:
                 """},
             "sim-time",
         )
-        assert findings == []
+        assert len(findings) == 1
+        assert "perf_counter_ns" in findings[0].message
 
     def test_perf_counter_outside_the_boundary_is_flagged(self, tmp_path):
-        """The allowlist is exact: the same read anywhere else — even a
-        perf-sounding module right next door — still fires."""
+        """The exemption is exact: vsystem/clock.py and nowhere else."""
         source = """\
             import time
 
@@ -101,9 +102,9 @@ class TestSimTimePurity:
         findings = lint(
             tmp_path,
             {
-                "obs/perfbench.py": source,
+                "obs/tracing.py": source,
                 "core/writer.py": source,
-                "wallclock.py": source,  # bare name: not the obs/ boundary
+                "clock.py": source,  # bare name: not vsystem/clock.py
             },
             "sim-time",
         )

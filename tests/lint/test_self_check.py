@@ -15,6 +15,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_src_repro_is_lint_clean():
     result = run_lint(REPO_ROOT, [REPO_ROOT / "src" / "repro"])
     assert [f.render() for f in result.findings] == []
+    # Clean without help: no ``# clio-lint: disable`` comment hides a finding.
+    assert result.suppressed == 0
     # Sanity: the run really covered the service stack, not an empty dir.
     assert result.files_checked > 50
 

@@ -219,6 +219,10 @@ class TestCausalIdentity:
         assert rebuilt.trace_id == sp.trace_id
         assert rebuilt.children[0].parent_id == sp.span_id
         assert rebuilt.costs == {"device": 1.5}
+        # A record written by another version may carry keys this one does
+        # not know; they are ignored, not an error.
+        foreign = dict(sp.as_dict(), stamped_by_another_version=5)
+        assert Span.from_dict(foreign).as_dict() == sp.as_dict()
 
 
 class TestNullTracerParity:
