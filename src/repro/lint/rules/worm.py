@@ -39,6 +39,12 @@ _WORM_PRIVATE = frozenset(
         "_charge_bulk",
         "_check_range",
         "_check_payload",
+        # The storage hooks and what the file-backed device keeps behind them.
+        "_has_block",
+        "_fetch",
+        "_store",
+        "_states",
+        "_host",
     }
 )
 

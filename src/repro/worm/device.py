@@ -205,6 +205,23 @@ class WormDevice(BlockDevice):
         #: When False, recovery must binary-search for it (Section 2.3.1).
         self.supports_tail_query = supports_tail_query
 
+    # -- storage hooks -----------------------------------------------------
+    # Where block bytes live.  Every check, charge and counter below is
+    # written once against these three; FileBackedWormDevice overrides them
+    # to keep the bytes in a host file instead of ``_blocks``.
+
+    def _has_block(self, block: int) -> bool:
+        return block in self._blocks
+
+    def _fetch(self, block: int) -> bytes | None:
+        """The bytes of ``block``, or None if nothing was ever put there."""
+        return self._blocks.get(block)
+
+    def _store(self, block: int, data: bytes, invalidated: bool = False) -> None:
+        """Put ``data`` in ``block``.  Called before any counter, clock or
+        the append point moves, so a store that raises changed nothing."""
+        self._blocks[block] = data
+
     # -- write path ------------------------------------------------------
 
     @property
@@ -227,16 +244,16 @@ class WormDevice(BlockDevice):
         self._check_payload(data)
         if block != self._next_writable:
             raise WriteOnceViolation(block, self._next_writable)
-        if block in self._blocks:
+        if self._has_block(block):
             # The block was never legitimately written yet carries data: a
             # failure wrote garbage there (Section 2.3.2).  On write-once
             # media those bits are burned — the write physically fails.
             raise CorruptBlockError(
                 block, "unwritten block already carries foreign data"
             )
+        self._store(block, bytes(data))
         self._charge(block)
         self.stats.writes += 1
-        self._blocks[block] = bytes(data)
         self._advance_past_invalidated()
         if self.event_sink is not None:
             self.event_sink("write", block)
@@ -262,9 +279,10 @@ class WormDevice(BlockDevice):
         the one 'rewrite' WORM media physically permit.
         """
         self._check_range(block)
+        fill = bytes([self.INVALID_FILL]) * self.block_size
+        self._store(block, fill, invalidated=True)
         self._charge(block)
         self.stats.invalidations += 1
-        self._blocks[block] = bytes([self.INVALID_FILL]) * self.block_size
         self._invalidated.add(block)
         if block == self._next_writable:
             self._advance_past_invalidated()
@@ -280,7 +298,7 @@ class WormDevice(BlockDevice):
             self._charge(block)
             self.stats.reads += 1
             raise InvalidatedBlockError(block)
-        data = self._blocks.get(block)
+        data = self._fetch(block)
         if data is None:
             raise UnwrittenBlockError(block)
         self._charge(block)
@@ -308,7 +326,7 @@ class WormDevice(BlockDevice):
             if block in self._invalidated:
                 results.append(None)
                 continue
-            data = self._blocks.get(block)
+            data = self._fetch(block)
             if data is None:
                 break  # append frontier: nothing is written past here
             results.append(data)
@@ -323,7 +341,7 @@ class WormDevice(BlockDevice):
     def is_written(self, block: int) -> bool:
         self._check_range(block)
         self.stats.written_probes += 1
-        return block in self._blocks
+        return self._has_block(block)
 
     def is_invalidated(self, block: int) -> bool:
         self._check_range(block)
@@ -351,12 +369,10 @@ class WormDevice(BlockDevice):
         """
         self._check_range(block)
         self._check_payload(data)
-        self._blocks[block] = bytes(data)
+        # Beyond the append point the garbage reads as written but stays
+        # logically unaccounted for: the append point does not move.
+        self._store(block, bytes(data))
         self._invalidated.discard(block)
-        if block >= self._next_writable:
-            # Garbage landed beyond the append point: those blocks now read
-            # as written garbage but remain logically unaccounted for.
-            pass
 
 
 class RewritableDevice(BlockDevice):

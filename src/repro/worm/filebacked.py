@@ -11,9 +11,11 @@ image:
 
 The state map byte is 0 (unwritten), 1 (written) or 2 (invalidated).
 Note the *host* file is rewriteable — the write-once discipline is a
-property of the modeled medium, still enforced by the in-memory
-:class:`~repro.worm.device.WormDevice` logic this class extends; the file
-is just its durable mirror.
+property of the modeled medium, enforced by the
+:class:`~repro.worm.device.WormDevice` logic this class inherits whole.
+The image is the only home of block bytes: the device keeps the state map
+and the append point in memory and reads a block from the file when
+asked, so opening costs the header and the map, whatever the volume holds.
 
 :class:`FileBackedNvram` similarly persists the battery-backed tail image
 to a sidecar file, so forced entries survive process exits without burning
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import TYPE_CHECKING, Any, BinaryIO
+from typing import TYPE_CHECKING
 
 from repro.worm.device import WormDevice
 from repro.worm.errors import StorageError
 from repro.worm.geometry import NULL_GEOMETRY, DeviceGeometry
+from repro.worm.hostfile import HostFile
 from repro.worm.nvram import NvramTail, TailImage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,25 +52,27 @@ class FileBackedWormDevice(WormDevice):
     def __init__(
         self,
         path: str,
-        *args: Any,
-        _file: BinaryIO | None = None,
-        **kwargs: Any,
+        host: HostFile,
+        states: bytearray,
+        block_size: int,
+        geometry: DeviceGeometry,
+        clock: "SimClock | None",
+        supports_tail_query: bool,
     ) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(
+            block_size, len(states), geometry, clock, supports_tail_query
+        )
         self.path = path
-        self._file: BinaryIO | None = _file
-
-    # -- image geometry ------------------------------------------------------
-
-    @property
-    def _map_offset(self) -> int:
-        return _HEADER.size
-
-    def _state_offset(self, block: int) -> int:
-        return self._map_offset + block
-
-    def _block_offset(self, block: int) -> int:
-        return self._map_offset + self.capacity_blocks + block * self.block_size
+        self._host = host
+        #: The image's state map; the append point is its lowest unwritten byte.
+        self._states = states
+        self._data_offset = _HEADER.size + len(states)
+        unwritten = states.find(_STATE_UNWRITTEN)
+        self._next_writable = len(states) if unwritten < 0 else unwritten
+        invalid = states.find(_STATE_INVALID)
+        while invalid >= 0:
+            self._invalidated.add(invalid)
+            invalid = states.find(_STATE_INVALID, invalid + 1)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -81,23 +86,22 @@ class FileBackedWormDevice(WormDevice):
         clock: "SimClock | None" = None,
         supports_tail_query: bool = True,
     ) -> "FileBackedWormDevice":
-        if os.path.exists(path):
-            raise StorageError(f"{path!r} already exists")
-        handle = open(path, "w+b")
-        handle.write(
-            _HEADER.pack(_MAGIC, block_size, capacity_blocks, int(supports_tail_query))
+        if block_size <= 0 or capacity_blocks <= 0:
+            raise ValueError("block_size and capacity_blocks must be positive")
+        states = bytearray(capacity_blocks)  # all unwritten
+        header = _HEADER.pack(
+            _MAGIC, block_size, capacity_blocks, int(supports_tail_query)
         )
-        handle.write(bytes(capacity_blocks))  # state map, all unwritten
-        handle.flush()
-        return cls(
-            path,
-            block_size=block_size,
-            capacity_blocks=capacity_blocks,
-            geometry=geometry,
-            clock=clock,
-            supports_tail_query=supports_tail_query,
-            _file=handle,
-        )
+        host = HostFile.create(path)
+        try:
+            host.pwrite(header + states, 0)
+            return cls(
+                path, host, states, block_size, geometry, clock, supports_tail_query
+            )
+        except BaseException:
+            host.close()
+            os.remove(path)
+            raise
 
     @classmethod
     def open_path(
@@ -106,65 +110,37 @@ class FileBackedWormDevice(WormDevice):
         geometry: DeviceGeometry = NULL_GEOMETRY,
         clock: "SimClock | None" = None,
     ) -> "FileBackedWormDevice":
-        handle = open(path, "r+b")
+        """Open an image, trusting none of it: two host reads (header, state
+        map) and no block, however many are written."""
+        host = HostFile.open(path)
         try:
-            header = handle.read(_HEADER.size)
+            header = host.pread(_HEADER.size, 0)
             if len(header) < _HEADER.size or not header.startswith(_MAGIC):
                 raise StorageError(f"{path!r} is not a Clio device image")
             _, block_size, capacity, tail_query = _HEADER.unpack(header)
             if block_size == 0 or capacity == 0:
                 raise StorageError(f"{path!r}: header declares an empty device")
-            device = cls(
-                path,
-                block_size=block_size,
-                capacity_blocks=capacity,
-                geometry=geometry,
-                clock=clock,
-                supports_tail_query=bool(tail_query),
-                _file=handle,
+            size = host.size()  # also bounds what a declared capacity allocates
+            states = bytearray(host.pread(min(capacity, size), _HEADER.size))
+            if len(states) < capacity:
+                raise StorageError(f"{path!r} ends inside its state map")
+            if states.translate(None, b"\x00\x01\x02"):
+                raise StorageError(f"{path!r} has an unknown block state")
+            # _store puts a block's bytes in the file before its state byte,
+            # so an image shorter than its last marked block was cut afterwards.
+            marked = max(states.rfind(_STATE_WRITTEN), states.rfind(_STATE_INVALID))
+            if size < _HEADER.size + capacity + (marked + 1) * block_size:
+                raise StorageError(f"{path!r} ends inside its written blocks")
+            return cls(
+                path, host, states, block_size, geometry, clock, bool(tail_query)
             )
-            device._load()
         except BaseException:
-            handle.close()
+            host.close()
             raise
-        return device
-
-    def _load(self) -> None:
-        """Populate the in-memory state from the image, trusting none of it."""
-        if self._file is None:
-            raise StorageError("device image is closed")
-        self._file.seek(self._map_offset)
-        states = self._file.read(self.capacity_blocks)
-        if len(states) < self.capacity_blocks:
-            raise StorageError(f"{self.path!r} ends inside its state map")
-        if states.translate(None, b"\x00\x01\x02"):
-            raise StorageError(f"{self.path!r} has an unknown block state")
-        # _persist puts a block's bytes in the file before its state byte,
-        # so an image shorter than its last marked block was cut afterwards.
-        marked = max(states.rfind(b"\x01"), states.rfind(b"\x02")) + 1
-        marked_end = self._block_offset(marked)
-        if os.fstat(self._file.fileno()).st_size < marked_end:
-            raise StorageError(f"{self.path!r} ends inside its written blocks")
-        for block, state in enumerate(states):
-            if state == _STATE_UNWRITTEN:
-                continue
-            self._file.seek(self._block_offset(block))
-            self._blocks[block] = self._file.read(self.block_size)
-            if state == _STATE_INVALID:
-                self._invalidated.add(block)
-        # The append point is the lowest unwritten block.
-        self._next_writable = 0
-        while (
-            self._next_writable < self.capacity_blocks
-            and self._next_writable in self._blocks
-        ):
-            self._next_writable += 1
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
+        """Release the image; every later read or write raises StorageError."""
+        self._host.close()
 
     def __enter__(self) -> "FileBackedWormDevice":
         return self
@@ -172,28 +148,31 @@ class FileBackedWormDevice(WormDevice):
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- persistence hooks ---------------------------------------------------------
+    # -- storage hooks: block bytes live in the image, nowhere else -----------
 
-    def _persist(self, block: int, data: bytes, state: int) -> None:
-        if self._file is None:
-            raise StorageError("device image is closed")
-        self._file.seek(self._block_offset(block))
-        self._file.write(data)
-        self._file.seek(self._state_offset(block))
-        self._file.write(bytes([state]))
-        self._file.flush()
+    def _has_block(self, block: int) -> bool:
+        return self._states[block] != _STATE_UNWRITTEN
+
+    def _fetch(self, block: int) -> bytes | None:
+        if self._states[block] == _STATE_UNWRITTEN:
+            return None
+        size = self.block_size
+        data = self._host.pread(size, self._data_offset + block * size)
+        if len(data) != size:
+            raise StorageError(f"{self.path!r}: block {block} is cut short")
+        return data
+
+    def _store(self, block: int, data: bytes, invalidated: bool = False) -> None:
+        state = _STATE_INVALID if invalidated else _STATE_WRITTEN
+        # Bytes before the state byte — in the page cache's order only.
+        self._host.pwrite(data, self._data_offset + block * self.block_size)
+        self._host.pwrite(bytes((state,)), _HEADER.size + block)
+        self._states[block] = state
 
     def write_block(self, block: int, data: bytes) -> None:
+        # Defined here only so bench/trace.py can time the file-backed burn
+        # apart from the in-memory one; the work is all in the base class.
         super().write_block(block, data)
-        self._persist(block, self._blocks[block], _STATE_WRITTEN)
-
-    def invalidate(self, block: int) -> None:
-        super().invalidate(block)
-        self._persist(block, self._blocks[block], _STATE_INVALID)
-
-    def _raw_overwrite(self, block: int, data: bytes) -> None:
-        super()._raw_overwrite(block, data)
-        self._persist(block, data, _STATE_WRITTEN)
 
 
 class FileBackedNvram(NvramTail):
@@ -212,21 +191,30 @@ class FileBackedNvram(NvramTail):
             capacity_bytes=capacity_bytes, survives_crash=True, clock=clock
         )
         self.path = path
+        #: True when the sidecar file is known to hold the empty image.
+        self._file_is_empty = False
         self._reload()
 
     def _reload(self) -> None:
-        if not os.path.exists(self.path):
+        """Load the sidecar, trusting none of it; a missing file is no image."""
+        try:
+            with open(self.path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
             return
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
         if len(raw) < self._HEADER.size:
-            return
+            raise StorageError(f"{self.path!r} ends inside its header")
         magic, block_index, length = self._HEADER.unpack_from(raw, 0)
         if magic != self._MAGIC:
             raise StorageError(f"{self.path!r} is not a Clio NVRAM image")
+        if length > self.capacity_bytes:
+            raise StorageError(f"{self.path!r} declares more than the NVRAM holds")
         data = raw[self._HEADER.size : self._HEADER.size + length]
+        if len(data) < length:
+            raise StorageError(f"{self.path!r} ends inside its tail image")
         if data:
             self._image = TailImage(block_index=block_index, data=data)
+        self._file_is_empty = not data
 
     def _persist(self) -> None:
         tmp = self.path + ".tmp"
@@ -241,6 +229,7 @@ class FileBackedNvram(NvramTail):
                 )
                 handle.write(self._image.data)
         os.replace(tmp, self.path)
+        self._file_is_empty = self._image is None
 
     def store(self, block_index: int, data: bytes) -> None:
         super().store(block_index, data)
@@ -248,4 +237,6 @@ class FileBackedNvram(NvramTail):
 
     def clear(self) -> None:
         super().clear()
-        self._persist()
+        # A block fill inside a forced batch clears an already-clear sidecar.
+        if not self._file_is_empty:
+            self._persist()

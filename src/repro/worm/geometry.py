@@ -52,6 +52,10 @@ class DeviceGeometry:
     #: normalise seek distance.  Purely a modelling constant.
     stroke_blocks: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        if self.max_seek_ms < 0:
+            raise ValueError(f"max_seek_ms must be >= 0, got {self.max_seek_ms}")
+
     def seek_ms(self, from_block: int, to_block: int) -> float:
         """Seek cost between two block addresses.
 
@@ -60,7 +64,9 @@ class DeviceGeometry:
         the mean of sqrt(|u - v|) for u, v uniform on [0, 1] is 8/15, so we
         scale by (15/8)·avg_seek.
         """
-        if from_block == to_block:
+        if from_block == to_block or self.avg_seek_ms == 0.0:
+            # No seek component (RAM, null geometry): with max_seek_ms >= 0
+            # the formula below adds exactly 0.0.
             return self.settle_ms
         distance = abs(to_block - from_block)
         frac = min(1.0, distance / max(1, self.stroke_blocks))

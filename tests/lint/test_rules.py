@@ -137,6 +137,26 @@ class TestWormEncapsulation:
         assert len(findings) == 2
         assert "_raw_overwrite" in findings[0].message
 
+    def test_storage_hooks_and_image_state_are_private_too(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {"app.py": """\
+                def peek(device):
+                    device._store(0, b"x")
+                    device._states[0] = 1
+                    device._host.pwrite(b"x", 0)
+                    return device._has_block(0) and device._fetch(0)
+                """},
+            "worm-encapsulation",
+        )
+        assert sorted(f.message.split("'")[1] for f in findings) == [
+            "device._fetch",
+            "device._has_block",
+            "device._host",
+            "device._states",
+            "device._store",
+        ]
+
     def test_worm_package_and_own_attributes_are_clean(self, tmp_path):
         findings = lint(
             tmp_path,

@@ -1,6 +1,8 @@
 """Tests for the NVRAM tail and the device timing models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.vsystem.clock import SimClock
 from repro.worm import (
@@ -116,3 +118,48 @@ class TestGeometry:
         dev = WormDevice(block_size=32, capacity_blocks=8, geometry=MAGNETIC_DISK)
         dev.append_block(bytes(32))
         assert dev.stats.busy_ms > 0
+
+
+def parent_seek_ms(g, from_block, to_block):
+    """The seek formula as written before the zero-seek early return."""
+    if from_block == to_block:
+        return g.settle_ms
+    distance = abs(to_block - from_block)
+    frac = min(1.0, distance / max(1, g.stroke_blocks))
+    scaled = (15.0 / 8.0) * g.avg_seek_ms * frac**0.5
+    return g.settle_ms + min(g.max_seek_ms, scaled)
+
+
+milliseconds = st.floats(min_value=0.0, max_value=1e9)
+block_addresses = st.integers(0, 10_000_000)
+
+
+class TestZeroSeekFastPath:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        avg=st.one_of(st.just(0.0), milliseconds),
+        max_seek=milliseconds,
+        settle=milliseconds,
+        latency=milliseconds,
+        transfer=milliseconds,
+        stroke=st.integers(0, 2_000_000),
+        a=block_addresses,
+        b=block_addresses,
+        count=st.integers(1, 64),
+    )
+    def test_costs_equal_the_original_formulas_bit_for_bit(
+        self, avg, max_seek, settle, latency, transfer, stroke, a, b, count
+    ):
+        g = DeviceGeometry("g", avg, max_seek, settle, latency, transfer, stroke)
+        seek = parent_seek_ms(g, a, b)
+        assert repr(g.seek_ms(a, b)) == repr(seek)
+        assert repr(g.access_ms(a, b)) == repr(seek + latency + transfer)
+        assert repr(g.bulk_access_ms(a, b, count)) == repr(
+            seek + latency + transfer * count
+        )
+
+    def test_negative_max_seek_is_refused(self):
+        # The early return equals the formula only while min(max_seek, 0.0)
+        # is 0.0.
+        with pytest.raises(ValueError):
+            DeviceGeometry("bad", 0.0, -1.0, 0.0, 0.0, 0.0)
