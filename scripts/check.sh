@@ -51,4 +51,11 @@ else
     echo "== mypy not installed; skipping type check =="
 fi
 
+echo "== size (the wc -l totals ROADMAP quotes; regenerate, do not type) =="
+count() { find "$@" -name '*.py' -print0 | xargs -0 cat | wc -l; }
+echo "engine  (core worm cache vsystem): $(count src/repro/core src/repro/worm src/repro/cache src/repro/vsystem)"
+echo "tooling (obs lint cli.py):         $(count src/repro/obs src/repro/lint src/repro/cli.py)"
+echo "src/repro:                         $(count src/repro)"
+echo "bench:                             $(count bench)"
+
 echo "All checks passed."

@@ -27,6 +27,7 @@ import os
 import sys
 
 from repro.core import LogService
+from repro.core.catalog import CatalogError
 from repro.core.fsck import check_service
 from repro.worm.filebacked import FileBackedNvram, FileBackedWormDevice
 
@@ -72,6 +73,41 @@ def _mount(
         readahead_blocks=readahead_blocks,
     )
     return service
+
+
+def _log_payloads(service: LogService, path: str) -> list[bytes] | None:
+    """Every entry payload of the log file at ``path``, or None when the
+    store has no such log file.  Only the catalog's own "no such name" is
+    read as absence: a crashed service or an offline volume still raises."""
+    try:
+        log = service.open_log_file(path)
+    except CatalogError:
+        return None
+    return [entry.data for entry in log.entries()]
+
+
+#: The top-level keys the campaign / workload renderers and differs read.
+_CAMPAIGN_KEYS = ("campaign", "control", "matrix")
+_WORKLOAD_KEYS = ("run", "phases", "alerts")
+
+
+def _load_artifact(path: str, keys: tuple[str, ...]) -> dict:
+    """A recorded JSON artifact holding the top-level ``keys`` its
+    renderer reads.  Outside input: an unreadable file, bad JSON or some
+    other document's shape is an ``error:`` line and exit 1."""
+    import json
+
+    try:
+        with open(path) as handle:
+            record = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: cannot read artifact {path!r}: {exc}")
+    if not isinstance(record, dict) or not all(key in record for key in keys):
+        raise SystemExit(
+            f"error: {path!r} is not the expected artifact "
+            f"(top-level keys: {', '.join(keys)})"
+        )
+    return record
 
 
 # ---------------------------------------------------------------------- #
@@ -382,17 +418,15 @@ def _persisted_traces(store: str):
     by trace id (each group in append order)."""
     from repro.obs.tracelog import decode_span
 
-    service = _mount(store, read_only=True)
-    try:
-        log = service.open_log_file("/traces")
-    except Exception:
+    payloads = _log_payloads(_mount(store, read_only=True), "/traces")
+    if payloads is None:
         raise SystemExit(
             "error: this store has no /traces log "
             "(run `clio append --trace` to record one)"
         )
     grouped: dict = {}
-    for entry in log.entries():
-        root = decode_span(entry.data)
+    for payload in payloads:
+        root = decode_span(payload)
         grouped.setdefault(root.trace_id or "", []).append(root)
     return grouped
 
@@ -466,7 +500,7 @@ def _cmd_events(args) -> int:
     Mounting itself emits the recovery-phase events, so even a bare
     ``clio events STORE`` shows the store's latest recovery as a timeline.
     """
-    from repro.obs.events import EventLog, format_event
+    from repro.obs.events import Event, format_event
 
     service = _mount(args.store, read_only=True, observability=True)
     if args.read:
@@ -474,11 +508,11 @@ def _cmd_events(args) -> int:
             for _ in service.read_entries(path):
                 pass
     if args.persisted:
-        try:
-            events = EventLog(service).read_back()
-        except Exception:
+        payloads = _log_payloads(service, "/events")
+        if payloads is None:
             print("no persisted /events log in this store", file=sys.stderr)
             return 1
+        events = [Event.decode(payload) for payload in payloads]
     else:
         events = service.journal.events()
     if args.kind:
@@ -526,6 +560,7 @@ def _cmd_health(args) -> int:
     threshold/ratio rules (see ``repro.obs.slo.parse_rule`` for syntax).
     """
     from repro.obs.slo import (
+        Alert,
         AlertLog,
         SloEngine,
         default_ruleset,
@@ -547,14 +582,8 @@ def _cmd_health(args) -> int:
     engine = SloEngine(service, rules=rules, alert_log=alert_log)
     fired = engine.evaluate()
     if args.show_log:
-        try:
-            from repro.obs.slo import AlertLog as _AlertLog
-
-            history = _AlertLog(service).read_back()
-        except Exception:
-            history = []
-        for alert in history:
-            print(f"(history) {format_alert(alert)}")
+        for payload in _log_payloads(service, "/alerts") or []:
+            print(f"(history) {format_alert(Alert.decode(payload))}")
     if not fired:
         print(f"healthy: {len(rules)} rules evaluated, 0 alerts")
         return 0
@@ -565,31 +594,56 @@ def _cmd_health(args) -> int:
     return 1
 
 
+def _scored_run(args, run_once, render):
+    """Run a deterministic harness (twice under ``--check-determinism``),
+    print its rendering and write ``--out``.  Returns ``(run, 0)``, or
+    ``(None, exit code)`` when there is nothing to score."""
+    try:
+        run = run_once()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 1
+    artifact = run.encode()
+    if args.check_determinism:
+        if run_once().encode() != artifact:
+            print(
+                "determinism: ARTIFACTS DIFFER between two identical runs",
+                file=sys.stderr,
+            )
+            return None, 2
+        print("determinism: artifact byte-identical across two runs")
+    print(render(run.as_dict()))
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(artifact + "\n")
+        print(f"(wrote {args.out})")
+    return run, 0
+
+
+def _print_diff(changes: list[str], level: str, noun: str) -> int:
+    """Print an artifact diff; exit 2 when any line is a regression."""
+    if not changes:
+        print(f"no {level}-level differences")
+        return 0
+    for line in changes:
+        print(line)
+    regressions = [line for line in changes if line.startswith("!")]
+    if regressions:
+        print(f"{len(regressions)} {noun} regression(s)", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_campaign_run(args) -> int:
     """Run the deterministic fault campaign; exit 2 on any silent miss,
     control mismatch, or determinism failure (see docs/FAULTS.md)."""
     from repro.obs import campaign
 
-    try:
-        report = campaign.run_campaign(args.menu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    artifact = report.encode()
-    if args.check_determinism:
-        second = campaign.run_campaign(args.menu).encode()
-        if artifact != second:
-            print(
-                "determinism: ARTIFACTS DIFFER between two identical runs",
-                file=sys.stderr,
-            )
-            return 2
-        print("determinism: artifact byte-identical across two runs")
-    print(campaign.format_report(report.as_dict()))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(artifact + "\n")
-        print(f"(wrote {args.out})")
+    report, code = _scored_run(
+        args, lambda: campaign.run_campaign(args.menu), campaign.format_report
+    )
+    if report is None:
+        return code
     if report.silent_misses:
         print(
             "FAIL: silent misses (fault detected by no channel): "
@@ -607,40 +661,22 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_report(args) -> int:
-    import json
-
     from repro.obs import campaign
 
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(campaign.format_report(record))
+    print(campaign.format_report(_load_artifact(args.file, _CAMPAIGN_KEYS)))
     return 0
 
 
 def _cmd_campaign_diff(args) -> int:
     """Compare two campaign artifacts; exit 2 on a detection regression
     (a lost channel or a coverage drop)."""
-    import json
-
     from repro.obs import campaign
 
-    with open(args.old) as handle:
-        old = json.load(handle)
-    with open(args.new) as handle:
-        new = json.load(handle)
-    changes = campaign.diff_reports(old, new)
-    if not changes:
-        print("no channel-level differences")
-        return 0
-    for line in changes:
-        print(line)
-    regressions = [line for line in changes if line.startswith("!")]
-    if regressions:
-        print(
-            f"{len(regressions)} detection regression(s)", file=sys.stderr
-        )
-        return 2
-    return 0
+    changes = campaign.diff_reports(
+        _load_artifact(args.old, _CAMPAIGN_KEYS),
+        _load_artifact(args.new, _CAMPAIGN_KEYS),
+    )
+    return _print_diff(changes, "channel", "detection")
 
 
 def _cmd_workload_run(args) -> int:
@@ -650,26 +686,13 @@ def _cmd_workload_run(args) -> int:
     from repro.obs import workload
 
     menu = args.campaign or None
-    try:
-        run = workload.run_workload(args.profile, menu=menu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    artifact = run.encode()
-    if args.check_determinism:
-        second = workload.run_workload(args.profile, menu=menu).encode()
-        if artifact != second:
-            print(
-                "determinism: ARTIFACTS DIFFER between two identical runs",
-                file=sys.stderr,
-            )
-            return 2
-        print("determinism: artifact byte-identical across two runs")
-    print(workload.format_run(run.as_dict()))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(artifact + "\n")
-        print(f"(wrote {args.out})")
+    run, code = _scored_run(
+        args,
+        lambda: workload.run_workload(args.profile, menu=menu),
+        workload.format_run,
+    )
+    if run is None:
+        return code
     if args.register:
         path = workload.register_run(args.register, run)
         print(f"(registered {run.run_id} -> {path})")
@@ -681,38 +704,22 @@ def _cmd_workload_run(args) -> int:
 
 
 def _cmd_workload_report(args) -> int:
-    import json
-
     from repro.obs import workload
 
-    with open(args.file) as handle:
-        record = json.load(handle)
-    print(workload.format_run(record))
+    print(workload.format_run(_load_artifact(args.file, _WORKLOAD_KEYS)))
     return 0
 
 
 def _cmd_workload_diff(args) -> int:
     """Compare two workload-run artifacts; exit 2 on a phase-level
     regression (changed coverage, ops, sim time, or trace digest)."""
-    import json
-
     from repro.obs import workload
 
-    with open(args.old) as handle:
-        old = json.load(handle)
-    with open(args.new) as handle:
-        new = json.load(handle)
-    changes = workload.diff_runs(old, new)
-    if not changes:
-        print("no phase-level differences")
-        return 0
-    for line in changes:
-        print(line)
-    regressions = [line for line in changes if line.startswith("!")]
-    if regressions:
-        print(f"{len(regressions)} phase regression(s)", file=sys.stderr)
-        return 2
-    return 0
+    changes = workload.diff_runs(
+        _load_artifact(args.old, _WORKLOAD_KEYS),
+        _load_artifact(args.new, _WORKLOAD_KEYS),
+    )
+    return _print_diff(changes, "phase", "phase")
 
 
 def _cmd_workload_index(args) -> int:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from repro.core.ids import ClientEntryId
 from repro.core.logfile import LogFile
-from repro.obs.tracing import TraceContext
 from repro.vsystem.clock import SkewedClock
+from repro.vsystem.instrument import TraceContext
 from repro.vsystem.ipc import AsyncPort, MessageHeader
 
 __all__ = ["AsyncLogClient", "SequenceWrapError"]

@@ -23,16 +23,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.catalog import Catalog, CatalogError, CatalogRecord
 from repro.core.entrymap import EntrymapState
 from repro.core.ids import CATALOG_ID, CORRUPTED_BLOCK_ID
 from repro.core.reader import LogReader
 from repro.core.store import LogStore
-
-if TYPE_CHECKING:
-    from repro.obs.events import Event
+from repro.vsystem.instrument import EventLike
 
 __all__ = [
     "RecoveryReport",
@@ -82,9 +79,8 @@ class RecoveryReport:
     corrupted_blocks_known: int = 0
     nvram_tail_recovered: bool = False
     #: The crash flight recorder: every event the journal captured during
-    #: this recovery pass (empty unless events are enabled — see
-    #: :mod:`repro.obs.events`).
-    flight_recorder: list[Event] = field(default_factory=list)
+    #: this recovery pass (empty unless an event journal is attached).
+    flight_recorder: list[EventLike] = field(default_factory=list)
 
     @property
     def total_blocks_examined(self) -> int:

@@ -833,25 +833,13 @@ class LogService:
         history, while histograms, traces and events start from this call.
         Returns the registry.
         """
-        from repro.obs.events import EventJournal
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.tracing import SpanTracer
-        from repro.obs.wiring import wire_service
+        # The plug-in's load point: the engine's only reference to
+        # repro.obs (the engine-imports lint rule allow-lists this site).
+        from repro.obs.wiring import attach_observability
 
-        store = self.store
-        if store.metrics is None:
-            store.metrics = registry if registry is not None else MetricsRegistry()
-            store.instruments = wire_service(self)
-        if tracing and not store.tracer.enabled:
-            store.tracer = SpanTracer(store.clock)
-        if events and not store.journal.enabled:
-            journal = EventJournal(store.clock)
-            store.journal = journal
-            store.bind_device_events()
-            store.cache.on_evict = lambda block: journal.emit(
-                "cache.evict", block=block
-            )
-        return store.metrics
+        return attach_observability(
+            self, tracing=tracing, registry=registry, events=events
+        )
 
     @property
     def metrics(self):

@@ -12,41 +12,26 @@ both operate on one store; :class:`repro.core.service.LogService` owns it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.cache import BlockCache
 from repro.core.catalog import Catalog
 from repro.core.entrymap import EntrymapState
-from repro.obs.events import NULL_JOURNAL
-from repro.obs.tracing import NULL_TRACER
 from repro.vsystem.clock import SimClock
 from repro.vsystem.costs import CostModel
+from repro.vsystem.instrument import (
+    NULL_JOURNAL,
+    NULL_TRACER,
+    InstrumentsLike,
+    JournalLike,
+    TracerLike,
+)
 from repro.worm.device import WormDevice
 from repro.worm.geometry import NULL_GEOMETRY, DeviceGeometry
 from repro.worm.nvram import NvramTail
 from repro.worm.volume import VolumeSequence
 
 __all__ = ["LogStore", "SpaceStats", "StoreConfig"]
-
-
-def _device_sink(journal, volume_index: int):
-    """An event sink closure for one volume's device."""
-
-    def sink(op: str, block: int) -> None:
-        journal.emit(f"device.{op}", volume=volume_index, block=block)
-
-    return sink
-
-
-def _mirror_sink(journal, volume_index: int):
-    """A divergence sink closure for one volume's mirrored device."""
-
-    def sink(event: str, replica: int, block: int) -> None:
-        journal.emit(
-            f"mirror.{event}", volume=volume_index, replica=replica, block=block
-        )
-
-    return sink
 
 
 @dataclass(slots=True)
@@ -139,15 +124,15 @@ class LogStore:
     space: SpaceStats = field(default_factory=SpaceStats)
     #: Called to supply a fresh medium when the active volume fills.
     device_factory: Callable[[], WormDevice] | None = None
-    #: Observability (repro.obs), shared by writer/reader/service.  The
-    #: defaults are the disabled state: a no-op tracer and no registry, so
-    #: the hot paths pay one attribute check per operation.  Typed ``Any``
-    #: until the instrumentation seam gets its protocol (ROADMAP item 4):
-    #: the plug-ins are duck-typed and callers use their whole surface.
-    tracer: Any = NULL_TRACER
-    metrics: Any = None
-    instruments: Any = None
-    journal: Any = NULL_JOURNAL
+    #: The instrumentation seam (:mod:`repro.vsystem.instrument`), shared
+    #: by writer/reader/service.  The defaults are the disabled state: a
+    #: no-op tracer and journal and no instruments, so the hot paths pay
+    #: one attribute check or no-op call per operation.  ``metrics`` is
+    #: the plug-in's registry, held for it and never called by the engine.
+    tracer: TracerLike = NULL_TRACER
+    metrics: object | None = None
+    instruments: InstrumentsLike | None = None
+    journal: JournalLike = NULL_JOURNAL
     #: Bumped by the writer on every appended entry; readers use it to
     #: invalidate tail-dependent memos (the locate-result memo).
     append_generation: int = 0
@@ -180,22 +165,6 @@ class LogStore:
             for component, ms in parts:
                 if ms:
                     tracer.charge(component, ms)
-
-    def bind_device_events(self) -> None:
-        """Point every volume device's event sink at the journal (no-op
-        while events are disabled).  Re-run after the sequence grows."""
-        journal = self.journal
-        if not journal.enabled:
-            return
-        for index, volume in enumerate(self.sequence.volumes):
-            device = volume.device
-            if getattr(device, "event_sink", None) is None:
-                device.event_sink = _device_sink(journal, index)
-            if (
-                hasattr(device, "divergence_sink")
-                and device.divergence_sink is None
-            ):
-                device.divergence_sink = _mirror_sink(journal, index)
 
     def make_device(self) -> WormDevice:
         """Create a fresh write-once medium per the configuration."""

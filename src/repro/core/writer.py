@@ -464,7 +464,7 @@ class TailWriter:
         self.store.states.append(
             EntrymapState(self.store.config.degree_n, self._volume.data_capacity)
         )
-        self.store.bind_device_events()
+        self.store.journal.watch_device(self._volume_index, device)
         self.store.journal.emit("volume.extend", volume=self._volume_index)
 
     def _emit_due_entrymap_entries(self) -> None:

@@ -1,6 +1,6 @@
 """The default rule set for ``clio lint``.
 
-Eleven rules, each protecting an invariant the runtime can only catch
+Twelve rules, each protecting an invariant the runtime can only catch
 late or not at all; see ``docs/LINTING.md`` for the catalog with paper
 references.
 """
@@ -20,7 +20,11 @@ from repro.lint.rules.robustness import (
     DeterministicIterationRule,
     ExceptionSafetyRule,
 )
-from repro.lint.rules.worm import ChargeDisciplineRule, WormEncapsulationRule
+from repro.lint.rules.worm import (
+    ChargeDisciplineRule,
+    EngineImportsRule,
+    WormEncapsulationRule,
+)
 
 __all__ = [
     "DEFAULT_RULES",
@@ -28,6 +32,7 @@ __all__ = [
     "SimTimePurityRule",
     "WormEncapsulationRule",
     "ChargeDisciplineRule",
+    "EngineImportsRule",
     "ExceptionHygieneRule",
     "MutableDefaultRule",
     "ExportHygieneRule",
@@ -43,6 +48,7 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     SimTimePurityRule,
     WormEncapsulationRule,
     ChargeDisciplineRule,
+    EngineImportsRule,
     ExceptionHygieneRule,
     MutableDefaultRule,
     ExportHygieneRule,

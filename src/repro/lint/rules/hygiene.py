@@ -153,12 +153,6 @@ class ExportHygieneRule(Rule):
                 node.target, ast.Name
             ):
                 bound.add(node.target.id)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    bound.add(alias.asname or alias.name)
             elif isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
@@ -167,7 +161,7 @@ class ExportHygieneRule(Rule):
                     has_module_getattr = True
                 if not node.name.startswith("_"):
                     publics[node.name] = node.lineno
-            elif isinstance(node, (ast.If, ast.Try)):
+            elif isinstance(node, (ast.Import, ast.ImportFrom, ast.If, ast.Try)):
                 # Conditional imports (TYPE_CHECKING blocks etc.) still bind.
                 for child in ast.walk(node):
                     if isinstance(child, ast.Import):

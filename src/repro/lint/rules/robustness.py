@@ -226,9 +226,7 @@ class DeterministicIterationRule(Rule):
         findings: list[Finding] = []
 
         findings.extend(
-            self._check_scope(
-                ctx, ctx.tree.body, module_sets, frozenset(), None
-            )
+            self._check_scope(ctx, ctx.tree, module_sets, frozenset())
         )
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -238,35 +236,25 @@ class DeterministicIterationRule(Rule):
                     node, module_sets, self_sets
                 )
                 findings.extend(
-                    self._check_scope(
-                        ctx,
-                        list(node.body),
-                        local_sets,
-                        self_sets,
-                        node,
-                    )
+                    self._check_scope(ctx, node, local_sets, self_sets)
                 )
         return findings
 
     def _check_scope(
         self,
         ctx: FileContext,
-        body: list[ast.stmt],
+        scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef,
         set_names: frozenset[str] | set[str],
         self_sets: frozenset[str] | set[str],
-        func: ast.FunctionDef | ast.AsyncFunctionDef | None,
     ) -> list[Finding]:
+        """Findings for the iterations that belong to ``scope`` itself
+        (nested defs are scopes of their own)."""
+
         def is_set(expr: ast.expr) -> bool:
             return _is_set_expr(expr, set_names, self_sets)
 
         findings: list[Finding] = []
-        root: ast.AST
-        if func is not None:
-            root = func
-        else:
-            module = ast.Module(body=body, type_ignores=[])
-            root = module
-        for child in _scope_walk(root, func is None):
+        for child in _shallow_walk(scope):
             iters: list[tuple[ast.expr, str]] = []
             if isinstance(child, ast.For):
                 iters.append((child.iter, "for loop"))
@@ -301,22 +289,6 @@ class DeterministicIterationRule(Rule):
                         )
                     )
         return findings
-
-
-def _scope_walk(root: ast.AST, is_module: bool) -> "list[ast.AST]":
-    """Nodes belonging to this scope (module bodies skip all defs)."""
-    out: list[ast.AST] = []
-    for child in _shallow_walk(root):
-        out.append(child)
-    if is_module:
-        out = [
-            node
-            for node in out
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-    return out
 
 
 def _is_set_annotation(node: ast.expr | None) -> bool:

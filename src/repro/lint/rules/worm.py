@@ -1,4 +1,5 @@
-"""Rules: WORM encapsulation and charge discipline.
+"""Rules: the engine's boundaries — WORM encapsulation, charge discipline,
+and which way the imports point.
 
 Section 2's device contract — "append-only write access; more general
 types of write access are not necessary" — is enforced at runtime by
@@ -14,17 +15,26 @@ simulated time (``charge``/``charge_many``/``_charge``/``advance_ms``), so
 no I/O path can silently skip the clock.  The check is a call-graph
 fixpoint: a primitive may delegate to another primitive (mirrors,
 file-backed devices, volumes delegating to their device) as long as every
-definition of the delegate name charges.
+definition of the delegate name charges.  Callees are resolved by *short
+name*, not type: ``x.read_block()`` matches every project definition of
+``read_block`` — a hazard missed because two classes share a method name
+is worse than a finding that needs a suppression comment.
+
+The engine-imports rule keeps the server's cost accounting independent of
+the tooling that observes it: ``core``, ``worm``, ``cache`` and ``vsystem``
+talk to :mod:`repro.vsystem.instrument` and never import ``repro.obs``,
+``repro.lint``, ``repro.cli`` or ``bench`` — so observability that is off
+was never loaded.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
 
 from repro.lint.base import FileContext, Finding, ProjectContext, ProjectRule, Rule
-from repro.lint.callgraph import FunctionInfo, collect_functions
 
-__all__ = ["WormEncapsulationRule", "ChargeDisciplineRule"]
+__all__ = ["WormEncapsulationRule", "ChargeDisciplineRule", "EngineImportsRule"]
 
 #: Private WormDevice members that constitute the raw storage surface.
 _WORM_PRIVATE = frozenset(
@@ -59,7 +69,7 @@ class WormEncapsulationRule(Rule):
     paper_section = "§2 (append-only device contract), §2.3.2 (corruption)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.in_package("worm") or ctx.in_package("repro", "worm"):
+        if ctx.in_package("worm"):
             return []
         findings: list[Finding] = []
         for node in ast.walk(ctx.tree):
@@ -124,6 +134,83 @@ _CHARGE_SINKS = frozenset(
 _EXEMPT_DEFS = frozenset({"is_written", "is_invalidated", "query_tail"})
 
 
+@dataclass
+class _FunctionInfo:
+    """One function definition and the call-graph facts the rule consults."""
+
+    qualname: str
+    module: str  # relpath of the defining file
+    lineno: int
+    #: bare names of everything this function calls (attr or name).
+    callees: set[str] = field(default_factory=set)
+    #: True when the function directly calls one of ``_CHARGE_SINKS``.
+    direct_sink: bool = False
+    #: ``(name, lineno)`` of calls to ``_IO_PRIMITIVES``.
+    io_calls: list[tuple[str, int]] = field(default_factory=list)
+    #: @abstractmethod or a docstring/pass/raise-only body: an interface
+    #: declaration, not an implementation — exempt from the checks.
+    abstract: bool = False
+
+
+def _is_abstract(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """True for @abstractmethod defs and docstring/pass/raise-only stubs."""
+    for decorator in node.decorator_list:
+        name = (
+            decorator.attr
+            if isinstance(decorator, ast.Attribute)
+            else decorator.id if isinstance(decorator, ast.Name) else ""
+        )
+        if name in ("abstractmethod", "abstractproperty"):
+            return True
+    for stmt in node.body:
+        if isinstance(stmt, (ast.Pass, ast.Raise)):
+            continue
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue  # docstring or ...
+        return False
+    return True
+
+
+def _collect_functions(ctx: FileContext) -> list[_FunctionInfo]:
+    """Every function defined in ``ctx`` (nested defs included, each with
+    its own entry), with its call-graph facts."""
+    infos: list[_FunctionInfo] = []
+
+    def visit(node: ast.AST, stack: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, stack + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                info = _FunctionInfo(
+                    qualname=".".join(stack + [child.name]),
+                    module=ctx.relpath,
+                    lineno=child.lineno,
+                    abstract=_is_abstract(child),
+                )
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    name = (
+                        func.attr
+                        if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None
+                    )
+                    if name is not None:
+                        info.callees.add(name)
+                        if name in _CHARGE_SINKS:
+                            info.direct_sink = True
+                        if name in _IO_PRIMITIVES:
+                            info.io_calls.append((name, call.lineno))
+                infos.append(info)
+                visit(child, stack + [child.name])
+            else:
+                visit(child, stack)
+
+    visit(ctx.tree, [])
+    return infos
+
+
 class ChargeDisciplineRule(ProjectRule):
     name = "charge-discipline"
     description = (
@@ -136,25 +223,16 @@ class ChargeDisciplineRule(ProjectRule):
 
     @staticmethod
     def _in_scope(ctx: FileContext) -> bool:
-        return (
-            ctx.in_package("worm")
-            or ctx.in_package("core")
-            or ctx.in_package("repro", "worm")
-            or ctx.in_package("repro", "core")
-        )
+        return ctx.in_package("worm") or ctx.in_package("core")
 
     def check_project(self, project: ProjectContext) -> list[Finding]:
         scoped = [ctx for ctx in project.files if self._in_scope(ctx)]
         if not scoped:
             return []
-        per_module: dict[str, list[FunctionInfo]] = {}
-        for ctx in scoped:
-            per_module[ctx.relpath] = collect_functions(
-                ctx, sinks=_CHARGE_SINKS, primitives=_IO_PRIMITIVES
-            )
+        per_module = {ctx.relpath: _collect_functions(ctx) for ctx in scoped}
 
         # Every definition of a primitive name, project wide.
-        prim_defs: dict[str, list[FunctionInfo]] = {
+        prim_defs: dict[str, list[_FunctionInfo]] = {
             name: [] for name in sorted(_IO_PRIMITIVES)
         }
         for infos in per_module.values():
@@ -171,14 +249,14 @@ class ChargeDisciplineRule(ProjectRule):
         charging: dict[int, bool] = {
             id(info): True for infos in per_module.values() for info in infos
         }
-        by_name_per_module: dict[str, dict[str, list[FunctionInfo]]] = {}
+        by_name_per_module: dict[str, dict[str, list[_FunctionInfo]]] = {}
         for module, infos in per_module.items():
-            bucket: dict[str, list[FunctionInfo]] = {}
+            bucket: dict[str, list[_FunctionInfo]] = {}
             for info in infos:
                 bucket.setdefault(info.qualname.rsplit(".", 1)[-1], []).append(info)
             by_name_per_module[module] = bucket
 
-        def justified(info: FunctionInfo) -> bool:
+        def justified(info: _FunctionInfo) -> bool:
             if info.direct_sink:
                 return True
             local = by_name_per_module[info.module]
@@ -190,16 +268,6 @@ class ChargeDisciplineRule(ProjectRule):
                         return True
                 for target in local.get(callee, []):
                     if target is not info and charging[id(target)]:
-                        return True
-                # Self-delegation through super().same_name(...) keeps its
-                # own flag (handled by the primitive-name branch above).
-                if callee == info.qualname.rsplit(".", 1)[-1]:
-                    others = [
-                        d
-                        for d in prim_defs.get(callee, [])
-                        if d is not info
-                    ]
-                    if others and all(charging[id(d)] for d in others):
                         return True
             return False
 
@@ -257,3 +325,76 @@ class ChargeDisciplineRule(ProjectRule):
                             )
                         )
         return findings
+
+
+# --------------------------------------------------------------------- #
+# Engine imports
+# --------------------------------------------------------------------- #
+
+#: The engine's packages (under ``repro/``) ...
+_ENGINE_PACKAGES = ("core", "worm", "cache", "vsystem")
+#: ... and the tooling none of them may import (dotted-prefix form).
+_TOOLING = ("repro.obs.", "repro.lint.", "repro.cli.", "bench.")
+#: The plug-in's load point, the one allowed reference: (file, enclosing
+#: function, imported module).
+_LOAD_POINT = ("repro/core/service.py", "enable_observability", "repro.obs.wiring")
+
+
+class EngineImportsRule(Rule):
+    name = "engine-imports"
+    description = (
+        "repro/core, worm, cache and vsystem never import repro.obs, "
+        "repro.lint, repro.cli or bench — at module level, inside a "
+        "function or under TYPE_CHECKING — except the plug-in load point "
+        "in LogService.enable_observability."
+    )
+    paper_section = "§3 (the server owns its cost accounting)"
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        if not any(ctx.in_package("repro", pkg) for pkg in _ENGINE_PACKAGES):
+            return []
+        findings: list[Finding] = []
+
+        def visit(node: ast.AST, function: str | None) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    modules = self._modules(ctx, child)
+                    hit = next(
+                        (m for m in modules if (m + ".").startswith(_TOOLING)),
+                        None,
+                    )
+                    allowed = ctx.relpath.endswith(_LOAD_POINT[0]) and (
+                        function,
+                        hit,
+                    ) == _LOAD_POINT[1:]
+                    if hit is not None and not allowed:
+                        findings.append(
+                            ctx.finding(
+                                self.name,
+                                child,
+                                f"engine module imports {hit!r}; the engine "
+                                f"talks to repro.vsystem.instrument and "
+                                f"tooling attaches from outside",
+                            )
+                        )
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                else:
+                    visit(child, function)
+
+        visit(ctx.tree, None)
+        return findings
+
+    @staticmethod
+    def _modules(ctx: FileContext, node: ast.Import | ast.ImportFrom) -> list[str]:
+        """Every dotted module name the statement may bind, with relative
+        imports resolved against the file's own package."""
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        base = node.module or ""
+        if node.level:
+            package = list(ctx.parts[: len(ctx.parts) - node.level])
+            if "repro" in package:
+                package = package[package.index("repro") :]
+            base = ".".join(package + ([base] if base else []))
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]

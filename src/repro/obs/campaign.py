@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 
+from repro.apps import HistoryFileServer
 from repro.obs.faultspec import (
     CHANNELS,
     FaultSpec,
@@ -41,9 +42,13 @@ from repro.obs.faultspec import (
 from repro.obs.injectors import (
     CampaignAbort,
     CampaignError,
+    Drive,
     counters_fingerprint,
-    make_injection,
+    create_service,
+    stage,
 )
+from repro.workloads.filetrace import FileOp, FileTrace
+from repro.workloads.login_log import LoginLogWorkload
 
 __all__ = [
     "CampaignAbort",
@@ -52,79 +57,43 @@ __all__ = [
     "FaultOutcome",
     "counters_fingerprint",
     "diff_reports",
-    "drive_filetrace",
-    "drive_login_log",
+    "filetrace_steps",
     "format_report",
+    "login_log_steps",
     "menu_specs",
-    "replay_filetrace",
     "run_campaign",
     "run_spec",
 ]
 
-#: Control-run sizing (kept small: the control proves harness transparency,
-#: not throughput).
-CONTROL_LOGIN_RECORDS = 200
-CONTROL_FILETRACE_FILES = 40
-
 
 # --------------------------------------------------------------------- #
-# Workload drivers
+# Workload steps
 # --------------------------------------------------------------------- #
 #
-# Each workload has a *plain* form (the canonical drive, no harness) and a
-# *stepped* form used by campaigns: identical service calls in identical
-# order, plus an injection hook that fires before the first step at or
-# past ``at_us``.  The hook check reads only the simulated clock, so a
-# stepped drive with no injection is indistinguishable — in sim-time
-# counters — from the plain drive (the control criterion).
+# The canonical idle drives, written once as :meth:`Drive.run` bodies: the
+# same service calls in the same order as the plain workloads, plus
+# ``drive.maybe_fire()`` before every step.
 
 
-def drive_login_log(
-    service,
-    count: int,
-    *,
-    root_path: str = "/access",
-    stop_on: tuple = (),
-    inject=None,
-    at_us: int = 0,
-):
-    """Step-wise replica of :meth:`LoginLogWorkload.drive` with an
-    injection hook.  Returns ``(records_written, fired, stopped)``."""
-    from repro.workloads.login_log import LoginLogWorkload
-
-    workload = LoginLogWorkload()
-    root = service.create_log_file(root_path)
+def login_log_steps(drive: Drive, count: int, root_path: str = "/access") -> None:
+    """Step-wise replica of :meth:`LoginLogWorkload.drive`."""
+    root = drive.service.create_log_file(root_path)
     sublogs: dict[str, object] = {}
-    written = 0
-    fired = False
-    try:
-        for record in workload.generate(count):
-            if inject is not None and not fired and service.clock.now_us >= at_us:
-                fired = True
-                inject()
-            if record.user not in sublogs:
-                sublogs[record.user] = root.create_sublog(record.user)
-            sublogs[record.user].append(record.encode())
-            written += 1
-    except stop_on:
-        return written, fired, True
-    if inject is not None and not fired:
-        fired = True
-        try:
-            inject()
-        except stop_on:
-            return written, fired, True
-    return written, fired, False
+    for record in LoginLogWorkload().generate(count):
+        drive.maybe_fire()
+        if record.user not in sublogs:
+            sublogs[record.user] = root.create_sublog(record.user)
+        sublogs[record.user].append(record.encode())
+        drive.ops_done += 1
 
 
-def replay_filetrace(service, trace) -> None:
-    """The canonical Section 4.1 replay (no harness): every event hits the
+def filetrace_steps(drive: Drive, file_count: int) -> None:
+    """The canonical Section 4.1 replay: every event of the trace hits the
     history file server with an immediate flush policy."""
-    from repro.apps import HistoryFileServer
-    from repro.workloads.filetrace import FileOp
-
+    service = drive.service
     server = HistoryFileServer(service, flush_delay_us=0)
-    for event in trace.generate():
+    for event in FileTrace(file_count=file_count).generate():
+        drive.maybe_fire()
         now = service.clock.now_us
         if event.time_us > now:
             service.clock.advance_us(event.time_us - now)
@@ -133,48 +102,17 @@ def replay_filetrace(service, trace) -> None:
         elif server.exists(event.path):
             server.delete(event.path)
         server.flush(now_us=service.clock.now_us)
+        drive.ops_done += 1
     server.flush()
 
 
-def drive_filetrace(
-    service,
-    trace,
-    *,
-    stop_on: tuple = (),
-    inject=None,
-    at_us: int = 0,
-):
-    """Stepped form of :func:`replay_filetrace` with an injection hook.
-    Returns ``(events_replayed, fired, stopped)``."""
-    from repro.apps import HistoryFileServer
-    from repro.workloads.filetrace import FileOp
-
-    server = HistoryFileServer(service, flush_delay_us=0)
-    replayed = 0
-    fired = False
-    try:
-        for event in trace.generate():
-            if inject is not None and not fired and service.clock.now_us >= at_us:
-                fired = True
-                inject()
-            now = service.clock.now_us
-            if event.time_us > now:
-                service.clock.advance_us(event.time_us - now)
-            if event.op is FileOp.WRITE:
-                server.write(event.path, 0, event.data)
-            elif server.exists(event.path):
-                server.delete(event.path)
-            server.flush(now_us=service.clock.now_us)
-        server.flush()
-    except stop_on:
-        return replayed, fired, True
-    if inject is not None and not fired:
-        fired = True
-        try:
-            inject()
-        except stop_on:
-            return replayed, fired, True
-    return replayed, fired, False
+#: Per canonical workload: its steps, the spec parameter that sizes them,
+#: and the control-run size (kept small: the control proves harness
+#: transparency, not throughput).
+_IDLE_DRIVES = {
+    "login_log": (login_log_steps, "records", 200),
+    "filetrace": (filetrace_steps, "files", 40),
+}
 
 
 # --------------------------------------------------------------------- #
@@ -271,13 +209,6 @@ class CampaignReport:
 # --------------------------------------------------------------------- #
 
 
-def _make_service(**overrides):
-    from repro.core.service import LogService
-
-    overrides.setdefault("observability", True)
-    return LogService.create(**overrides)
-
-
 #: Idle-drive sizing per fault class (the campaign's short canonical
 #: drives; the under-load harness sizes its own replays).
 _IDLE_SIZES = {
@@ -291,40 +222,17 @@ _IDLE_SIZES = {
 
 
 def run_spec(spec: FaultSpec) -> FaultOutcome:
-    """Stage and score one fault through its reusable injection: build
-    the service with the injection's overrides, run the idle canonical
-    drive with the inject hook scheduled at ``spec.at_us``, then settle
-    and probe the four channels."""
-    injection = make_injection(spec)
-    service = _make_service(**injection.service_overrides())
-    if spec.workload == "filetrace":
-        from repro.workloads.filetrace import FileTrace
+    """Stage and score one fault on its idle canonical drive, the inject
+    hook scheduled at ``spec.at_us``."""
+    steps, size_param, _control_size = _IDLE_DRIVES[spec.workload]
+    size = spec.param(size_param, _IDLE_SIZES[spec.fault_class])
 
-        trace = FileTrace(
-            file_count=spec.param("files", _IDLE_SIZES[spec.fault_class])
-        )
-        _steps, fired, stopped = drive_filetrace(
-            service,
-            trace,
-            stop_on=injection.stop_on,
-            inject=lambda: injection.fire(service),
-            at_us=spec.at_us,
-        )
-    else:
-        _steps, fired, stopped = drive_login_log(
-            service,
-            spec.param("records", _IDLE_SIZES[spec.fault_class]),
-            stop_on=injection.stop_on,
-            inject=lambda: injection.fire(service),
-            at_us=spec.at_us,
-        )
-    injection.check_drive(fired, stopped)
-    settled, report = injection.settle(service)
-    return FaultOutcome(
-        spec, injection.outcome_channels(service, settled, report)
-    )
+    def drive_for(service, injection) -> Drive:
+        drive = Drive(service, injection, at_us=spec.at_us)
+        drive.run(steps, size)
+        return drive
 
-
+    return FaultOutcome(spec, stage(spec, drive_for))
 
 
 # --------------------------------------------------------------------- #
@@ -341,24 +249,17 @@ def menu_specs(menu: str) -> tuple:
 
 
 def _control_check(workload: str) -> dict:
-    """Prove the stepped driver is invisible: same workload with and
-    without the harness, byte-identical sim-time counters."""
+    """Prove the stepped driver is invisible: the same workload with and
+    without the harness, byte-identical sim-time counters.  The login log
+    has a plain form of its own (:meth:`LoginLogWorkload.drive`); the
+    file trace has only its steps, run bare and under :meth:`Drive.run`."""
+    steps, _size_param, size = _IDLE_DRIVES[workload]
+    plain, stepped = create_service(), create_service()
     if workload == "login_log":
-        from repro.workloads.login_log import LoginLogWorkload
-
-        plain = _make_service()
-        LoginLogWorkload().drive(plain, CONTROL_LOGIN_RECORDS)
-        stepped = _make_service()
-        drive_login_log(stepped, CONTROL_LOGIN_RECORDS)
-    elif workload == "filetrace":
-        from repro.workloads.filetrace import FileTrace
-
-        plain = _make_service()
-        replay_filetrace(plain, FileTrace(file_count=CONTROL_FILETRACE_FILES))
-        stepped = _make_service()
-        drive_filetrace(stepped, FileTrace(file_count=CONTROL_FILETRACE_FILES))
+        LoginLogWorkload().drive(plain, size)
     else:
-        raise ValueError(f"unknown workload {workload!r}")
+        steps(Drive(plain), size)
+    Drive(stepped).run(steps, size)
     baseline = counters_fingerprint(plain)
     harnessed = counters_fingerprint(stepped)
     return {

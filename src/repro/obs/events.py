@@ -27,7 +27,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.tracing import ClockLike
+from repro.core.catalog import CatalogError
+from repro.vsystem.instrument import NULL_JOURNAL, ClockLike, NullJournal
+from repro.worm.device import BlockDevice
+from repro.worm.mirror import MirroredWormDevice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.logfile import LogFile
@@ -144,6 +147,27 @@ class EventJournal:
         finally:
             self._suppressed = prev
 
+    def watch_device(self, volume_index: int, device: object) -> None:
+        """Point ``device``'s event sink (and a mirror's divergence sink)
+        at this journal, unless a sink is already installed."""
+        if (
+            isinstance(device, (BlockDevice, MirroredWormDevice))
+            and device.event_sink is None
+        ):
+            device.event_sink = lambda op, block: self.emit(
+                f"device.{op}", volume=volume_index, block=block
+            )
+        if (
+            isinstance(device, MirroredWormDevice)
+            and device.divergence_sink is None
+        ):
+            device.divergence_sink = lambda event, replica, block: self.emit(
+                f"mirror.{event}",
+                volume=volume_index,
+                replica=replica,
+                block=block,
+            )
+
     # -- inspection ------------------------------------------------------
 
     def events(self) -> list[Event]:
@@ -167,39 +191,6 @@ class EventJournal:
         self._events.clear()
 
 
-class NullJournal:
-    """Events disabled: every emit is one no-op method call."""
-
-    enabled = False
-
-    def emit(self, kind: str, **attrs: object) -> None:
-        return None
-
-    @contextmanager
-    def suppress(self) -> Iterator[None]:
-        yield
-
-    def events(self) -> list[Event]:
-        return []
-
-    def recent(self, n: int) -> list[Event]:
-        return []
-
-    def by_kind(self, kind: str) -> list[Event]:
-        return []
-
-    @property
-    def next_seq(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-#: The shared disabled journal (the default on every store).
-NULL_JOURNAL = NullJournal()
-
-
 class EventLog:
     """Persist journal events into a log file — telemetry dogfooded.
 
@@ -212,7 +203,7 @@ class EventLog:
         self.service = service
         try:
             self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
+        except CatalogError:
             self.log = service.create_log_file(path)
         self._persisted_seq = -1
 
@@ -224,7 +215,7 @@ class EventLog:
         Emission is suppressed while persisting so the device writes the
         persistence itself causes do not echo back into the journal.
         """
-        journal = journal if journal is not None else self.service.store.journal
+        journal = journal if journal is not None else self.service.journal
         fresh = [e for e in journal.events() if e.seq > self._persisted_seq]
         if not fresh:
             return 0

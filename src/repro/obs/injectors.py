@@ -1,12 +1,7 @@
-"""Reusable fault injectors: spec → inject hook, invocable mid-replay.
+"""Reusable fault injectors and the one stepped driver that fires them.
 
-PR 7's campaign (:mod:`repro.obs.campaign`) staged each fault inside a
-scenario function: service construction, the injection closure, the
-workload drive, and the channel probes were interleaved in one body, so
-the only way to fire a fault was to run that scenario's own short drive.
-This module factors the *injection machinery* out into one
-:class:`Injection` object per fault class, each exposing the same four
-steps:
+One :class:`Injection` object per fault class carries the whole staging
+of that fault, in four steps:
 
 * :meth:`Injection.service_overrides` — constructor kwargs the fault
   needs staged before the service exists (a mirrored device factory, a
@@ -18,26 +13,35 @@ steps:
   block, remounting) and return the service to probe;
 * :meth:`Injection.probe` — the four-channel evidence scan.
 
-The campaign's scenarios are now thin glue over these objects, and the
-long-horizon workload observatory (:mod:`repro.obs.workload`) schedules
-the very same hooks inside its phased replays — the silent-miss gate is
-proved on idle drives *and* under load by one set of injectors.
+:class:`Drive` is the stepped driver both harnesses share — the idle
+canonical drives of :mod:`repro.obs.campaign` and the phased replays of
+:mod:`repro.obs.workload` — and :func:`stage` runs the four steps around
+it, so the silent-miss gate is proved on idle drives *and* under load by
+one set of injectors and one hook schedule.
 
 Everything stays deterministic: injection points read only the simulated
-clock, corruption helpers use fixed seeds, and the premise checks raise
-:class:`CampaignError` with the same messages the scenarios used.
+clock, corruption helpers use fixed seeds, and a failed premise raises
+:class:`CampaignError`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import KW_ONLY, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.obs.faultspec import CHANNELS, FaultSpec
+from repro.core.service import CrashRemains, LogService
+from repro.obs.faultspec import FaultSpec
+from repro.obs.slo import SloEngine, default_ruleset
+from repro.vsystem.clock import SimClock
+from repro.worm.corruption import CrashingWormDevice, corrupt_block
+from repro.worm.device import WormDevice
 from repro.worm.errors import DeviceCrashed, VolumeSequenceError
+from repro.worm.geometry import NULL_GEOMETRY
+from repro.worm.mirror import MirroredWormDevice
+from repro.worm.nvram import NvramTail
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.recovery import RecoveryReport
-    from repro.core.service import LogService
     from repro.obs.events import Event
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "CampaignAbort",
     "CampaignError",
     "CrashMidBatchInjection",
+    "Drive",
     "Injection",
     "MirrorDivergenceInjection",
     "NvramLossInjection",
@@ -56,9 +61,11 @@ __all__ = [
     "VolumeExhaustionInjection",
     "alert_evidence",
     "counters_fingerprint",
+    "create_service",
     "event_evidence",
     "make_injection",
     "recovery_evidence",
+    "stage",
     "trace_evidence",
 ]
 
@@ -142,8 +149,6 @@ def alert_evidence(
     service: "LogService", rule_names: frozenset[str]
 ) -> str | None:
     """Evaluate the named default-ruleset rules against ``service``."""
-    from repro.obs.slo import SloEngine, default_ruleset
-
     rules = [rule for rule in default_ruleset() if rule.name in rule_names]
     engine = SloEngine(service, rules=rules)
     for alert in engine.evaluate():
@@ -156,8 +161,6 @@ def trace_evidence(service: "LogService", span_names: set[str]) -> str | None:
     """First error-attributed span with one of ``span_names`` in the
     tracer's recent roots (descendants included)."""
     tracer: Any = service.tracer
-    if tracer is None:
-        return None
     for root in tracer.recent():
         for span in root.walk():
             error = span.attributes.get("error")
@@ -186,15 +189,20 @@ def recovery_evidence(
 # --------------------------------------------------------------------- #
 
 
+def _remount(remains: CrashRemains) -> tuple[LogService, "RecoveryReport"]:
+    """Mount what survived a crash, observably (a settle step)."""
+    return LogService.mount(remains.devices, remains.nvram, observability=True)
+
+
 class Injection:
     """One staged fault: the reusable spec → inject-hook machinery.
 
     A driver (campaign scenario or workload replay) uses an injection in
-    four ordered steps: build the service with
-    ``**injection.service_overrides()``; run the workload with
-    ``inject=lambda: injection.fire(service)`` firing before the first
-    step at or past ``spec.at_us`` (``stop_on`` names the exception
-    classes a planned stop raises); then ``settle`` and ``probe``.
+    four ordered steps (:func:`stage`): build the service with
+    ``**injection.service_overrides()``; run the workload under a
+    :class:`Drive`, which fires the hook before the first step at or past
+    ``spec.at_us`` (``stop_on`` names the exception classes a planned
+    stop raises); then ``settle`` and ``probe``.
     """
 
     #: Exceptions the driver should treat as the fault's planned stop.
@@ -229,20 +237,11 @@ class Injection:
         settled: "LogService",
         report: "RecoveryReport | None",
     ) -> dict[str, str | None]:
-        """Scan the four channels: ``service`` is the instance the fault
-        was injected into, ``settled``/``report`` what :meth:`settle`
-        returned (the same instance when no remount happened)."""
+        """Scan the channels this fault can surface in (a channel left
+        out did not report): ``service`` is the instance the fault was
+        injected into, ``settled``/``report`` what :meth:`settle` returned
+        (the same instance when no remount happened)."""
         raise NotImplementedError
-
-    def outcome_channels(
-        self,
-        service: "LogService",
-        settled: "LogService",
-        report: "RecoveryReport | None",
-    ) -> dict[str, str | None]:
-        """:meth:`probe` normalized to every known channel name."""
-        channels = self.probe(service, settled, report)
-        return {name: channels.get(name) for name in CHANNELS}
 
 
 class TornWriteInjection(Injection):
@@ -266,8 +265,6 @@ class TornWriteInjection(Injection):
         }
 
     def fire(self, service: "LogService") -> None:
-        from repro.worm.corruption import CrashingWormDevice
-
         volume: Any = service.store.sequence.volumes[-1]
         crasher = CrashingWormDevice(
             volume.device,
@@ -280,8 +277,6 @@ class TornWriteInjection(Injection):
     def settle(
         self, service: "LogService"
     ) -> tuple["LogService", "RecoveryReport | None"]:
-        from repro.core.service import LogService
-
         if not self.staged:
             raise CampaignError(f"{self.spec.fault_id}: injection never fired")
         volume, crasher = self.staged[0]
@@ -295,11 +290,7 @@ class TornWriteInjection(Injection):
                 break
         volume.device = crasher.reincarnate()
 
-        remains = service.crash()
-        mounted, report = LogService.mount(
-            remains.devices, remains.nvram, observability=True
-        )
-        return mounted, report
+        return _remount(service.crash())
 
     def probe(
         self,
@@ -327,9 +318,6 @@ class BitRotInjection(Injection):
     def settle(
         self, service: "LogService"
     ) -> tuple["LogService", "RecoveryReport | None"]:
-        from repro.core.service import LogService
-        from repro.worm.corruption import corrupt_block
-
         device: Any = service.store.sequence.volumes[0].device
         if device.next_writable < 3:
             raise CampaignError(
@@ -339,10 +327,7 @@ class BitRotInjection(Injection):
         block = device.next_writable - 1
         remains = service.crash()
         corrupt_block(remains.devices[0], block)
-        mounted, report = LogService.mount(
-            remains.devices, remains.nvram, observability=True
-        )
-        return mounted, report
+        return _remount(remains)
 
     def probe(
         self,
@@ -367,10 +352,6 @@ class MirrorDivergenceInjection(Injection):
         self.replica_sets: list[list[Any]] = []
 
     def _factory(self) -> Any:
-        from repro.worm.device import WormDevice
-        from repro.worm.geometry import NULL_GEOMETRY
-        from repro.worm.mirror import MirroredWormDevice
-
         pair = [
             WormDevice(1024, 4096, NULL_GEOMETRY)
             for _ in range(self.spec.param("replicas", 2))
@@ -409,8 +390,6 @@ class MirrorDivergenceInjection(Injection):
         return {
             "events": event_evidence(service.journal.events(), MIRROR_KINDS),
             "alerts": alert_evidence(service, MIRROR_RULES),
-            "recovery": None,
-            "traces": None,
         }
 
 
@@ -422,9 +401,6 @@ class NvramLossInjection(Injection):
 
     def __init__(self, spec: FaultSpec) -> None:
         super().__init__(spec)
-        from repro.vsystem.clock import SimClock
-        from repro.worm.nvram import NvramTail
-
         self.clock = SimClock()
         self.nvram = NvramTail(
             capacity_bytes=1024, survives_crash=False, clock=self.clock
@@ -440,16 +416,11 @@ class NvramLossInjection(Injection):
     def settle(
         self, service: "LogService"
     ) -> tuple["LogService", "RecoveryReport | None"]:
-        from repro.core.service import LogService
-
         if self.nvram.load() is None:
             raise CampaignError(
                 f"{self.spec.fault_id}: no tail image staged before the crash"
             )
-        remains = service.crash()
-        mounted, report = LogService.mount(
-            remains.devices, remains.nvram, observability=True
-        )
+        mounted, report = _remount(service.crash())
         if report.nvram_tail_recovered:
             raise CampaignError(
                 f"{self.spec.fault_id}: the lost image was somehow recovered"
@@ -466,11 +437,9 @@ class NvramLossInjection(Injection):
             "events": event_evidence(
                 settled.journal.events(), frozenset({"recovery.nvram_empty"})
             ),
-            "alerts": None,
             "recovery": recovery_evidence(
                 report, frozenset({"recovery.nvram_empty"})
             ),
-            "traces": None,
         }
 
 
@@ -481,8 +450,6 @@ class CrashMidBatchInjection(Injection):
     stop_on = (DeviceCrashed,)
 
     def fire(self, service: "LogService") -> None:
-        from repro.worm.corruption import CrashingWormDevice
-
         volume: Any = service.store.sequence.volumes[-1]
         volume.device = CrashingWormDevice(
             volume.device,
@@ -502,9 +469,6 @@ class CrashMidBatchInjection(Injection):
         report: "RecoveryReport | None",
     ) -> dict[str, str | None]:
         return {
-            "events": None,
-            "alerts": None,
-            "recovery": None,
             "traces": trace_evidence(service, {"append_many"}),
         }
 
@@ -523,9 +487,6 @@ class VolumeExhaustionInjection(Injection):
         self.made: list[Any] = []
 
     def _factory(self) -> Any:
-        from repro.worm.device import WormDevice
-        from repro.worm.geometry import NULL_GEOMETRY
-
         if self.made:
             raise VolumeSequenceError(
                 "media library exhausted: no successor volume"
@@ -554,8 +515,6 @@ class VolumeExhaustionInjection(Injection):
             "events": event_evidence(
                 service.journal.events(), frozenset({"volume.exhausted"})
             ),
-            "alerts": None,
-            "recovery": None,
             "traces": trace_evidence(service, {"append", "append_many"}),
         }
 
@@ -573,3 +532,74 @@ _INJECTION_CLASSES: dict[str, type[Injection]] = {
 def make_injection(spec: FaultSpec) -> Injection:
     """The staged, reusable injection machinery for one fault spec."""
     return _INJECTION_CLASSES[spec.fault_class](spec)
+
+
+# --------------------------------------------------------------------- #
+# The stepped driver
+# --------------------------------------------------------------------- #
+
+
+def create_service(**overrides: Any) -> "LogService":
+    """A fresh, fully observable service (what every harness drives)."""
+    overrides.setdefault("observability", True)
+    return LogService.create(**overrides)
+
+
+@dataclass
+class Drive:
+    """One stepped drive of a live service, with an optional inject hook.
+
+    The workload steps call :meth:`maybe_fire` before every step (and
+    count finished steps in ``ops_done``); the hook fires before the
+    first step at or past ``at_us`` once ``warmup_ops`` steps are done.
+    The check reads only the simulated clock, so a drive with no
+    injection is indistinguishable — in sim-time counters — from the same
+    steps run without the harness (the campaign's control criterion).
+    """
+
+    service: LogService
+    injection: Injection | None = None
+    _: KW_ONLY
+    at_us: int = 0
+    warmup_ops: int = 0
+    ops_done: int = 0
+    fired: bool = False
+    stopped: bool = False
+
+    def maybe_fire(self) -> None:
+        if (
+            self.injection is not None
+            and not self.fired
+            and self.ops_done >= self.warmup_ops
+            and self.service.clock.now_us >= self.at_us
+        ):
+            self.fired = True
+            self.injection.fire(self.service)
+
+    def run(self, steps: Callable[..., None], *args: Any) -> None:
+        """Run ``steps(self, *args)`` to its end or to the injection's
+        planned stop (``stopped``); a hook still pending when the steps
+        end fires then, so every staged fault is injected exactly once."""
+        stop_on = self.injection.stop_on if self.injection is not None else ()
+        try:
+            steps(self, *args)
+            if self.injection is not None and not self.fired:
+                self.fired = True
+                self.injection.fire(self.service)
+        except stop_on:
+            self.stopped = True
+
+
+def stage(
+    spec: FaultSpec, drive_for: Callable[["LogService", Injection], Drive]
+) -> dict[str, str | None]:
+    """Stage and score one fault: build the service with the injection's
+    overrides, let ``drive_for`` run its workload over it (returning the
+    finished :class:`Drive`), check the drive-level premise, then settle
+    and probe the four channels."""
+    injection = make_injection(spec)
+    service = create_service(**injection.service_overrides())
+    drive = drive_for(service, injection)
+    injection.check_drive(drive.fired, drive.stopped)
+    settled, report = injection.settle(service)
+    return injection.probe(service, settled, report)

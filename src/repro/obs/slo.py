@@ -29,7 +29,9 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.core.catalog import CatalogError
 from repro.obs.registry import HistogramValue
+from repro.obs.wiring import Instruments
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.logfile import LogFile
@@ -304,7 +306,7 @@ def recovery_model_rule(
 
 def _locate_observed(service: "LogService") -> float:
     instruments = service.store.instruments
-    if instruments is None:
+    if not isinstance(instruments, Instruments):
         return 0.0
     total = 0.0
     count = 0
@@ -508,7 +510,7 @@ class AlertLog:
         self.service = service
         try:
             self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
+        except CatalogError:
             self.log = service.create_log_file(path)
 
     def persist(self, alerts: list[Alert]) -> int:

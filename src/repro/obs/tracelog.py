@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from repro.core.catalog import CatalogError
 from repro.obs.tracing import Span, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,7 +80,7 @@ class TraceLog:
         self.slowest_keep = slowest_keep
         try:
             self.log: "LogFile" = service.open_log_file(path)
-        except Exception:
+        except CatalogError:
             self.log = service.create_log_file(path)
         self._window_roots: list[Span] = []
         self._pending: list[Span] = []

@@ -23,10 +23,19 @@ instrumentation point a single no-op method call.
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager, contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager
 from types import TracebackType
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
+
+from repro.vsystem.instrument import (
+    NULL_SPAN,
+    NULL_TRACER,
+    ClockLike,
+    NullSpan,
+    NullTracer,
+    TraceContext,
+    TracerLike,
+)
 
 __all__ = [
     "ClockLike",
@@ -38,26 +47,6 @@ __all__ = [
     "NULL_TRACER",
     "format_span_tree",
 ]
-
-
-class ClockLike(Protocol):
-    """The one clock attribute the tracer reads (satisfied by SimClock)."""
-
-    now_us: int
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """The causal identity a request carries across the IPC boundary.
-
-    ``trace_id`` names the request end to end; ``span_id`` is the id of
-    the span that sent the message (0 when there is no sending span), so
-    work executed on the far side — or after the reply, in the deferred
-    delivery window — records which span caused it.
-    """
-
-    trace_id: str
-    span_id: int = 0
 
 
 class Span:
@@ -259,10 +248,10 @@ class SpanTracer:
         self._trace_seq += 1
         return f"{prefix}{self._clock.now_us:x}.{self._trace_seq:x}"
 
-    def span(self, name: str, **attributes: object) -> _SpanHandle | _NullSpan:
+    def span(self, name: str, **attributes: object) -> _SpanHandle | NullSpan:
         """Open a span; use as ``with tracer.span("append", id=7) as sp:``."""
         if self._suppressed:
-            return _NULL_SPAN
+            return NULL_SPAN
         span_id = self._next_span_id
         self._next_span_id += 1
         if self._stack:
@@ -387,90 +376,6 @@ class SpanTracer:
 
     def clear(self) -> None:
         self._roots.clear()
-
-
-class _NullSpan:
-    """Inert span yielded when tracing is disabled or suppressed."""
-
-    __slots__ = ()
-
-    trace_id: str | None = None
-    span_id: int = 0
-    parent_id: int | None = None
-
-    def set(self, key: str, value: object) -> None:
-        pass
-
-    def add_cost(self, component: str, ms: float) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Tracing disabled: every span is the same inert, reused object."""
-
-    enabled = False
-
-    def mint_trace_id(self, prefix: str = "s") -> str:
-        return f"{prefix}0.0"
-
-    def span(self, name: str, **attributes: object) -> _NullSpan:
-        return _NULL_SPAN
-
-    def charge(self, component: str, ms: float) -> None:
-        pass
-
-    @contextmanager
-    def activate(self, context: TraceContext | None) -> Iterator[None]:
-        yield
-
-    @contextmanager
-    def suppress(self) -> Iterator[None]:
-        yield
-
-    def context(self) -> TraceContext | None:
-        return None
-
-    def recent(self, limit: int | None = None) -> list[Span]:
-        return []
-
-    def last(self, name: str | None = None) -> Span | None:
-        return None
-
-    def clear(self) -> None:
-        pass
-
-
-class TracerLike(Protocol):
-    """The tracer surface the IPC layer needs (SpanTracer or NullTracer)."""
-
-    @property
-    def enabled(self) -> bool: ...
-
-    def charge(self, component: str, ms: float) -> None: ...
-
-    def activate(
-        self, context: TraceContext | None
-    ) -> AbstractContextManager[None]: ...
-
-    def context(self) -> TraceContext | None: ...
-
-
-#: The shared disabled tracer (the default on every service).
-NULL_TRACER = NullTracer()
 
 
 def format_span_tree(span: Span, indent: str = "") -> str:

@@ -18,16 +18,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.events import EventJournal
 from repro.obs.registry import (
     COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricsRegistry,
 )
+from repro.obs.tracing import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import LogService
 
-__all__ = ["Instruments", "wire_service"]
+__all__ = ["Instruments", "attach_observability", "wire_service"]
 
 #: Space-accounting components mirrored as ``clio_space_bytes{component=}``.
 _SPACE_COMPONENTS = (
@@ -88,7 +90,7 @@ def wire_service(service: "LogService") -> Instruments:
     """
     store = service.store
     registry = store.metrics
-    if registry is None:
+    if not isinstance(registry, MetricsRegistry):
         raise ValueError("service has no metrics registry to wire into")
     instruments = Instruments(registry)
 
@@ -332,3 +334,36 @@ def wire_service(service: "LogService") -> Instruments:
 
     registry.register_sampler(sample)
     return instruments
+
+
+def attach_observability(
+    service: "LogService",
+    *,
+    tracing: bool = True,
+    registry: MetricsRegistry | None = None,
+    events: bool = True,
+) -> object:
+    """Fill the engine's instrumentation slots (the body of
+    :meth:`~repro.core.service.LogService.enable_observability`).
+
+    Each slot is filled once: a registry with its sampler and the
+    pre-bound instruments, a span tracer, and an event journal pointed at
+    every mounted volume's device sinks and the cache's eviction hook
+    (the writer re-points it at each successor volume through
+    ``journal.watch_device``).  Returns the registry.
+    """
+    store = service.store
+    if store.metrics is None:
+        store.metrics = registry if registry is not None else MetricsRegistry()
+        store.instruments = wire_service(service)
+    if tracing and not store.tracer.enabled:
+        store.tracer = SpanTracer(store.clock)
+    if events and not store.journal.enabled:
+        journal = EventJournal(store.clock)
+        store.journal = journal
+        for index, volume in enumerate(store.sequence.volumes):
+            journal.watch_device(index, volume.device)
+        store.cache.on_evict = lambda block: journal.emit(
+            "cache.evict", block=block
+        )
+    return store.metrics

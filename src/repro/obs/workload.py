@@ -37,16 +37,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.obs.injectors import Injection, counters_fingerprint, make_injection
+from repro.apps import HistoryFileServer
+from repro.core.catalog import CatalogError
+from repro.obs.campaign import CampaignReport, FaultOutcome, menu_specs
+from repro.obs.faultspec import FaultSpec
+from repro.obs.injectors import (
+    Drive,
+    Injection,
+    counters_fingerprint,
+    create_service,
+    stage,
+)
 from repro.obs.profile import CostBreakdown
-from repro.obs.slo import AlertLog, SloEngine, default_ruleset
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.service import LogService
-    from repro.obs.faultspec import FaultSpec
+from repro.obs.slo import AlertLog, SloEngine, default_ruleset, metric_value
+from repro.workloads.entries import EntryStream, uniform_size, zipf_weights
+from repro.workloads.filetrace import FileOp, FileTrace
+from repro.workloads.login_log import LoginLogWorkload
 
 __all__ = [
     "INDEX_COLUMNS",
@@ -279,21 +289,15 @@ def get_profile(name: str) -> Profile:
 # --------------------------------------------------------------------- #
 
 
-def _make_service(**overrides: Any) -> Any:
-    from repro.core.service import LogService
-
-    overrides.setdefault("observability", True)
-    return LogService.create(**overrides)
-
-
 def _metric(service: Any, name: str) -> Any:
     registry = service.metrics
     return None if registry is None else registry.get(name)
 
 
-class _ReplayContext:
-    """Mutable per-replay state shared across phases: the service, the
-    lazily-created log-file handles, the inject hook, and the counters."""
+class _ReplayContext(Drive):
+    """A :class:`Drive` over a whole profile, plus the per-replay state
+    shared across phases: the lazily-created log-file handles, the think
+    and alert bookkeeping, and the workload counters."""
 
     def __init__(
         self,
@@ -305,38 +309,17 @@ class _ReplayContext:
         at_us: int = 0,
         warmup_ops: int = 0,
     ) -> None:
-        self.service = service
+        super().__init__(service, inject, at_us=at_us, warmup_ops=warmup_ops)
         self.profile = profile
         self.engine = engine
-        self.inject = inject
-        self.at_us = at_us
-        self.warmup_ops = warmup_ops
-        self.ops_done = 0
-        self.fired = False
         self.think_us = 0
         self.timeline: list[dict[str, Any]] = []
+        self.phases: list[dict[str, Any]] = []
         self.phase_name = ""
         self.handles: dict[str, Any] = {}
         self.ops_counter = _metric(service, "clio_workload_ops_total")
         self.think_counter = _metric(service, "clio_workload_think_us_total")
         self.alerts_counter = _metric(service, "clio_workload_alerts_total")
-        self.faults_counter = _metric(
-            service, "clio_workload_faults_fired_total"
-        )
-
-    def maybe_fire(self) -> None:
-        """The under-load inject hook: fires before the first operation at
-        or past ``at_us`` once ``warmup_ops`` operations have completed."""
-        if (
-            self.inject is not None
-            and not self.fired
-            and self.ops_done >= self.warmup_ops
-            and self.service.clock.now_us >= self.at_us
-        ):
-            self.fired = True
-            if self.faults_counter is not None:
-                self.faults_counter.inc()
-            self.inject.fire(self.service)
 
     def think(self, gap_us: int) -> None:
         """Advance simulated time *with attribution*: the gap is charged
@@ -366,22 +349,16 @@ class _ReplayContext:
         if handle is None:
             try:
                 handle = self.service.open_log_file(path)
-            except Exception:
+            except CatalogError:
                 handle = self.service.create_log_file(path)
             self.handles[path] = handle
         return handle
 
     def sublog(self, root_path: str, name: str) -> Any:
         key = f"{root_path}/{name}"
-        handle = self.handles.get(key)
-        if handle is None:
-            root = self.logfile(root_path)
-            try:
-                handle = self.service.open_log_file(key)
-            except Exception:
-                handle = root.create_sublog(name)
-            self.handles[key] = handle
-        return handle
+        if key not in self.handles:
+            self.logfile(root_path)  # the parent must exist first
+        return self.logfile(key)
 
 
 def _phase_seed(profile: Profile, index: int) -> int:
@@ -392,8 +369,6 @@ def _phase_seed(profile: Profile, index: int) -> int:
 def _run_bursty(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Login storms: tight clusters of Section 3.5 login/logout records
     separated by long quiet gaps."""
-    from repro.workloads.login_log import LoginLogWorkload
-
     burst = phase.int_param("burst", 20)
     intra = phase.int_param("intra_gap_us", 20_000)
     inter = phase.int_param("inter_gap_us", 2_000_000)
@@ -409,8 +384,6 @@ def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Day/night cycles: ``day_ops`` operations spaced ``day_gap_us``
     apart, then one long ``night_gap_us`` — the schedule that makes a
     thousand operations span a quarter of simulated wall-calendar."""
-    from repro.workloads.login_log import LoginLogWorkload
-
     day_ops = phase.int_param("day_ops", 12)
     day_gap = phase.int_param("day_gap_us", 1_800_000_000)
     night_gap = phase.int_param("night_gap_us", 64_800_000_000)
@@ -427,8 +400,6 @@ def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
 def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Appends interleaved with locates (newest-entry tail queries, the
     paper's dominant access) and bounded history scans."""
-    from repro.workloads.entries import EntryStream, uniform_size, zipf_weights
-
     gap = phase.int_param("gap_us", 500_000)
     locate_every = phase.int_param("locate_every", 7)
     scan_every = phase.int_param("scan_every", 23)
@@ -460,8 +431,6 @@ def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
 def _run_multi_tenant(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Zipf-skewed appends across tenant sublogs: a few hot tenants, a
     long cold tail (LogBase's sustained multi-tenant regime)."""
-    from repro.workloads.entries import EntryStream, uniform_size, zipf_weights
-
     gap = phase.int_param("gap_us", 400_000)
     tenants = phase.int_param("tenants", 6)
     skew = float(phase.param("skew", 1.2))
@@ -481,9 +450,6 @@ def _run_filetrace(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """The Section 4.1 Ousterhout-lifetime replay through the history
     file server, with the trace's own interarrival times charged as
     think time (so the phase stays fully attributed)."""
-    from repro.apps import HistoryFileServer
-    from repro.workloads.filetrace import FileOp, FileTrace
-
     flush_delay = phase.int_param("flush_delay_us", 300_000_000)
     trace = FileTrace(
         file_count=phase.ops,
@@ -522,8 +488,6 @@ _PHASE_RUNNERS = {
 
 
 def _registry_picks(service: Any) -> dict[str, float]:
-    from repro.obs.slo import metric_value
-
     picks: dict[str, float] = {}
     for name in _REGISTRY_PICKS:
         try:
@@ -540,6 +504,57 @@ def _span_digest(span: Any) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _replay_phases(ctx: _ReplayContext, collect: bool) -> None:
+    """The replay's steps: each phase of the profile under its own
+    ``workload.phase`` span, scored into ``ctx.phases`` when ``collect``."""
+    service = ctx.service
+    tracer: Any = service.tracer
+    phases_counter = _metric(service, "clio_workload_phases_total")
+    for index, phase in enumerate(ctx.profile.phases):
+        runner = _PHASE_RUNNERS.get(phase.kind)
+        if runner is None:
+            raise ValueError(f"unknown phase kind {phase.kind!r}")
+        ctx.phase_name = phase.name
+        ops_before = ctx.ops_done
+        think_before = ctx.think_us
+        with tracer.span("workload.phase", kind=phase.kind, phase=phase.name):
+            runner(ctx, phase, index)
+        if phases_counter is not None:
+            phases_counter.inc()
+        if not collect:
+            continue
+        record: dict[str, Any] = {
+            "kind": phase.kind,
+            "name": phase.name,
+            "ops": ctx.ops_done - ops_before,
+            # Scored replays carry no injection, so none ends in a stop.
+            "stopped": False,
+            "think_us": ctx.think_us - think_before,
+        }
+        span = tracer.last("workload.phase") if tracer.enabled else None
+        if span is not None:
+            breakdown = CostBreakdown(phase.name)
+            breakdown.merge(span)
+            record["start_us"] = span.start_us
+            record["end_us"] = span.end_us
+            record["sim_ms"] = round(breakdown.total_ms, 3)
+            record["attribution"] = {
+                "attributed_ms": round(breakdown.attributed_ms, 3),
+                "components": {
+                    component: round(ms, 3)
+                    for component, ms in sorted(breakdown.components.items())
+                },
+                "coverage": round(breakdown.coverage, 6),
+            }
+            record["trace"] = {
+                "digest": _span_digest(span),
+                "dropped_children": span.dropped_children,
+                "spans": sum(1 for _node in span.walk()),
+            }
+        record["registry"] = _registry_picks(service)
+        ctx.phases.append(record)
+
+
 def _replay(
     service: Any,
     profile: Profile,
@@ -548,11 +563,11 @@ def _replay(
     inject: Injection | None = None,
     at_us: int = 0,
     warmup_ops: int = 0,
-    stop_on: tuple[type[BaseException], ...] = (),
     collect: bool = True,
-) -> dict[str, Any]:
-    """Replay every phase of ``profile`` against ``service``; returns the
-    replay record (phase results, totals, hook state)."""
+) -> _ReplayContext:
+    """Replay every phase of ``profile`` against ``service`` as one
+    stepped drive; returns the finished drive (phase records, totals,
+    hook state)."""
     tracer: Any = service.tracer
     if getattr(tracer, "enabled", False):
         # A year-long phase can hold thousands of op spans; raise the
@@ -568,75 +583,11 @@ def _replay(
         at_us=at_us,
         warmup_ops=warmup_ops,
     )
-    phases_counter = _metric(service, "clio_workload_phases_total")
-    phase_records: list[dict[str, Any]] = []
-    stopped = False
-    for index, phase in enumerate(profile.phases):
-        runner = _PHASE_RUNNERS.get(phase.kind)
-        if runner is None:
-            raise ValueError(f"unknown phase kind {phase.kind!r}")
-        ctx.phase_name = phase.name
-        ops_before = ctx.ops_done
-        think_before = ctx.think_us
-        phase_stopped = False
-        try:
-            with tracer.span("workload.phase", kind=phase.kind, phase=phase.name):
-                runner(ctx, phase, index)
-        except stop_on:
-            stopped = True
-            phase_stopped = True
-        if phases_counter is not None:
-            phases_counter.inc()
-        if collect:
-            record: dict[str, Any] = {
-                "kind": phase.kind,
-                "name": phase.name,
-                "ops": ctx.ops_done - ops_before,
-                "stopped": phase_stopped,
-                "think_us": ctx.think_us - think_before,
-            }
-            span = tracer.last("workload.phase") if tracer.enabled else None
-            if span is not None:
-                breakdown = CostBreakdown(phase.name)
-                breakdown.merge(span)
-                record["start_us"] = span.start_us
-                record["end_us"] = span.end_us
-                record["sim_ms"] = round(breakdown.total_ms, 3)
-                record["attribution"] = {
-                    "attributed_ms": round(breakdown.attributed_ms, 3),
-                    "components": {
-                        component: round(ms, 3)
-                        for component, ms in sorted(
-                            breakdown.components.items()
-                        )
-                    },
-                    "coverage": round(breakdown.coverage, 6),
-                }
-                record["trace"] = {
-                    "digest": _span_digest(span),
-                    "dropped_children": span.dropped_children,
-                    "spans": sum(1 for _node in span.walk()),
-                }
-            record["registry"] = _registry_picks(service)
-            phase_records.append(record)
-        if stopped:
-            break
-    if inject is not None and not ctx.fired:
-        ctx.fired = True
-        if ctx.faults_counter is not None:
-            ctx.faults_counter.inc()
-        try:
-            inject.fire(service)
-        except stop_on:
-            stopped = True
-    return {
-        "fired": ctx.fired,
-        "ops": ctx.ops_done,
-        "phases": phase_records,
-        "stopped": stopped,
-        "think_us": ctx.think_us,
-        "timeline": ctx.timeline,
-    }
+    ctx.run(_replay_phases, collect)
+    faults_counter = _metric(service, "clio_workload_faults_fired_total")
+    if ctx.fired and faults_counter is not None:
+        faults_counter.inc()
+    return ctx
 
 
 # --------------------------------------------------------------------- #
@@ -644,49 +595,30 @@ def _replay(
 # --------------------------------------------------------------------- #
 
 
-def _under_load_outcome(profile: Profile, spec: "FaultSpec") -> Any:
+def _under_load_outcome(profile: Profile, spec: FaultSpec) -> Any:
     """One fault staged inside a fresh full replay of ``profile``."""
-    from repro.obs.campaign import FaultOutcome
+    def drive_for(service: Any, injection: Injection) -> Drive:
+        return _replay(
+            service,
+            profile,
+            inject=injection,
+            at_us=spec.at_us,
+            warmup_ops=UNDER_LOAD_WARMUP_OPS,
+            collect=False,
+        )
 
-    injection = make_injection(spec)
-    service = _make_service(**injection.service_overrides())
-    replay = _replay(
-        service,
-        profile,
-        inject=injection,
-        at_us=spec.at_us,
-        warmup_ops=UNDER_LOAD_WARMUP_OPS,
-        stop_on=injection.stop_on,
-        collect=False,
-    )
-    injection.check_drive(replay["fired"], replay["stopped"])
-    settled, report = injection.settle(service)
-    return FaultOutcome(
-        spec, injection.outcome_channels(service, settled, report)
-    )
+    return FaultOutcome(spec, stage(spec, drive_for))
 
 
 def run_under_load_campaign(profile: Profile, menu: str) -> dict[str, Any]:
     """Every fault of ``menu``, each injected mid-replay into its own
     fresh replay of ``profile`` — the campaign's silent-miss gate under
     sustained load."""
-    from repro.obs.campaign import menu_specs
-    from repro.obs.faultspec import CHANNELS
-
     outcomes = [_under_load_outcome(profile, spec) for spec in menu_specs(menu)]
-    detected = sum(1 for outcome in outcomes if outcome.detected)
-    silent = [
-        outcome.spec.fault_id for outcome in outcomes if outcome.silent_miss
-    ]
+    record = CampaignReport(menu, outcomes, control={}).as_dict()
     return {
-        "channels": list(CHANNELS),
-        "coverage": detected / len(outcomes) if outcomes else 1.0,
-        "detected": detected,
-        "faults": len(outcomes),
-        "matrix": [outcome.as_dict() for outcome in outcomes],
-        "menu": menu,
-        "passed": not silent,
-        "silent_misses": silent,
+        **record["campaign"],
+        "matrix": record["matrix"],
         "warmup_ops": UNDER_LOAD_WARMUP_OPS,
     }
 
@@ -727,7 +659,7 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
     it through the four obs channels, and (optionally) re-prove the
     ``menu`` fault campaign under that load."""
     profile = get_profile(profile_name)
-    service = _make_service()
+    service = create_service()
     alert_log = AlertLog(service)
     engine = SloEngine(service, rules=default_ruleset(), alert_log=alert_log)
     replay = _replay(service, profile, engine=engine, collect=True)
@@ -735,8 +667,8 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
     persisted = alert_log.read_back()
     alerts_record = {
         "persisted": len(persisted),
-        "readback_ok": len(persisted) == len(replay["timeline"]),
-        "timeline": replay["timeline"],
+        "readback_ok": len(persisted) == len(replay.timeline),
+        "timeline": replay.timeline,
     }
 
     campaign = run_under_load_campaign(profile, menu) if menu else None
@@ -745,7 +677,7 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
     sim_days = round(clock_us / _DAY_US, 4)
     coverages = [
         float(record["attribution"]["coverage"])
-        for record in replay["phases"]
+        for record in replay.phases
         if "attribution" in record
     ]
     min_coverage = min(coverages) if coverages else 0.0
@@ -768,20 +700,20 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
         "alerts": alerts_record,
         "campaign": campaign,
         "fingerprint": counters_fingerprint(service),
-        "phases": replay["phases"],
+        "phases": replay.phases,
         "profile": profile.as_dict(),
         "run": {
             "clock_us": clock_us,
             "failures": failures,
             "menu": menu,
             "min_phase_coverage": round(min_coverage, 6),
-            "ops": replay["ops"],
+            "ops": replay.ops_done,
             "passed": not failures,
             "profile": profile.name,
             "run_id": run_id,
             "seed": profile.seed,
             "sim_days": sim_days,
-            "think_us": replay["think_us"],
+            "think_us": replay.think_us,
         },
     }
     return WorkloadRun(record)
@@ -840,8 +772,6 @@ def _index_row(record: dict[str, Any], sha: str) -> dict[str, str]:
 
 def read_index(runs_dir: str) -> list[dict[str, str]]:
     """Parse ``INDEX.csv`` (missing file → empty catalog)."""
-    import os
-
     path = os.path.join(runs_dir, INDEX_FILE)
     if not os.path.exists(path):
         return []
@@ -858,8 +788,6 @@ def read_index(runs_dir: str) -> list[dict[str, str]]:
 
 
 def _write_index(runs_dir: str, rows: list[dict[str, str]]) -> str:
-    import os
-
     path = os.path.join(runs_dir, INDEX_FILE)
     ordered = sorted(rows, key=lambda row: row["run_id"])
     lines = [",".join(INDEX_COLUMNS)]
@@ -875,8 +803,6 @@ def _write_index(runs_dir: str, rows: list[dict[str, str]]) -> str:
 def register_run(runs_dir: str, run: WorkloadRun) -> str:
     """Write the run's artifact as ``<run_id>.json`` under ``runs_dir``
     and upsert its row (keyed by run id, sorted) into ``INDEX.csv``."""
-    import os
-
     os.makedirs(runs_dir, exist_ok=True)
     text = run.encode()
     artifact_path = os.path.join(runs_dir, f"{run.run_id}.json")
@@ -894,8 +820,6 @@ def verify_index(runs_dir: str) -> list[str]:
     """Re-hash every cataloged artifact; returns the list of problems
     (missing artifacts, hash mismatches) — empty means the catalog is
     sound."""
-    import os
-
     problems: list[str] = []
     for row in read_index(runs_dir):
         run_id = row.get("run_id", "?")

@@ -9,9 +9,9 @@ write path used by clients that do not need a reply — the case Section 2.1
 addresses with client-generated sequence numbers.
 
 Messages carry an optional :class:`MessageHeader` with the sender's
-:class:`~repro.obs.tracing.TraceContext`.  Draining a deferred delivery
-re-activates that context on the server's tracer, so the spans the
-delivery opens — work done *after* the client reply, Section 3.3's
+:class:`~repro.vsystem.instrument.TraceContext`.  Draining a deferred
+delivery re-activates that context on the server's tracer, so the spans it
+opens — work done *after* the client reply, Section 3.3's
 delayed-write window — join the originating request's trace instead of
 starting unrelated trees.
 """
@@ -22,9 +22,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs.tracing import NULL_TRACER, TraceContext, TracerLike
 from repro.vsystem.clock import SimClock
 from repro.vsystem.costs import SUN3, CostModel
+from repro.vsystem.instrument import NULL_TRACER, TraceContext, TracerLike
 
 __all__ = ["IpcChannel", "AsyncPort", "MessageHeader"]
 

@@ -66,6 +66,7 @@ class TestExitCodes:
             "sim-time",
             "worm-encapsulation",
             "charge-discipline",
+            "engine-imports",
             "bare-except",
             "mutable-default",
             "export-hygiene",
@@ -76,8 +77,8 @@ class TestExitCodes:
             "deterministic-iteration",
         ):
             assert rule in out
-        # One two-line entry per rule: the eleven above and no others.
-        assert len([l for l in out.splitlines() if not l.startswith(" ")]) == 11
+        # One two-line entry per rule: the twelve above and no others.
+        assert len([l for l in out.splitlines() if not l.startswith(" ")]) == 12
 
 
 class TestBaselineWorkflow:
@@ -118,7 +119,7 @@ class TestOutputFormats:
         assert document["version"] == "2.1.0"
         driver = document["runs"][0]["tool"]["driver"]
         assert driver["name"] == "clio-lint"
-        assert len(driver["rules"]) == 11
+        assert len(driver["rules"]) == 12
         results = document["runs"][0]["results"]
         assert results
         for entry in results:

@@ -256,6 +256,94 @@ class TestChargeDiscipline:
         assert findings == []
 
 
+class TestEngineImports:
+    def test_module_function_and_type_checking_imports_are_flagged(
+        self, tmp_path
+    ):
+        findings = lint(
+            tmp_path,
+            {"repro/core/store.py": """\
+                from typing import TYPE_CHECKING
+
+                from repro.obs.events import NULL_JOURNAL
+                from repro.vsystem.instrument import NULL_TRACER
+
+                if TYPE_CHECKING:
+                    from repro.obs.events import Event
+
+
+                def attach(service):
+                    from repro.obs import wiring
+
+                    return wiring.attach_observability(service)
+                """},
+            "engine-imports",
+        )
+        assert [f.line for f in findings] == [3, 7, 11]
+        assert all("repro.obs" in f.message for f in findings)
+
+    def test_every_engine_package_and_tooling_target_is_covered(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                "repro/worm/a.py": "import repro.lint.engine\n",
+                "repro/cache/b.py": "from repro import cli\n",
+                "repro/vsystem/c.py": "from bench import trace\n",
+                "repro/core/d.py": "from ..obs import tracing\n",
+            },
+            "engine-imports",
+        )
+        assert sorted(f.path for f in findings) == [
+            "repro/cache/b.py",
+            "repro/core/d.py",
+            "repro/vsystem/c.py",
+            "repro/worm/a.py",
+        ]
+
+    def test_load_point_and_tooling_side_are_clean(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                # The one allowed reference: this file, this function, this
+                # module.
+                "repro/core/service.py": """\
+                    class LogService:
+                        def enable_observability(self):
+                            from repro.obs.wiring import attach_observability
+
+                            return attach_observability(self)
+                    """,
+                # Tooling may import the engine and itself freely.
+                "repro/obs/wiring.py": """\
+                    from repro.core.service import LogService
+                    from repro.obs.events import EventJournal
+                    """,
+                "repro/apps/monitor.py": "from repro.obs import MetricsRegistry\n",
+            },
+            "engine-imports",
+        )
+        assert findings == []
+
+    def test_load_point_allows_nothing_else(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {"repro/core/service.py": """\
+                class LogService:
+                    def enable_observability(self):
+                        from repro.obs.registry import MetricsRegistry
+
+                        return MetricsRegistry()
+
+                    def metrics(self):
+                        from repro.obs.wiring import attach_observability
+
+                        return attach_observability(self)
+                """},
+            "engine-imports",
+        )
+        assert [f.line for f in findings] == [3, 8]
+
+
 class TestExceptionHygiene:
     def test_bare_except_and_swallowing_catch_all_are_flagged(self, tmp_path):
         findings = lint(

@@ -18,12 +18,14 @@ from repro.obs.campaign import (
     CampaignError,
     FaultOutcome,
     diff_reports,
-    drive_login_log,
+    filetrace_steps,
     format_report,
+    login_log_steps,
     menu_specs,
     run_campaign,
     run_spec,
 )
+from repro.obs.injectors import Drive
 from repro.obs.faultspec import (
     CHANNELS,
     EXPECTED_CHANNELS,
@@ -221,12 +223,49 @@ class TestHarnessTransparency:
 
         plain = LogService.create(observability=True)
         LoginLogWorkload().drive(plain, 150)
-        stepped = LogService.create(observability=True)
-        written, fired, stopped = drive_login_log(stepped, 150)
-        assert written == 150
-        assert not fired
-        assert stopped is False
-        assert counters_fingerprint(plain) == counters_fingerprint(stepped)
+        drive = Drive(LogService.create(observability=True))
+        drive.run(login_log_steps, 150)
+        assert drive.ops_done == 150
+        assert not drive.fired
+        assert drive.stopped is False
+        assert counters_fingerprint(plain) == counters_fingerprint(drive.service)
+
+    def test_drive_counts_steps_fires_once_and_catches_the_planned_stop(self):
+        """The kernel's contract: steps are counted (the file-trace driver
+        used to report 0), the hook fires once at the first step past the
+        trigger, a hook still pending at the end fires then, and only the
+        injection's own ``stop_on`` ends the drive quietly."""
+        from repro.core.service import LogService
+        from repro.obs.injectors import make_injection
+
+        spec = next(s for s in full_menu() if s.fault_class == "bit_rot")
+        drive = Drive(LogService.create(observability=True))
+        drive.run(filetrace_steps, 12)
+        assert drive.ops_done >= 12 and not drive.fired and not drive.stopped
+
+        # bit_rot's hook raises its own planned stop the first time it runs.
+        injection = make_injection(spec)
+        fired_at = []
+        injection.fire = lambda service: fired_at.append(drive.ops_done)
+        drive = Drive(
+            LogService.create(observability=True), injection, warmup_ops=5
+        )
+        drive.run(login_log_steps, 20)
+        assert fired_at == [5] and drive.fired and not drive.stopped
+
+        pending = Drive(
+            LogService.create(observability=True),
+            make_injection(spec),
+            warmup_ops=1_000,
+        )
+        pending.run(login_log_steps, 20)
+        assert pending.ops_done == 20 and pending.fired and pending.stopped
+
+        def boom(_drive):
+            raise KeyError("not a planned stop")
+
+        with pytest.raises(KeyError):
+            Drive(LogService.create(), make_injection(spec)).run(boom)
 
 
 class TestRenderingAndDiff:
