@@ -43,8 +43,9 @@ bench-fastpath:
 	CLIO_BENCH_RECORD_DIR=. PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -k fastpath -s -q
 
 # The paper-style result tables (Figure 3, Table 1, Figure 4, ...).
-# Every bench* target records its BENCH_*.json (CLIO_BENCH_RECORD_DIR,
-# see docs/PERFORMANCE.md) so captured numbers always carry counters.
+# Every bench* target records its headline numbers as BENCH_*.json
+# (CLIO_BENCH_RECORD_DIR, see docs/PERFORMANCE.md); the checked-in ones
+# are regenerated here and compared by scripts/check.sh.
 bench-tables:
 	CLIO_BENCH_RECORD_DIR=. $(PYTHON) -m pytest benchmarks/ -s -q
 
@@ -66,10 +67,10 @@ obs-demo:
 	PYTHONPATH=src $(PYTHON) -m repro stats /tmp/clio-obs-demo --touch /app
 	PYTHONPATH=src $(PYTHON) -m repro trace live /tmp/clio-obs-demo --read /app
 	PYTHONPATH=src $(PYTHON) -m repro append /tmp/clio-obs-demo /app "traced event" --trace
-	PYTHONPATH=src $(PYTHON) -m repro trace find /tmp/clio-obs-demo
+	PYTHONPATH=src $(PYTHON) -m repro why /tmp/clio-obs-demo --slowest
 
-# Diagnosis walkthrough: build a store, then run the event journal, the
-# cost-attribution profiler, and the SLO health checks over it.
+# Diagnosis walkthrough: build a store, then run the event journal and
+# the SLO health checks over it.
 health-demo:
 	rm -rf /tmp/clio-health-demo
 	PYTHONPATH=src $(PYTHON) -m repro init /tmp/clio-health-demo --block-size 512 --degree 8
@@ -78,7 +79,6 @@ health-demo:
 		PYTHONPATH=src $(PYTHON) -m repro append /tmp/clio-health-demo /login "user$$i logged in" || exit 1; \
 	done
 	PYTHONPATH=src $(PYTHON) -m repro events /tmp/clio-health-demo --limit 12
-	PYTHONPATH=src $(PYTHON) -m repro profile /tmp/clio-health-demo --read /login
 	PYTHONPATH=src $(PYTHON) -m repro health /tmp/clio-health-demo --read /login
 
 # The final artifacts recorded in the repository.

@@ -86,31 +86,15 @@ def make_service(**kwargs) -> LogService:
     return LogService.create(**defaults)
 
 
-def registry_snapshot(service: LogService) -> dict:
-    """The service's full metrics registry as a JSON-ready snapshot.
-
-    Accessing ``service.metrics`` wires the registry on demand; its
-    samplers read the cumulative stats objects, so a snapshot taken at the
-    end of a benchmark carries the complete operation counts even when
-    observability was not enabled up front.
-    """
-    from repro.obs.export import json_snapshot
-
-    return json_snapshot(service.metrics)
-
-
-def bench_record(name: str, headline: dict, service: LogService | None = None) -> dict:
-    """One benchmark record: the headline numbers plus, when a service is
-    given, the registry snapshot with the underlying counters.
+def bench_record(name: str, headline: dict) -> dict:
+    """One benchmark record: the headline numbers ``EXPERIMENTS.md``
+    prints, nothing else, so a record changes only when its claim does.
 
     When ``CLIO_BENCH_RECORD_DIR`` is set the record is also written to
-    ``BENCH_<name>.json`` in that directory, so captured benchmark entries
-    carry the device/cache/locate/recovery counters behind each headline
-    number, not just the number itself.
+    ``BENCH_<name>.json`` in that directory (``make bench-tables``
+    regenerates the checked-in ones; ``scripts/check.sh`` compares them).
     """
     record: dict = {"bench": name, "headline": headline}
-    if service is not None:
-        record["metrics"] = registry_snapshot(service)
     out_dir = os.environ.get("CLIO_BENCH_RECORD_DIR")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -72,7 +72,6 @@ def measurements():
         "warm_scan_sim_ms": warm_ms,
         "hit_ratio": round(service.store.cache.stats.hit_ratio, 4),
     }
-    parse_service = service
 
     # -- group commit: batch vs singles, simulated time ------------------
     batch = [b"p" * 50 for _ in range(BATCH_N)]
@@ -137,7 +136,6 @@ def measurements():
             "readahead_seeks_on": seeks_on,
             "readahead_seek_reduction": results["readahead"]["seek_reduction"],
         },
-        parse_service,
     )
     return results
 

@@ -38,21 +38,19 @@ def measure_recovery(degree: int, blocks: int, jitter: int) -> int:
     log.append(b"seed", force=True)
     advance_to_block(service, filler, blocks + jitter)
     remains = service.crash()
-    mounted, report = LogService.mount(remains.devices, remains.nvram)
-    return mounted, report.volumes[0].blocks_examined
+    _mounted, report = LogService.mount(remains.devices, remains.nvram)
+    return report.volumes[0].blocks_examined
 
 
 @pytest.fixture(scope="module")
 def curves():
     results: dict[int, list[tuple[int, float]]] = {}
-    last_mounted = None
     for degree in DEGREES:
         points = []
         for blocks in SIZES:
             samples = []
             for jitter in (0, degree // 2, degree - 1):
-                last_mounted, examined = measure_recovery(degree, blocks, jitter)
-                samples.append(examined)
+                samples.append(measure_recovery(degree, blocks, jitter))
             points.append((blocks, sum(samples) / len(samples)))
         results[degree] = points
     bench_record(
@@ -61,7 +59,6 @@ def curves():
             str(degree): [[b, avg] for b, avg in results[degree]]
             for degree in DEGREES
         },
-        last_mounted,
     )
     return results
 

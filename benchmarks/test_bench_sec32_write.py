@@ -16,6 +16,7 @@ the component attribution.
 
 import pytest
 
+from repro.obs.critical_path import summarize
 from repro.vsystem.costs import SUN3
 
 from _support import bench_record, make_service, print_table
@@ -38,9 +39,7 @@ def measurements():
     fifty_ms = simulated_write_ms(service, log, b"x" * 50, client_seq=1)
     untimestamped_ms = simulated_write_ms(service, log, b"", timestamped=False)
     headline = {"null": null_ms, "fifty": fifty_ms, "unstamped": untimestamped_ms}
-    # The record carries the registry snapshot (writer/cache/device
-    # counters) behind the headline latencies.
-    bench_record("sec32_write", headline, service)
+    bench_record("sec32_write", headline)
     return headline
 
 
@@ -67,6 +66,23 @@ class TestSection32:
         assert 0.5 <= SUN3.ipc_local_ms <= 1.0
         assert SUN3.timestamp_ms == pytest.approx(0.4, abs=0.05)
         assert SUN3.entrymap_per_entry_ms == pytest.approx(0.07, abs=0.01)
+
+    def test_null_write_decomposition_from_the_span_fold(self, measurements):
+        """'A null synchronous write costs 2.0 ms': the same decomposition,
+        read back from one traced null forced append through the span-cost
+        fold (what ``clio why`` prints for a persisted request)."""
+        service = make_service(block_size=1024, degree_n=16, observability=True)
+        log = service.create_log_file("/app")
+        log.append(b"", client_seq=1, force=True)
+        null = summarize("append", [service.tracer.last("append")])
+        assert null.coverage == pytest.approx(1.0, abs=0.01)
+        parts = null.components
+        assert parts["ipc"] == pytest.approx(SUN3.ipc_local_ms)
+        assert parts["write_fixed"] == pytest.approx(SUN3.write_fixed_ms)
+        assert parts["timestamp"] == pytest.approx(SUN3.timestamp_ms)
+        assert parts["entrymap_maint"] == pytest.approx(SUN3.entrymap_per_entry_ms)
+        on_client_path = sum(parts.values()) - parts.get("device", 0.0)
+        assert on_client_path == pytest.approx(measurements["null"], abs=0.05)
 
     def test_timestamp_cost_is_separable(self, measurements):
         """'Attention should be paid to the cost of generating a timestamp

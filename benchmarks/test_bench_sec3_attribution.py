@@ -14,7 +14,7 @@ should reconstruct.
 
 import pytest
 
-from repro.obs.profile import attribution_summary, profile_roots
+from repro.obs.critical_path import per_operation, summarize
 from repro.vsystem.costs import SUN3
 
 from _support import bench_record, make_service, print_table
@@ -30,20 +30,19 @@ def profiled():
     service.sync()
     with service.tracer.span("read", path="/app") as sp:
         sp.set("entries", sum(1 for _ in service.read_entries("/app")))
-    breakdowns = profile_roots(service.tracer.recent())
-    return service, breakdowns
+    roots = service.tracer.recent()
+    return summarize("all", roots), per_operation(roots)
 
 
 class TestAttribution:
     def test_components_explain_traced_time_within_1pct(self, profiled):
-        _service, breakdowns = profiled
-        attributed, total = attribution_summary(breakdowns)
-        assert total > 0
-        assert abs(attributed - total) / total < 0.01
+        overall, _breakdowns = profiled
+        assert overall.total_ms > 0
+        assert abs(overall.coverage - 1.0) < 0.01
 
     def test_append_breakdown_reconstructs_model_constants(self, profiled):
-        _service, breakdowns = profiled
-        append = next(b for b in breakdowns if b.operation == "append")
+        _overall, breakdowns = profiled
+        append = next(b for b in breakdowns if b.key == "append")
         per_op = {k: v / append.count for k, v in append.components.items()}
         # Exactly one IPC and one data copy per append...
         assert per_op["ipc"] == pytest.approx(SUN3.ipc_local_ms, rel=1e-6)
@@ -61,12 +60,12 @@ class TestAttribution:
         assert per_op["entrymap_maint"] >= SUN3.entrymap_per_entry_ms
 
     def test_table(self, profiled):
-        service, breakdowns = profiled
+        overall, breakdowns = profiled
         rows = []
         for breakdown in breakdowns:
             rows.append(
                 [
-                    breakdown.operation,
+                    breakdown.key,
                     str(breakdown.count),
                     f"{breakdown.mean_ms:.3f}",
                     f"{100.0 * breakdown.coverage:.2f}%",
@@ -83,13 +82,11 @@ class TestAttribution:
             ["operation / component", "count", "ms/op", "attributed"],
             rows,
         )
-        attributed, total = attribution_summary(breakdowns)
         bench_record(
             "sec3_attribution",
             {
-                "attributed_ms": attributed,
-                "traced_ms": total,
-                "coverage": attributed / total,
+                "attributed_ms": overall.attributed_ms,
+                "traced_ms": overall.total_ms,
+                "coverage": overall.coverage,
             },
-            service,
         )

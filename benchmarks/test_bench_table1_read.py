@@ -77,7 +77,6 @@ def measurements():
             }
             for k in KS
         },
-        service,
     )
     return results
 

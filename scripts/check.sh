@@ -31,6 +31,16 @@ PYTHONPATH=src python -m repro workload index benchmarks/runs --verify \
     > /dev/null
 echo "workload ok: gates pass, artifact deterministic, catalog verified"
 
+echo "== benchmark records (BENCH_*.json regenerate byte-identically from benchmarks/) =="
+records=$(mktemp -d)
+CLIO_BENCH_RECORD_DIR="$records" PYTHONPATH=src python -m pytest benchmarks/ -q \
+    -p no:cacheprovider > /dev/null
+for record in BENCH_*.json; do
+    cmp "$record" "$records/$record"
+done
+rm -rf "$records"
+echo "records ok: every checked-in BENCH_*.json equals its regeneration"
+
 echo "== benchmark of record, one run (every count + the sim fingerprint vs bench/expected.json, exactly) =="
 # run.py exits 0 even on a mismatch, so the grep is the gate.
 python3 bench/run.py --workload history-scan --seed 1 --seconds 15 --trace 0 \
@@ -57,5 +67,10 @@ echo "engine  (core worm cache vsystem): $(count src/repro/core src/repro/worm s
 echo "tooling (obs lint cli.py):         $(count src/repro/obs src/repro/lint src/repro/cli.py)"
 echo "src/repro:                         $(count src/repro)"
 echo "bench:                             $(count bench)"
+echo "docs/OBSERVABILITY.md:             $(wc -l < docs/OBSERVABILITY.md)"
+echo "operator verbs (and arguments):    $(PYTHONPATH=src python -c '
+from repro.cli import operator_verbs
+verbs = operator_verbs()
+print(len(verbs), "(" + str(sum(map(len, verbs.values()))) + ")", ", ".join(verbs))')"
 
 echo "All checks passed."

@@ -3,10 +3,11 @@
 
 Runs the canonical traced workload twice — fresh service each time, same
 sim-clock start, same request sequence — and asserts the serialized
-``/traces`` sublogs are byte-identical.  Trace ids are minted from the sim
-clock and per-client sequence numbers, sampling is count-based, and the
-encoding is sorted-key JSON, so any nondeterminism (a wall-clock read, an
-unordered dict walk, a random id) shows up here as a byte diff.
+``/traces`` sublogs are byte-identical, and so is what ``clio why`` prints
+for every persisted request.  Trace ids are minted from the sim clock and
+per-client sequence numbers, sampling is count-based, and the encoding is
+sorted-key JSON, so any nondeterminism (a wall-clock read, an unordered
+dict walk, a random id) shows up here as a byte diff.
 
 Usage:  PYTHONPATH=src python scripts/trace_determinism.py
 """
@@ -16,13 +17,15 @@ import sys
 
 from repro.core import LogService
 from repro.core.asyncclient import AsyncLogClient
+from repro.obs.critical_path import format_explanation, per_trace
 from repro.obs.tracelog import TraceLog, encode_span
 from repro.vsystem.clock import SkewedClock
 from repro.vsystem.ipc import AsyncPort
 
 
-def run_canonical_workload() -> bytes:
-    """One traced workload; returns the serialized /traces bytes."""
+def run_canonical_workload() -> tuple[bytes, str]:
+    """One traced workload; returns the serialized /traces bytes and the
+    ``clio why`` explanation of every persisted request."""
     service = LogService.create(observability=True)
     tracelog = TraceLog(service, window=8, head_keep=2, slowest_keep=2)
     app = service.create_log_file("/app")
@@ -48,12 +51,14 @@ def run_canonical_workload() -> bytes:
         sp.set("entries", sum(1 for _ in app.entries()))
 
     tracelog.persist()
-    return b"\n".join(encode_span(root) for root in tracelog.read_back())
+    roots = tracelog.read_back()
+    explained = "\n".join(format_explanation(s) for s in per_trace(roots))
+    return b"\n".join(encode_span(root) for root in roots), explained
 
 
 def main() -> int:
-    first = run_canonical_workload()
-    second = run_canonical_workload()
+    first, first_why = run_canonical_workload()
+    second, second_why = run_canonical_workload()
     digest = hashlib.sha256(first).hexdigest()
     if not first:
         print("trace-determinism: FAIL (no traces persisted)")
@@ -65,6 +70,9 @@ def main() -> int:
             f"  run 2: {len(second)} bytes "
             f"sha256={hashlib.sha256(second).hexdigest()}"
         )
+        return 1
+    if first_why != second_why or "% coverage)" not in first_why:
+        print("trace-determinism: FAIL (`clio why` explanations differ)")
         return 1
     roots = first.count(b"\n") + 1
     print(

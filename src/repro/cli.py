@@ -28,10 +28,9 @@ import sys
 
 from repro.core import LogService
 from repro.core.catalog import CatalogError
-from repro.core.fsck import check_service
 from repro.worm.filebacked import FileBackedNvram, FileBackedWormDevice
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "operator_verbs"]
 
 
 def _volume_paths(directory: str) -> list[str]:
@@ -294,6 +293,8 @@ def _cmd_volumes(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
+    from repro.core.fsck import check_service
+
     service = _mount(args.store, read_only=True)
     report = check_service(service)
     print(
@@ -355,26 +356,10 @@ def _cmd_stats(args) -> int:
         for path in args.touch:
             for _ in service.read_entries(path):
                 break
-    if args.watch is not None:
-        # Replay the whole store as a read workload, re-rendering the
-        # table every --watch milliseconds of *simulated* time: a live
-        # dashboard over a deterministic clock.
-        next_render_ms = service.now_ms + args.watch
-        for _ in service.read_entries("/"):
-            if service.now_ms >= next_render_ms:
-                print(f"--- sim t={service.now_ms:.3f}ms ---")
-                _render_stats_table(service)
-                while next_render_ms <= service.now_ms:
-                    next_render_ms += args.watch
-        print(f"--- sim t={service.now_ms:.3f}ms (replay complete) ---")
-        _render_stats_table(service)
-        return 0
-    from repro.obs.export import json_snapshot, openmetrics_text, prometheus_text
+    from repro.obs.export import json_snapshot, prometheus_text
 
     if args.format == "prometheus":
         sys.stdout.write(prometheus_text(service.metrics))
-    elif args.format == "openmetrics":
-        sys.stdout.write(openmetrics_text(service.metrics))
     elif args.format == "json":
         import json
 
@@ -399,98 +384,82 @@ def _cmd_trace_live(args) -> int:
                 sp.set("entries", count)
     from repro.obs.tracing import format_span_tree
 
-    roots = service.tracer.recent(limit=args.limit)
-    if not roots:
-        print("no spans recorded")
-        return 0
-    if args.format == "json":
-        import json
-
-        print(json.dumps([span.as_dict() for span in roots], indent=2, sort_keys=True))
-    else:
-        for span in roots:
-            print(format_span_tree(span))
+    for span in service.tracer.recent():
+        print(format_span_tree(span))
     return 0
 
 
 def _persisted_traces(store: str):
-    """Mount ``store`` read-only and decode its ``/traces`` sublog, grouped
-    by trace id (each group in append order)."""
-    from repro.obs.tracelog import decode_span
+    """Mount ``store`` read-only and fold its ``/traces`` sublog into one
+    summary per request, oldest first."""
+    from repro.obs.critical_path import per_trace
+    from repro.obs.tracelog import read_traces
 
-    payloads = _log_payloads(_mount(store, read_only=True), "/traces")
-    if payloads is None:
+    try:
+        return per_trace(read_traces(_mount(store, read_only=True)))
+    except CatalogError:
         raise SystemExit(
             "error: this store has no /traces log "
             "(run `clio append --trace` to record one)"
         )
-    grouped: dict = {}
-    for payload in payloads:
-        root = decode_span(payload)
-        grouped.setdefault(root.trace_id or "", []).append(root)
-    return grouped
+
+
+def _persisted_trace(store: str, trace_id: str):
+    """The summary of one persisted request, or None (after an ``error:``
+    line) when no trace has that id."""
+    for summary in _persisted_traces(store):
+        if summary.key == trace_id:
+            return summary
+    print(f"error: no persisted trace {trace_id!r}", file=sys.stderr)
+    return None
 
 
 def _cmd_trace_show(args) -> int:
-    """One persisted trace: its span forest, or its critical path."""
-    from repro.obs.critical_path import (
-        critical_path,
-        format_critical_path,
-        summarize_trace,
-    )
+    """One persisted trace's span forest."""
     from repro.obs.tracing import format_span_tree
 
-    grouped = _persisted_traces(args.store)
-    roots = grouped.get(args.trace_id)
-    if not roots:
-        print(f"error: no persisted trace {args.trace_id!r}", file=sys.stderr)
+    summary = _persisted_trace(args.store, args.trace_id)
+    if summary is None:
         return 1
-    if args.critical_path:
-        summary = summarize_trace(args.trace_id, roots)
-        print(format_critical_path(summary, critical_path(roots)))
-        return 0
     if args.format == "json":
         import json
 
-        print(json.dumps([span.as_dict() for span in roots], indent=2, sort_keys=True))
+        forest = [span.as_dict() for span in summary.roots]
+        print(json.dumps(forest, indent=2, sort_keys=True))
         return 0
-    for root in sorted(roots, key=lambda r: (r.start_us, r.span_id)):
+    for root in summary.roots:
         print(format_span_tree(root))
     return 0
 
 
-def _cmd_trace_find(args) -> int:
-    """List persisted traces (one summary line each), oldest first."""
-    from repro.obs.critical_path import format_trace_summary, summarize_traces
+def _cmd_why(args) -> int:
+    """From "this request was slow" to the layer responsible: list the
+    persisted requests, rank them, or explain one — its critical path by
+    layer, charged time per layer, and Section 3's component accounting."""
+    from repro.obs.critical_path import format_explanation, format_summary_line
 
-    summaries = summarize_traces(_persisted_traces(args.store))
-    if args.name:
-        summaries = [s for s in summaries if args.name in s.root_names]
-    if args.errors:
-        summaries = [s for s in summaries if s.error]
+    if args.component is not None and args.slowest is None:
+        print("error: --component ranks traces; use it with --slowest", file=sys.stderr)
+        return 2
+    if args.trace is not None:
+        chosen = _persisted_trace(args.store, args.trace)
+        if chosen is None:
+            return 1
+        print(format_explanation(chosen))
+        return 0
+    summaries = _persisted_traces(args.store)
+    if args.slowest is not None:
+        summaries.sort(
+            key=lambda s: (-s.cost_ms(args.component), s.start_us, s.key)
+        )
+        summaries = summaries[: max(0, args.slowest)]
     if not summaries:
-        print("no matching persisted traces")
-        return 0
-    for summary in summaries:
-        print(format_trace_summary(summary))
-    return 0
-
-
-def _cmd_trace_top(args) -> int:
-    """The costliest persisted traces — by duration, or by one component."""
-    from repro.obs.critical_path import (
-        format_trace_summary,
-        summarize_traces,
-        top_traces,
-    )
-
-    summaries = summarize_traces(_persisted_traces(args.store))
-    ranked = top_traces(summaries, count=args.slowest, component=args.component)
-    if not ranked:
         print("no persisted traces")
-        return 0
-    for summary in ranked:
-        print(format_trace_summary(summary))
+    elif args.slowest == 1:
+        print(format_explanation(summaries[0]))
+    else:
+        for summary in summaries:
+            print(format_summary_line(summary))
     return 0
 
 
@@ -517,10 +486,8 @@ def _cmd_events(args) -> int:
         events = service.journal.events()
     if args.kind:
         events = [event for event in events if event.kind == args.kind]
-    if args.since is not None:
-        events = [event for event in events if event.ts_us >= args.since]
     if args.limit is not None:
-        events = events[-args.limit :]
+        events = events[-args.limit :] if args.limit > 0 else []
     if not events:
         print("no events recorded")
         return 0
@@ -529,26 +496,6 @@ def _cmd_events(args) -> int:
     dropped = getattr(service.journal, "dropped", 0)
     if not args.persisted and dropped:
         print(f"({dropped} older events dropped from the ring)")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    """Cost-attribution profile: where the simulated time of a workload
-    went, by operation and cost-model component (Section 3's
-    decomposition, live)."""
-    from repro.obs.profile import format_profile, profile_roots
-
-    service = _mount(args.store, read_only=True, observability=True)
-    # Every root span matters for attribution; don't let a long workload
-    # evict the early ones.
-    service.tracer.max_roots = 1_000_000
-    for path in args.read or ["/"]:
-        for _ in range(args.repeat):
-            with service.tracer.span("read", path=path) as sp:
-                count = sum(1 for _ in service.read_entries(path))
-                sp.set("entries", count)
-    breakdowns = profile_roots(service.tracer.recent())
-    print(format_profile(breakdowns))
     return 0
 
 
@@ -815,16 +762,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("store")
     p.set_defaults(handler=_cmd_volumes)
 
+    # The operator verbs (``operator=True``): docs/OBSERVABILITY.md names
+    # the question each answers and what reads each flag.
     p = commands.add_parser(
         "stats", help="live metrics for a store (device/cache/locate/recovery)"
     )
     p.add_argument("store")
     p.add_argument(
         "--format",
-        choices=("table", "prometheus", "openmetrics", "json"),
+        choices=("table", "prometheus", "json"),
         default="table",
-        help="output format (default: table; openmetrics adds histogram "
-        "exemplars and the # EOF terminator)",
+        help="output format (default: table)",
     )
     p.add_argument(
         "--touch",
@@ -833,15 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read one entry of PATH first so locate/cache counters move "
         "(repeatable)",
     )
-    p.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SIM_MS",
-        help="replay the store as a read workload, re-rendering the table "
-        "every SIM_MS milliseconds of simulated time",
-    )
-    p.set_defaults(handler=_cmd_stats)
+    p.set_defaults(handler=_cmd_stats, operator=True)
 
     p = commands.add_parser(
         "trace", help="sim-time span trees: live mounts and the /traces log"
@@ -858,52 +798,42 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also trace a full read of PATH (repeatable)",
     )
-    tp.add_argument("--limit", type=int, default=None, help="show at most N trees")
-    tp.add_argument("--format", choices=("tree", "json"), default="tree")
-    tp.set_defaults(handler=_cmd_trace_live)
+    tp.set_defaults(handler=_cmd_trace_live, operator=True)
 
     tp = trace_commands.add_parser(
-        "show", help="one persisted trace's span forest or critical path"
+        "show", help="one persisted trace's span forest"
     )
     tp.add_argument("store")
     tp.add_argument("trace_id")
-    tp.add_argument(
-        "--critical-path",
-        action="store_true",
-        help="print the longest-child path and component accounting",
-    )
     tp.add_argument("--format", choices=("tree", "json"), default="tree")
-    tp.set_defaults(handler=_cmd_trace_show)
+    tp.set_defaults(handler=_cmd_trace_show, operator=True)
 
-    tp = trace_commands.add_parser(
-        "find", help="list persisted traces, oldest first"
+    p = commands.add_parser(
+        "why",
+        help="why was a request slow: persisted traces listed, ranked, or "
+        "one explained layer by layer",
     )
-    tp.add_argument("store")
-    tp.add_argument("--name", help="only traces containing this root span name")
-    tp.add_argument(
-        "--errors", action="store_true", help="only traces that recorded errors"
+    p.add_argument("store")
+    selector = p.add_mutually_exclusive_group()
+    selector.add_argument(
+        "--trace", metavar="ID", help="explain the persisted trace ID"
     )
-    tp.set_defaults(handler=_cmd_trace_find)
-
-    tp = trace_commands.add_parser(
-        "top", help="the costliest persisted traces"
-    )
-    tp.add_argument("store")
-    tp.add_argument(
+    selector.add_argument(
         "--slowest",
         type=int,
-        default=10,
+        nargs="?",
+        const=1,
         metavar="N",
-        help="show the top N traces (default: 10)",
+        help="rank by busy time and list the top N (explain it when N is 1, "
+        "the default)",
     )
-    tp.add_argument(
+    p.add_argument(
         "--component",
-        default=None,
         metavar="NAME",
-        help="rank by one cost component (e.g. device, ipc) instead of "
-        "total duration",
+        help="with --slowest: rank by one cost component (e.g. device, ipc) "
+        "instead of busy time",
     )
-    tp.set_defaults(handler=_cmd_trace_top)
+    p.set_defaults(handler=_cmd_why, operator=True)
 
     p = commands.add_parser(
         "events", help="structured event journal for a mount"
@@ -916,41 +846,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also read PATH so its events appear (repeatable)",
     )
     p.add_argument("--kind", help="only events of this kind")
-    p.add_argument(
-        "--type",
-        dest="kind",
-        help="only events of this kind (alias for --kind)",
-    )
-    p.add_argument(
-        "--since",
-        type=int,
-        default=None,
-        metavar="US",
-        help="only events at or after this simulated timestamp (µs)",
-    )
     p.add_argument("--limit", type=int, default=None, help="newest N events")
     p.add_argument(
         "--persisted",
         action="store_true",
         help="read back the durable /events log instead of the live ring",
     )
-    p.set_defaults(handler=_cmd_events)
-
-    p = commands.add_parser(
-        "profile",
-        help="per-operation cost breakdown (Section 3's decomposition)",
-    )
-    p.add_argument("store")
-    p.add_argument(
-        "--read",
-        action="append",
-        metavar="PATH",
-        help="profile full reads of PATH (repeatable; default: /)",
-    )
-    p.add_argument(
-        "--repeat", type=int, default=1, help="read each path N times"
-    )
-    p.set_defaults(handler=_cmd_profile)
+    p.set_defaults(handler=_cmd_events, operator=True)
 
     p = commands.add_parser(
         "health", help="evaluate SLO rules; nonzero exit on alerts"
@@ -979,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print previously persisted alerts from /alerts",
     )
-    p.set_defaults(handler=_cmd_health)
+    p.set_defaults(handler=_cmd_health, operator=True)
 
     # Listed for ``clio --help`` only: main() hands ``clio lint ...`` to the
     # linter's own parser, so no other verb pays for importing repro.lint.
@@ -1109,6 +1011,28 @@ def build_parser() -> argparse.ArgumentParser:
     wp.set_defaults(handler=_cmd_workload_index)
 
     return parser
+
+
+def operator_verbs() -> dict[str, list[str]]:
+    """Each operator verb (``"trace show"``) with its arguments, read off
+    :func:`build_parser` — what ``docs/OBSERVABILITY.md``'s verb table
+    must list and ``scripts/check.sh`` counts."""
+    verbs: dict[str, list[str]] = {}
+
+    def walk(parser: argparse.ArgumentParser, name: str) -> None:
+        if parser.get_default("operator"):
+            verbs[name] = [
+                action.option_strings[0] if action.option_strings else action.dest
+                for action in parser._actions
+                if action.dest != "help"
+            ]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for verb, child in action.choices.items():
+                    walk(child, f"{name} {verb}".strip())
+
+    walk(build_parser(), "")
+    return verbs
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -348,20 +348,11 @@ class LogReader:
             self.stats.device_reads += len(blocks)
             self.store.charge("device", volume.device.stats.busy_ms - busy_before)
             sp.set("count", len(blocks))
-        staged = 0
         for offset, data in enumerate(blocks):
             if data is None:
                 continue  # invalidated block; the demand path reports it
             staged_key = self.store.cache_key(volume_index, local_block + offset)
-            if cache.put_prefetched(staged_key, data):
-                staged += 1
-        self.store.journal.emit(
-            "cache.prefetch",
-            volume=volume_index,
-            block=local_block,
-            count=len(blocks),
-            staged=staged,
-        )
+            cache.put_prefetched(staged_key, data)
 
     # -- entry assembly ------------------------------------------------------------
 

@@ -549,7 +549,7 @@ class LogService:
         start_ms = store.clock.now_ms
         with store.tracer.span(
             "append", logfile_id=logfile_id, bytes=len(data), force=force
-        ) as sp:
+        ):
             self._charge_write(len(data))
             result = self.writer.append(
                 logfile_id,
@@ -560,8 +560,7 @@ class LogService:
             )
         if store.instruments is not None:
             store.instruments.append_latency_ms.observe(
-                store.clock.now_ms - start_ms,
-                exemplar=sp.trace_id
+                store.clock.now_ms - start_ms
             )
         return result
 
@@ -601,7 +600,7 @@ class LogService:
             entries=len(batch),
             bytes=total_bytes,
             force=force,
-        ) as sp:
+        ):
             self._charge_write(total_bytes)
             results = self.writer.append_batch(
                 logfile_id,
@@ -612,8 +611,7 @@ class LogService:
             )
         if store.instruments is not None:
             store.instruments.append_latency_ms.observe(
-                store.clock.now_ms - start_ms,
-                exemplar=sp.trace_id,
+                store.clock.now_ms - start_ms
             )
         return results
 

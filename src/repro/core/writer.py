@@ -217,9 +217,6 @@ class TailWriter:
         inst = self.store.instruments
         if inst is not None:
             inst.append_batch_entries.observe(len(results))
-        self.store.journal.emit(
-            "writer.batch", logfile_id=logfile_id, entries=len(results)
-        )
         return results
 
     def append_catalog_record(
@@ -349,12 +346,6 @@ class TailWriter:
         bad address are harmless false positives (the reader skips
         invalidated blocks).
         """
-        inst = self.store.instruments
-        if inst is not None:
-            starts = self._builder.fragment_count - (
-                1 if self._builder.cont_in else 0
-            )
-            inst.writer_batch_entries.observe(starts)
         image = self._builder.encode()
         with self.store.tracer.span(
             "device.io", op="write", volume=self._volume_index

@@ -30,9 +30,8 @@ the same hooks mid-replay, under load).
 
 from __future__ import annotations
 
-import json
-
 from repro.apps import HistoryFileServer
+from repro.obs.canonical import canonical_json
 from repro.obs.faultspec import (
     CHANNELS,
     FaultSpec,
@@ -201,7 +200,7 @@ class CampaignReport:
 
     def encode(self) -> str:
         """Byte-deterministic artifact form (sorted keys, compact)."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
 
 # --------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.catalog import CatalogError
+from repro.obs.canonical import canonical_json
 from repro.vsystem.instrument import NULL_JOURNAL, ClockLike, NullJournal
 from repro.worm.device import BlockDevice
 from repro.worm.mirror import MirroredWormDevice
@@ -72,9 +73,7 @@ class Event:
 
     def encode(self) -> bytes:
         """Deterministic wire form (sorted keys, compact separators)."""
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        ).encode()
+        return canonical_json(self.as_dict()).encode()
 
     @classmethod
     def decode(cls, payload: bytes) -> "Event":
@@ -174,21 +173,12 @@ class EventJournal:
         """Every retained event, oldest first."""
         return list(self._events)
 
-    def recent(self, n: int) -> list[Event]:
-        """The newest ``n`` events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._events)[-n:]
-
     def by_kind(self, kind: str) -> list[Event]:
         return [event for event in self._events if event.kind == kind]
 
     @property
     def next_seq(self) -> int:
         return self._seq
-
-    def clear(self) -> None:
-        self._events.clear()
 
 
 class EventLog:

@@ -1,16 +1,9 @@
-"""Exporters: Prometheus/OpenMetrics text exposition and JSON snapshots.
+"""Exporters: Prometheus text exposition and JSON snapshots.
 
 ``prometheus_text`` renders a registry in the Prometheus text exposition
 format (version 0.0.4) — the format every scrape-based monitoring stack
-understands — and ``parse_prometheus_text`` parses it back, so tests can
-assert a lossless round trip.  ``openmetrics_text`` is the OpenMetrics
-variant: identical series, plus histogram-bucket **exemplars** rendered
-in the standard ``# {trace_id="..."} value`` syntax (the metrics-to-trace
-bridge: a scraper can jump from a latency bucket straight to the
-``/traces`` record that landed there), and a closing ``# EOF`` marker;
-``parse_openmetrics_text`` round-trips it, exemplars included.
-``json_snapshot`` is the structured form attached to benchmark records
-(``BENCH_*.json``) and printed by ``repro stats --format json``.
+understands (``clio stats --format prometheus``, ``examples/self_monitor.py``);
+``json_snapshot`` is the structured form ``clio stats --format json`` prints.
 """
 
 from __future__ import annotations
@@ -20,13 +13,7 @@ from typing import Any, Iterable
 
 from repro.obs.registry import HistogramValue, MetricFamily, MetricsRegistry
 
-__all__ = [
-    "prometheus_text",
-    "parse_prometheus_text",
-    "openmetrics_text",
-    "parse_openmetrics_text",
-    "json_snapshot",
-]
+__all__ = ["prometheus_text", "json_snapshot"]
 
 
 def _format_value(value: float) -> str:
@@ -54,7 +41,8 @@ def _render_labels(labels: Iterable[tuple[str, str]]) -> str:
     return "{" + inner + "}"
 
 
-def _render_exposition(registry: MetricsRegistry, exemplars: bool) -> str:
+def prometheus_text(registry: MetricsRegistry) -> str:
+    """The registry in Prometheus text exposition format (0.0.4)."""
     lines: list[str] = []
     for family in registry.collect():
         if family.help:
@@ -62,25 +50,13 @@ def _render_exposition(registry: MetricsRegistry, exemplars: bool) -> str:
         lines.append(f"# TYPE {family.name} {family.kind}")
         for labels, value in family.samples:
             if isinstance(value, HistogramValue):
-                by_bound = (
-                    {bound: (tid, obs) for bound, tid, obs in value.exemplars}
-                    if exemplars
-                    else {}
-                )
                 for bound, cumulative in value.buckets:
                     le = "+Inf" if bound == math.inf else _format_value(bound)
                     bucket_labels = labels + (("le", le),)
-                    line = (
+                    lines.append(
                         f"{family.name}_bucket{_render_labels(bucket_labels)} "
                         f"{cumulative}"
                     )
-                    if bound in by_bound:
-                        trace_id, observed = by_bound[bound]
-                        line += (
-                            f' # {{trace_id="{_escape_label(trace_id)}"}} '
-                            f"{_format_value(observed)}"
-                        )
-                    lines.append(line)
                 lines.append(
                     f"{family.name}_sum{_render_labels(labels)} "
                     f"{_format_value(value.sum)}"
@@ -94,151 +70,7 @@ def _render_exposition(registry: MetricsRegistry, exemplars: bool) -> str:
                     f"{family.name}{_render_labels(labels)} "
                     f"{_format_value(value)}"
                 )
-    if exemplars:
-        lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (0.0.4 — no
-    exemplars; byte-identical to what this exporter always produced)."""
-    return _render_exposition(registry, exemplars=False)
-
-
-def openmetrics_text(registry: MetricsRegistry) -> str:
-    """The registry in OpenMetrics exposition format.
-
-    Same families and series as :func:`prometheus_text`, with histogram
-    bucket lines carrying their exemplar — the trace id and observed
-    value of the latest observation that landed in the bucket — in the
-    OpenMetrics ``# {trace_id="..."} value`` syntax, and the mandatory
-    ``# EOF`` terminator.
-    """
-    return _render_exposition(registry, exemplars=True)
-
-
-def _parse_labels(text: str) -> tuple[tuple[str, str], ...]:
-    labels: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        eq = text.index("=", i)
-        name = text[i:eq].strip().lstrip(",").strip()
-        assert text[eq + 1] == '"', f"malformed label value in {text!r}"
-        j = eq + 2
-        value_chars: list[str] = []
-        while text[j] != '"':
-            if text[j] == "\\":
-                j += 1
-                value_chars.append(
-                    {"n": "\n", "\\": "\\", '"': '"'}.get(text[j], text[j])
-                )
-            else:
-                value_chars.append(text[j])
-            j += 1
-        labels.append((name, "".join(value_chars)))
-        i = j + 1
-    return tuple(labels)
-
-
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    return float(text)
-
-
-def parse_prometheus_text(text: str) -> dict[str, dict[str, Any]]:
-    """Parse exposition text back into ``{name: {help, kind, samples}}``.
-
-    ``samples`` maps a sorted label tuple to the sample value; histogram
-    series appear under their ``_bucket``/``_sum``/``_count`` names, as on
-    the wire.  Exists so tests can assert ``prometheus_text`` round-trips.
-    """
-    families: dict[str, dict[str, Any]] = {}
-
-    def family_for(name: str) -> dict[str, Any]:
-        return families.setdefault(
-            name, {"help": "", "kind": "untyped", "samples": {}}
-        )
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            family_for(name)["help"] = help_text
-        elif line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            family_for(name)["kind"] = kind
-        elif line.startswith("#"):
-            continue
-        else:
-            series, _, value_text = line.rpartition(" ")
-            if "{" in series:
-                name, _, label_text = series.partition("{")
-                labels = _parse_labels(label_text.rstrip("}"))
-            else:
-                name, labels = series, ()
-            base = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name.endswith(suffix) and name[: -len(suffix)] in families:
-                    base = name[: -len(suffix)]
-                    break
-            family_for(base)["samples"][(name, tuple(sorted(labels)))] = (
-                _parse_value(value_text)
-            )
-    return families
-
-
-def parse_openmetrics_text(text: str) -> dict[str, dict[str, Any]]:
-    """Parse OpenMetrics exposition text, exemplars included.
-
-    Returns the :func:`parse_prometheus_text` structure with one addition:
-    families gain an ``exemplars`` mapping from the sample key (series
-    name, sorted labels) to ``{"trace_id": ..., "value": ...}`` for every
-    bucket line that carried a ``# {trace_id="..."} value`` exemplar.
-    Exists so tests can assert :func:`openmetrics_text` round-trips.
-    """
-    stripped_lines: list[str] = []
-    exemplars: list[tuple[str, dict[str, Any]]] = []
-    for line in text.splitlines():
-        candidate = line.strip()
-        if candidate == "# EOF":
-            continue
-        if " # {" in candidate and not candidate.startswith("#"):
-            sample_part, _, exemplar_part = candidate.partition(" # ")
-            label_text, _, observed_text = exemplar_part.rpartition("} ")
-            labels = _parse_labels(label_text.lstrip("{"))
-            exemplars.append(
-                (
-                    sample_part,
-                    {
-                        "trace_id": dict(labels)["trace_id"],
-                        "value": _parse_value(observed_text),
-                    },
-                )
-            )
-            stripped_lines.append(sample_part)
-        else:
-            stripped_lines.append(line)
-    families = parse_prometheus_text("\n".join(stripped_lines))
-    for sample_part, exemplar in exemplars:
-        series, _, _value = sample_part.rpartition(" ")
-        if "{" in series:
-            name, _, label_text = series.partition("{")
-            labels = _parse_labels(label_text.rstrip("}"))
-        else:
-            name, labels = series, ()
-        for family in families.values():
-            key = (name, tuple(sorted(labels)))
-            if key in family["samples"]:
-                family.setdefault("exemplars", {})[key] = exemplar
-                break
-    return families
 
 
 def _family_dict(family: MetricFamily) -> dict[str, Any]:
@@ -255,18 +87,6 @@ def _family_dict(family: MetricFamily) -> dict[str, Any]:
             ]
             sample["sum"] = value.sum
             sample["count"] = value.count
-            if value.exemplars:
-                # Trace-id exemplars: which request last landed in each
-                # bucket, and with what value (the metrics -> trace log
-                # bridge).
-                sample["exemplars"] = [
-                    {
-                        "le": ("+Inf" if bound == math.inf else bound),
-                        "trace_id": trace_id,
-                        "value": observed,
-                    }
-                    for bound, trace_id, observed in value.exemplars
-                ]
         else:
             sample["value"] = value
         samples.append(sample)

@@ -19,11 +19,6 @@ Two usage styles coexist:
   copies their values into registry children at collection time, so the
   hot paths pay nothing (see :mod:`repro.obs.wiring`).
 
-Histogram observations may carry an *exemplar* — a trace id linking the
-latency bucket the observation landed in to one concrete request in the
-persisted trace log (:mod:`repro.obs.tracelog`), so "why is this bucket
-populated?" has a one-hop answer: ``clio trace show <id>``.
-
 All values are driven by operation counts and the simulated clock, never
 the host's wall clock, so two identical runs export identical snapshots.
 """
@@ -85,18 +80,11 @@ class LabelCardinalityError(MetricError):
 
 @dataclass(frozen=True, slots=True)
 class HistogramValue:
-    """Snapshot of one histogram child: cumulative bucket counts, sum, count.
-
-    ``exemplars`` carries, per bucket that received one, the bucket's
-    upper bound, the trace id of the most recent observation that landed
-    in it, and that observation's value — everything the OpenMetrics
-    exemplar syntax (``# {trace_id="..."} value``) needs.
-    """
+    """Snapshot of one histogram child: cumulative bucket counts, sum, count."""
 
     buckets: tuple[tuple[float, int], ...]  # (upper_bound, cumulative_count)
     sum: float
     count: int
-    exemplars: tuple[tuple[float, str, float], ...] = ()
 
     def quantile(self, q: float) -> float:
         """Estimate the q-quantile (0 <= q <= 1) by linear interpolation
@@ -167,36 +155,23 @@ class _GaugeChild:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class _HistogramChild:
-    __slots__ = ("bounds", "bucket_counts", "sum", "count", "exemplars")
+    __slots__ = ("bounds", "bucket_counts", "sum", "count")
 
     def __init__(self, bounds: tuple[float, ...]) -> None:
         self.bounds = bounds
         self.bucket_counts = [0] * len(bounds)
         self.sum = 0.0
         self.count = 0
-        #: bucket index -> latest (trace id, observed value) exemplar
-        #: (index len(bounds) is +Inf).
-        self.exemplars: dict[int, tuple[str, float]] = {}
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        bucket = len(self.bounds)  # +Inf overflow
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.bucket_counts[i] += 1
-                bucket = i
                 break
-        if exemplar is not None:
-            self.exemplars[bucket] = (exemplar, value)
 
     def snapshot(self) -> HistogramValue:
         cumulative = 0
@@ -205,19 +180,8 @@ class _HistogramChild:
             cumulative += n
             buckets.append((bound, cumulative))
         buckets.append((float("inf"), self.count))
-        exemplars = tuple(
-            (
-                self.bounds[i] if i < len(self.bounds) else float("inf"),
-                self.exemplars[i][0],
-                self.exemplars[i][1],
-            )
-            for i in sorted(self.exemplars)
-        )
         return HistogramValue(
-            buckets=tuple(buckets),
-            sum=self.sum,
-            count=self.count,
-            exemplars=exemplars,
+            buckets=tuple(buckets), sum=self.sum, count=self.count
         )
 
 
@@ -330,12 +294,6 @@ class Gauge(_Metric[_GaugeChild]):
     def set(self, value: float) -> None:
         self._default.set(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._default.inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default.dec(amount)
-
     @property
     def value(self) -> float:
         return self._default.value
@@ -368,9 +326,8 @@ class Histogram(_Metric[_HistogramChild]):
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        """Record one observation, optionally tagged with a trace id."""
-        self._default.observe(value, exemplar=exemplar)
+    def observe(self, value: float) -> None:
+        self._default.observe(value)
 
     def quantile(self, q: float) -> float:
         """The q-quantile of the (label-less) histogram's snapshot."""
@@ -458,9 +415,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> _AnyMetric | None:
         return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
 
     # -- collection ------------------------------------------------------
 

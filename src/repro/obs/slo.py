@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.catalog import CatalogError
+from repro.obs.canonical import canonical_json
 from repro.obs.registry import HistogramValue
 from repro.obs.wiring import Instruments
 
@@ -82,9 +83,7 @@ class Alert:
         }
 
     def encode(self) -> bytes:
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        ).encode()
+        return canonical_json(self.as_dict()).encode()
 
     @classmethod
     def decode(cls, payload: bytes) -> "Alert":

@@ -24,20 +24,19 @@ import json
 from typing import TYPE_CHECKING
 
 from repro.core.catalog import CatalogError
+from repro.obs.canonical import canonical_json
 from repro.obs.tracing import Span, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.logfile import LogFile
     from repro.core.service import LogService
 
-__all__ = ["TraceLog", "encode_span", "decode_span"]
+__all__ = ["TraceLog", "encode_span", "decode_span", "read_traces"]
 
 
 def encode_span(span: Span) -> bytes:
     """One span tree as deterministic (sorted-key, compact) JSON bytes."""
-    return json.dumps(
-        span.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
+    return canonical_json(span.as_dict()).encode()
 
 
 def decode_span(data: bytes) -> Span:
@@ -46,6 +45,15 @@ def decode_span(data: bytes) -> Span:
     if not isinstance(record, dict):
         raise ValueError(f"not a span record: {record!r}")
     return Span.from_dict(record)
+
+
+def read_traces(service: "LogService", path: str = "/traces") -> list[Span]:
+    """Every span tree persisted at ``path``, in append order.  Raises
+    :class:`~repro.core.catalog.CatalogError` when the store has no such
+    log file; :func:`repro.obs.critical_path.per_trace` groups the result
+    into requests."""
+    entries = service.open_log_file(path).entries()
+    return [decode_span(entry.data) for entry in entries]
 
 
 def _has_error(root: Span) -> bool:
@@ -147,16 +155,4 @@ class TraceLog:
 
     def read_back(self) -> list[Span]:
         """Decode every persisted span tree, in append order."""
-        return [decode_span(entry.data) for entry in self.log.entries()]
-
-    def traces(self) -> dict[str, list[Span]]:
-        """Persisted roots grouped by trace id, each group in append order.
-
-        A trace is a *forest*: the client-side root plus every deferred
-        root that ran under its context.  Hand-built spans persisted
-        without a trace id group under ``""``.
-        """
-        grouped: dict[str, list[Span]] = {}
-        for root in self.read_back():
-            grouped.setdefault(root.trace_id or "", []).append(root)
-        return grouped
+        return read_traces(self.service, self.path)

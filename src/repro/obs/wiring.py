@@ -51,7 +51,6 @@ class Instruments:
 
     __slots__ = (
         "append_latency_ms",
-        "writer_batch_entries",
         "append_batch_entries",
         "locate_entries_examined",
     )
@@ -62,12 +61,6 @@ class Instruments:
             "Simulated end-to-end latency of one append operation "
             "(Section 3.2's 2.0/2.9 ms measurements).",
             buckets=DEFAULT_LATENCY_BUCKETS_MS,
-        )
-        self.writer_batch_entries = registry.histogram(
-            "clio_writer_batch_entries",
-            "Entries packed into each burned tail block (Section 3.3.1's "
-            "write amortization batch size).",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         )
         self.append_batch_entries = registry.histogram(
             "clio_append_batch_entries",
@@ -101,26 +94,8 @@ def wire_service(service: "LogService") -> Instruments:
             "(DeviceStats; Section 2's device contract).",
             labelnames=("volume",),
         )
-        for field in (
-            "reads",
-            "writes",
-            "seeks",
-            "invalidations",
-            "tail_queries",
-            "written_probes",
-        )
+        for field in ("reads", "writes", "seeks")
     }
-    device_busy = registry.counter(
-        "clio_device_busy_ms_total",
-        "Simulated milliseconds each device spent on head movement and "
-        "transfer (DeviceStats.busy_ms).",
-        labelnames=("volume",),
-    )
-    device_written = registry.gauge(
-        "clio_device_blocks_written",
-        "Blocks burned on each volume's device so far.",
-        labelnames=("volume",),
-    )
 
     cache_counters = {
         field: registry.counter(
@@ -131,8 +106,6 @@ def wire_service(service: "LogService") -> Instruments:
         for field in (
             "hits",
             "misses",
-            "insertions",
-            "evictions",
             "parse_avoided",
             "prefetched",
             "prefetch_hits",
@@ -140,9 +113,6 @@ def wire_service(service: "LogService") -> Instruments:
     }
     cache_hit_ratio = registry.gauge(
         "clio_cache_hit_ratio", "Fraction of cache accesses served from memory."
-    )
-    cache_resident = registry.gauge(
-        "clio_cache_resident_blocks", "Blocks currently resident in the cache."
     )
     cache_capacity = registry.gauge(
         "clio_cache_capacity_blocks", "Configured cache capacity in blocks."
@@ -175,51 +145,24 @@ def wire_service(service: "LogService") -> Instruments:
         )
         for field in (
             "block_accesses",
-            "device_reads",
-            "corrupt_blocks_found",
             "corrupt_records_found",
-            "torn_entries_skipped",
             "blocks_parsed",
             "locate_memo_hits",
         )
     }
-    locate_counters = {
-        "entrymap_entries_examined": registry.counter(
-            "clio_locate_entrymap_entries_examined_total",
-            "Entrymap entries examined across all locate operations "
-            "(Figure 3 / Table 1, column 'entrymap entries examined').",
-        ),
-        "accumulator_examinations": registry.counter(
-            "clio_locate_accumulator_examinations_total",
-            "In-memory accumulator examinations during locates.",
-        ),
-        "fallback_blocks_scanned": registry.counter(
-            "clio_locate_fallback_blocks_scanned_total",
-            "Blocks scanned directly when an entrymap entry was missing "
-            "(Section 2.3.2's lower-level fallback).",
-        ),
-    }
+    locate_examined = registry.counter(
+        "clio_locate_entrymap_entries_examined_total",
+        "Entrymap entries examined across all locate operations "
+        "(Figure 3 / Table 1, column 'entrymap entries examined').",
+    )
 
     recovery_blocks = registry.counter(
         "clio_recovery_blocks_scanned_total",
         "Blocks examined rebuilding entrymap accumulators at mount "
         "(Figure 4's y-axis).",
     )
-    recovery_tail_probes = registry.counter(
-        "clio_recovery_tail_probes_total",
-        "Binary-search probes used to find each volume's append point "
-        "(Section 2.3.1, step 1).",
-    )
-    recovery_catalog = registry.counter(
-        "clio_recovery_catalog_records_replayed_total",
-        "Catalog records replayed at mount (Section 2.3.1, step 3).",
-    )
     recovery_runs = registry.counter(
         "clio_recovery_runs_total", "Completed mount/recovery passes."
-    )
-    recovery_nvram = registry.gauge(
-        "clio_recovery_nvram_tail_recovered",
-        "1 if the last recovery adopted an NVRAM tail image, else 0.",
     )
 
     space_bytes = registry.gauge(
@@ -233,10 +176,6 @@ def wire_service(service: "LogService") -> Instruments:
     volumes_gauge = registry.gauge(
         "clio_volumes", "Volumes in the mounted sequence."
     )
-    demand_mounts = registry.counter(
-        "clio_demand_mounts_total",
-        "Offline volumes brought online on demand (Section 2.1).",
-    )
     corrupt_known = registry.gauge(
         "clio_corrupt_blocks_known",
         "Locations in the known-corrupt set (Section 2.3.2).",
@@ -245,37 +184,6 @@ def wire_service(service: "LogService") -> Instruments:
         "clio_mirror_divergence_total",
         "Mirror divergence incidents across all volumes: read repairs plus "
         "replicas dropped on write failure (Section 5.1, footnote 11).",
-    )
-    mirror_healthy = registry.gauge(
-        "clio_mirror_healthy_replicas",
-        "Healthy replicas backing each mirrored volume.",
-        labelnames=("volume",),
-    )
-
-    # Workload-observatory instruments (repro.obs.workload drives these
-    # directly via registry.get(); no sampler backing).
-    registry.counter(
-        "clio_workload_ops_total",
-        "Operations replayed by the workload observatory, by phase and "
-        "operation kind.",
-        labelnames=("phase", "op"),
-    )
-    registry.counter(
-        "clio_workload_phases_total",
-        "Workload phases completed by the observatory harness.",
-    )
-    registry.counter(
-        "clio_workload_think_us_total",
-        "Simulated think-time microseconds charged between workload "
-        "operations (the workload_think cost component).",
-    )
-    registry.counter(
-        "clio_workload_alerts_total",
-        "SLO alerts fired during workload replays.",
-    )
-    registry.counter(
-        "clio_workload_faults_fired_total",
-        "Fault injections fired mid-replay by the under-load campaign.",
     )
 
     def sample(_registry: MetricsRegistry) -> None:
@@ -286,21 +194,15 @@ def wire_service(service: "LogService") -> Instruments:
             stats = device.stats
             for field, counter in device_counters.items():
                 counter.labels(volume=label).set_total(getattr(stats, field))
-            device_busy.labels(volume=label).set_total(stats.busy_ms)
-            device_written.labels(volume=label).set(device.blocks_written)
             divergences = getattr(device, "divergences", None)
-            healthy = getattr(device, "healthy_replicas", None)
             if isinstance(divergences, int):
                 divergence_total += divergences
-            if isinstance(healthy, int):
-                mirror_healthy.labels(volume=label).set(healthy)
         mirror_divergence.set_total(divergence_total)
 
         cache_stats = store.cache.stats
         for field, counter in cache_counters.items():
             counter.set_total(getattr(cache_stats, field))
         cache_hit_ratio.set(cache_stats.hit_ratio)
-        cache_resident.set(len(store.cache))
         cache_capacity.set(store.cache.capacity_blocks)
 
         space = store.space
@@ -314,22 +216,15 @@ def wire_service(service: "LogService") -> Instruments:
         read_stats = service.reader.stats
         for field, counter in reader_counters.items():
             counter.set_total(getattr(read_stats, field))
-        for field, counter in locate_counters.items():
-            counter.set_total(getattr(read_stats.search, field))
+        locate_examined.set_total(read_stats.search.entrymap_entries_examined)
 
         report = service.last_recovery_report
         if report is not None:
             recovery_runs.set_total(1)
             recovery_blocks.set_total(report.total_blocks_examined)
-            recovery_tail_probes.set_total(
-                sum(v.tail_probes for v in report.volumes)
-            )
-            recovery_catalog.set_total(report.catalog_records_replayed)
-            recovery_nvram.set(1 if report.nvram_tail_recovered else 0)
 
         sim_clock.set(store.clock.now_ms)
         volumes_gauge.set(len(store.sequence.volumes))
-        demand_mounts.set_total(service.demand_mounts)
         corrupt_known.set(len(service.known_corrupt_blocks))
 
     registry.register_sampler(sample)

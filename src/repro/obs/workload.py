@@ -36,7 +36,6 @@ runs of the same profile produce byte-identical artifacts (the CI
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -44,6 +43,8 @@ from typing import Any
 from repro.apps import HistoryFileServer
 from repro.core.catalog import CatalogError
 from repro.obs.campaign import CampaignReport, FaultOutcome, menu_specs
+from repro.obs.canonical import canonical_json
+from repro.obs.critical_path import summarize
 from repro.obs.faultspec import FaultSpec
 from repro.obs.injectors import (
     Drive,
@@ -52,7 +53,6 @@ from repro.obs.injectors import (
     create_service,
     stage,
 )
-from repro.obs.profile import CostBreakdown
 from repro.obs.slo import AlertLog, SloEngine, default_ruleset, metric_value
 from repro.workloads.entries import EntryStream, uniform_size, zipf_weights
 from repro.workloads.filetrace import FileOp, FileTrace
@@ -289,15 +289,10 @@ def get_profile(name: str) -> Profile:
 # --------------------------------------------------------------------- #
 
 
-def _metric(service: Any, name: str) -> Any:
-    registry = service.metrics
-    return None if registry is None else registry.get(name)
-
-
 class _ReplayContext(Drive):
     """A :class:`Drive` over a whole profile, plus the per-replay state
-    shared across phases: the lazily-created log-file handles, the think
-    and alert bookkeeping, and the workload counters."""
+    shared across phases: the lazily-created log-file handles and the
+    think and alert bookkeeping."""
 
     def __init__(
         self,
@@ -317,9 +312,6 @@ class _ReplayContext(Drive):
         self.phases: list[dict[str, Any]] = []
         self.phase_name = ""
         self.handles: dict[str, Any] = {}
-        self.ops_counter = _metric(service, "clio_workload_ops_total")
-        self.think_counter = _metric(service, "clio_workload_think_us_total")
-        self.alerts_counter = _metric(service, "clio_workload_alerts_total")
 
     def think(self, gap_us: int) -> None:
         """Advance simulated time *with attribution*: the gap is charged
@@ -327,22 +319,14 @@ class _ReplayContext(Drive):
         if gap_us > 0:
             self.service.store.charge_us("workload_think", gap_us)
             self.think_us += gap_us
-            if self.think_counter is not None:
-                self.think_counter.inc(gap_us)
 
-    def op_done(self, kind: str) -> None:
+    def op_done(self) -> None:
         self.ops_done += 1
-        if self.ops_counter is not None:
-            self.ops_counter.labels(phase=self.phase_name, op=kind).inc()
         if self.engine is not None:
-            fired = self.engine.maybe_evaluate(SLO_INTERVAL_MS)
-            if fired:
-                if self.alerts_counter is not None:
-                    self.alerts_counter.inc(len(fired))
-                for alert in fired:
-                    record = alert.as_dict()
-                    record["phase"] = self.phase_name
-                    self.timeline.append(record)
+            for alert in self.engine.maybe_evaluate(SLO_INTERVAL_MS):
+                record = alert.as_dict()
+                record["phase"] = self.phase_name
+                self.timeline.append(record)
 
     def logfile(self, path: str) -> Any:
         handle = self.handles.get(path)
@@ -377,7 +361,7 @@ def _run_bursty(ctx: _ReplayContext, phase: Phase, index: int) -> None:
         ctx.maybe_fire()
         ctx.think(inter if position > 0 and position % burst == 0 else intra)
         ctx.sublog("/access", record.user).append(record.encode())
-        ctx.op_done("append")
+        ctx.op_done()
 
 
 def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
@@ -394,7 +378,7 @@ def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
             night_gap if position > 0 and position % day_ops == 0 else day_gap
         )
         ctx.sublog("/access", record.user).append(record.encode())
-        ctx.op_done("append")
+        ctx.op_done()
 
 
 def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
@@ -417,15 +401,15 @@ def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
             target = ctx.sublog("/stream", f"s{position % streams:02d}")
             for _entry in target.tail(25):
                 pass
-            ctx.op_done("scan")
+            ctx.op_done()
         elif position % locate_every == locate_every - 1:
             target = ctx.sublog("/stream", f"s{position % streams:02d}")
             target.tail(1)
-            ctx.op_done("locate")
+            ctx.op_done()
         else:
             index_target, payload = next(entries)
             ctx.sublog("/stream", f"s{index_target:02d}").append(payload)
-            ctx.op_done("append")
+            ctx.op_done()
 
 
 def _run_multi_tenant(ctx: _ReplayContext, phase: Phase, index: int) -> None:
@@ -443,7 +427,7 @@ def _run_multi_tenant(ctx: _ReplayContext, phase: Phase, index: int) -> None:
         ctx.maybe_fire()
         ctx.think(gap)
         ctx.sublog("/tenants", f"t{target:02d}").append(payload)
-        ctx.op_done("append")
+        ctx.op_done()
 
 
 def _run_filetrace(ctx: _ReplayContext, phase: Phase, index: int) -> None:
@@ -470,10 +454,10 @@ def _run_filetrace(ctx: _ReplayContext, phase: Phase, index: int) -> None:
             ctx.think(target_us - clock.now_us)
         if event.op is FileOp.WRITE:
             server.write(event.path, 0, event.data)
-            ctx.op_done("write")
+            ctx.op_done()
         elif server.exists(event.path):
             server.delete(event.path)
-            ctx.op_done("delete")
+            ctx.op_done()
         server.flush(now_us=clock.now_us)
     server.flush()
 
@@ -498,9 +482,7 @@ def _registry_picks(service: Any) -> dict[str, float]:
 
 
 def _span_digest(span: Any) -> str:
-    payload = json.dumps(
-        span.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
+    payload = canonical_json(span.as_dict()).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -509,7 +491,6 @@ def _replay_phases(ctx: _ReplayContext, collect: bool) -> None:
     ``workload.phase`` span, scored into ``ctx.phases`` when ``collect``."""
     service = ctx.service
     tracer: Any = service.tracer
-    phases_counter = _metric(service, "clio_workload_phases_total")
     for index, phase in enumerate(ctx.profile.phases):
         runner = _PHASE_RUNNERS.get(phase.kind)
         if runner is None:
@@ -519,8 +500,6 @@ def _replay_phases(ctx: _ReplayContext, collect: bool) -> None:
         think_before = ctx.think_us
         with tracer.span("workload.phase", kind=phase.kind, phase=phase.name):
             runner(ctx, phase, index)
-        if phases_counter is not None:
-            phases_counter.inc()
         if not collect:
             continue
         record: dict[str, Any] = {
@@ -533,8 +512,7 @@ def _replay_phases(ctx: _ReplayContext, collect: bool) -> None:
         }
         span = tracer.last("workload.phase") if tracer.enabled else None
         if span is not None:
-            breakdown = CostBreakdown(phase.name)
-            breakdown.merge(span)
+            breakdown = summarize(phase.name, [span])
             record["start_us"] = span.start_us
             record["end_us"] = span.end_us
             record["sim_ms"] = round(breakdown.total_ms, 3)
@@ -584,9 +562,6 @@ def _replay(
         warmup_ops=warmup_ops,
     )
     ctx.run(_replay_phases, collect)
-    faults_counter = _metric(service, "clio_workload_faults_fired_total")
-    if ctx.fired and faults_counter is not None:
-        faults_counter.inc()
     return ctx
 
 
@@ -651,7 +626,7 @@ class WorkloadRun:
 
     def encode(self) -> str:
         """Byte-deterministic artifact form (sorted keys, compact)."""
-        return json.dumps(self.record, sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.record)
 
 
 def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:

@@ -135,17 +135,14 @@ class JournalLike(Protocol):
 class ObserveHook(Protocol):
     """One pre-bound distribution instrument."""
 
-    def observe(self, value: float, exemplar: str | None = None) -> None: ...
+    def observe(self, value: float) -> None: ...
 
 
 class InstrumentsLike(Protocol):
-    """The four hot-path hooks held as ``store.instruments``."""
+    """The three hot-path hooks held as ``store.instruments``."""
 
     @property
     def append_latency_ms(self) -> ObserveHook: ...
-
-    @property
-    def writer_batch_entries(self) -> ObserveHook: ...
 
     @property
     def append_batch_entries(self) -> ObserveHook: ...

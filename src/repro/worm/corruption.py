@@ -16,16 +16,27 @@ paths in :mod:`repro.core.recovery` can be tested deterministically:
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
 from repro.worm.device import DeviceStats, WormDevice
 from repro.worm.errors import DeviceCrashed
 
 if TYPE_CHECKING:  # pragma: no cover
+    import random
+
     from repro.vsystem.clock import SimClock
 
 __all__ = ["corrupt_block", "corrupt_range", "CrashingWormDevice"]
+
+
+def _seeded(rng: random.Random | None, seed: int) -> random.Random:
+    """``rng``, or a fresh generator with a fixed seed.  ``random`` is
+    imported here: only fault injection needs it, not every ``clio`` verb."""
+    if rng is None:
+        import random
+
+        rng = random.Random(seed)
+    return rng
 
 
 def corrupt_block(
@@ -39,7 +50,7 @@ def corrupt_block(
     (which would make the block look deliberately invalidated rather than
     corrupt).
     """
-    rng = rng or random.Random(0)
+    rng = _seeded(rng, 0)
     while True:
         garbage = bytes(rng.getrandbits(8) for _ in range(device.block_size))
         if any(b != WormDevice.INVALID_FILL for b in garbage):
@@ -64,7 +75,7 @@ def corrupt_range(
         return []
     device._check_range(first_block)
     device._check_range(first_block + count - 1)
-    rng = rng or random.Random(0)
+    rng = _seeded(rng, 0)
     corrupted: list[int] = []
     for block in range(first_block, first_block + count):
         corrupt_block(device, block, rng)
@@ -96,7 +107,7 @@ class CrashingWormDevice:
         self._inner = inner
         self._remaining = crash_after_writes
         self._torn = torn
-        self._rng = rng or random.Random(1)
+        self._rng = _seeded(rng, 1)
         self._crashed = False
 
     # -- passthrough properties ------------------------------------------

@@ -21,7 +21,6 @@ j lives at global address ``base(k) + j``.
 from __future__ import annotations
 
 import struct
-import uuid as _uuid
 from dataclasses import dataclass
 
 from repro.worm.device import WormDevice
@@ -40,6 +39,14 @@ __all__ = ["VolumeHeader", "LogVolume", "VolumeSequence"]
 _HEADER_MAGIC = b"CLIOVOL1"
 _HEADER_STRUCT = struct.Struct(">8sHIHII16s16s16sQ")
 _FORMAT_VERSION = 1
+
+
+def _fresh_id() -> bytes:
+    """A new 16-byte volume or sequence id.  ``uuid`` is imported here:
+    only creating a volume needs it, not every ``clio`` verb."""
+    import uuid
+
+    return uuid.uuid4().bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +170,7 @@ class LogVolume:
             degree_n=degree_n,
             volume_index=volume_index,
             capacity_blocks=device.capacity_blocks,
-            volume_id=volume_id or _uuid.uuid4().bytes,
+            volume_id=volume_id or _fresh_id(),
             sequence_id=sequence_id,
             predecessor_id=predecessor_id,
             created_ts=created_ts,
@@ -319,7 +326,7 @@ class VolumeSequence:
     """
 
     def __init__(self, sequence_id: bytes | None = None) -> None:
-        self.sequence_id = sequence_id or _uuid.uuid4().bytes
+        self.sequence_id = sequence_id or _fresh_id()
         self.volumes: list[LogVolume] = []
         self._bases: list[int] = []
 

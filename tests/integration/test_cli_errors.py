@@ -139,6 +139,6 @@ class TestAbsentLogIsNotAFailedService:
         assert main(["events", store, "--persisted"]) == 1
         assert "no persisted /events log" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exit_info:
-            main(["trace", "find", store])
+            main(["why", store])
         assert "no /traces log" in str(exit_info.value.code)
         assert main(["health", store, "--show-log"]) == 0

@@ -1,22 +1,23 @@
-"""Tests for per-trace critical paths and cost-component breakdowns —
-including the acceptance bar: a traced request's component costs must
-account for its busy sim time to within 1%."""
+"""Tests for the span-cost fold (``repro.obs.critical_path``): one
+summary type grouped per operation or per request, the critical path, the
+layer table — including the acceptance bar: charged components must
+account for busy sim time to within 1%."""
 
 import pytest
 
 from repro.core import LogService
 from repro.core.asyncclient import AsyncLogClient
-from repro.obs import (
+from repro.obs.critical_path import (
+    LAYERS,
     PathStep,
-    Span,
-    component_breakdown,
     critical_path,
-    format_critical_path,
-    format_trace_summary,
-    summarize_trace,
-    summarize_traces,
-    top_traces,
+    format_explanation,
+    format_summary_line,
+    per_operation,
+    per_trace,
+    summarize,
 )
+from repro.obs.tracing import Span
 from repro.vsystem.clock import SkewedClock
 from repro.vsystem.ipc import AsyncPort
 
@@ -51,16 +52,113 @@ def two_root_trace():
     return [flush, deliver]
 
 
+def make_service(**kwargs) -> LogService:
+    kwargs.setdefault("block_size", 512)
+    kwargs.setdefault("degree_n", 4)
+    kwargs.setdefault("volume_capacity_blocks", 4096)
+    kwargs.setdefault("observability", True)
+    return LogService.create(**kwargs)
+
+
+def run_mixed_workload(service, entries=150):
+    service.tracer.max_roots = 100_000
+    log = service.create_log_file("/work")
+    for i in range(entries):
+        log.append(b"p" * (20 + (i % 5) * 40), force=(i % 16 == 0))
+    service.sync()
+    with service.tracer.span("read", path="/work") as sp:
+        sp.set("entries", sum(1 for _ in service.read_entries("/work")))
+    return log
+
+
 class TestComponentBreakdown:
     def test_sums_over_the_whole_forest(self):
-        roots = two_root_trace()
-        breakdown = component_breakdown(roots)
-        assert breakdown == pytest.approx(
+        assert summarize("t", two_root_trace()).components == pytest.approx(
             {"ipc": 0.3, "write_fixed": 0.16, "device": 0.04}
         )
 
     def test_uncharged_spans_contribute_nothing(self):
-        assert component_breakdown([span("read", 0, 10)]) == {}
+        assert summarize("t", [span("read", 0, 10)]).components == {}
+
+    def test_append_span_carries_cost_components(self):
+        service = make_service()
+        service.create_log_file("/a").append(b"x" * 100, force=True)
+        components = summarize("a", [service.tracer.last("append")]).components
+        # Section 3.2's write decomposition: IPC + fixed + copy + timestamp
+        # + entrymap maintenance.
+        for component in (
+            "ipc",
+            "write_fixed",
+            "copy",
+            "timestamp",
+            "entrymap_maint",
+        ):
+            assert components.get(component, 0.0) > 0.0, component
+
+    def test_component_sum_matches_span_duration(self):
+        service = make_service()
+        service.create_log_file("/a").append(b"x" * 64)
+        one = summarize("a", [service.tracer.last("append")])
+        assert abs(one.attributed_ms - one.total_ms) < 0.01
+
+    def test_fold_order_is_walk_order(self):
+        """The workload artifact rounds these sums, so the accumulation
+        order (roots in causal order, each subtree depth first) is part of
+        the contract: first appearance decides the component order."""
+        summary = summarize("t", reversed(two_root_trace()))
+        assert list(summary.components) == ["ipc", "write_fixed", "device"]
+        assert [root.name for root in summary.roots] == [
+            "client.flush", "append_many",
+        ]
+
+
+class TestPerOperation:
+    def test_groups_by_operation(self):
+        service = make_service()
+        run_mixed_workload(service)
+        breakdowns = per_operation(service.tracer.recent())
+        names = {b.key for b in breakdowns}
+        assert "append" in names
+        assert "read" in names
+        append = next(b for b in breakdowns if b.key == "append")
+        assert append.count == 150
+        assert append.total_ms > 0
+
+    def test_attribution_within_one_percent(self):
+        """The acceptance bar: summed components equal the tracer's total
+        sim-time within 1% over a locate-heavy workload."""
+        service = make_service()
+        run_mixed_workload(service, entries=300)
+        overall = summarize("all", service.tracer.recent())
+        assert overall.total_ms > 0
+        assert abs(overall.coverage - 1.0) < 0.01
+
+    def test_sorted_by_total_time(self):
+        service = make_service()
+        run_mixed_workload(service)
+        totals = [b.total_ms for b in per_operation(service.tracer.recent())]
+        assert totals == sorted(totals, reverse=True)
+
+    def test_mean_and_coverage_properties(self):
+        service = make_service()
+        run_mixed_workload(service, entries=50)
+        append = next(
+            b
+            for b in per_operation(service.tracer.recent())
+            if b.key == "append"
+        )
+        assert append.mean_ms * append.count == pytest.approx(append.total_ms)
+        assert 0.99 <= append.coverage <= 1.01
+
+    def test_counters_the_spans_carry_are_summed(self):
+        service = make_service()
+        run_mixed_workload(service, entries=60)
+        read = next(
+            b for b in per_operation(service.tracer.recent()) if b.key == "read"
+        )
+        examined = service.reader.stats.search.entrymap_entries_examined
+        assert read.counters.get("entries_examined", 0) == examined
+        assert read.layer_spans["service"] == 1
 
 
 class TestCriticalPath:
@@ -76,6 +174,7 @@ class TestCriticalPath:
         ]
         assert steps[0].self_us == 100 - 10 - 80
         assert steps[1].dominant_component == "device"
+        assert [s.layer for s in steps] == ["service", "device"]
 
     def test_multi_root_path_in_causal_order(self):
         steps = critical_path(two_root_trace())
@@ -92,66 +191,93 @@ class TestCriticalPath:
 
 class TestTraceSummary:
     def test_busy_idle_and_components(self):
-        summary = summarize_trace("t", two_root_trace())
-        assert summary.duration_us == 300 + 200
+        summary = summarize("t", two_root_trace())
+        assert summary.busy_us == 300 + 200
         assert summary.idle_us == 600 - 0 - 500  # the delayed-write gap
-        assert summary.root_names == ("client.flush", "append_many")
+        assert [r.name for r in summary.roots] == ["client.flush", "append_many"]
         assert summary.span_count == 3
-        assert [c for c, _ in summary.components] == [
-            "ipc", "write_fixed", "device",
-        ]
+        assert list(summary.components) == ["ipc", "write_fixed", "device"]
         assert summary.attributed_ms == pytest.approx(0.5)
         assert summary.coverage == pytest.approx(1.0)
         assert not summary.error
 
     def test_error_anywhere_flags_the_trace(self):
         failing = span("append", 0, 10, error=True)
-        assert summarize_trace("t", [failing]).error
+        assert summarize("t", [failing]).error
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
-            summarize_trace("t", [])
+            summarize("t", [])
 
     def test_summaries_sorted_oldest_first(self):
         late = span("read", 900, 950)
+        late.trace_id = "late"
         early = span("append", 0, 100)
-        summaries = summarize_traces({"late": [late], "early": [early]})
-        assert [s.trace_id for s in summaries] == ["early", "late"]
+        early.trace_id = "early"
+        assert [s.key for s in per_trace([late, early])] == ["early", "late"]
 
 
 class TestTopTraces:
+    """``CostSummary.cost_ms`` is the key ``clio why --slowest`` sorts by."""
+
     def make_summaries(self):
         slow = span("append", 0, 1000, costs={"write_fixed": 0.9})
         io_heavy = span("read", 100, 600, costs={"device": 0.45})
         quick = span("locate", 200, 250, costs={"entrymap": 0.05})
-        return summarize_traces(
-            {"slow": [slow], "io": [io_heavy], "quick": [quick]}
-        )
+        for trace_id, root in (("slow", slow), ("io", io_heavy), ("quick", quick)):
+            root.trace_id = trace_id
+        return per_trace([slow, io_heavy, quick])
+
+    def ranked(self, component=None):
+        summaries = self.make_summaries()
+        summaries.sort(key=lambda s: (-s.cost_ms(component), s.start_us))
+        return [s.key for s in summaries]
 
     def test_slowest_by_total_duration(self):
-        top = top_traces(self.make_summaries(), count=2)
-        assert [s.trace_id for s in top] == ["slow", "io"]
+        assert self.ranked()[:2] == ["slow", "io"]
 
     def test_by_component_cost(self):
-        top = top_traces(self.make_summaries(), count=3, component="device")
-        assert top[0].trace_id == "io"
         # Traces without the component sort after, deterministically.
-        assert [s.trace_id for s in top[1:]] == ["slow", "quick"]
+        assert self.ranked("device") == ["io", "slow", "quick"]
 
-    def test_count_zero_is_empty(self):
-        assert top_traces(self.make_summaries(), count=0) == []
+
+class TestLayers:
+    def test_every_charged_component_belongs_to_a_layer(self):
+        """A component the table does not know would print under "other";
+        these are all the ones the engine and the workload harness charge."""
+        known = {c for _prefixes, components in LAYERS.values() for c in components}
+        assert known == {
+            "ipc", "write_fixed", "read_fixed", "clock_resume",
+            "workload_think", "timestamp", "entrymap_maint",
+            "cache_interpret", "copy", "device",
+        }
+
+    def test_layer_times_partition_the_attributed_time(self):
+        summary = summarize("t", two_root_trace())
+        layers = summary.layer_ms()
+        assert list(layers) == list(LAYERS)
+        assert layers["ipc"] == pytest.approx(0.3)
+        assert layers["service"] == pytest.approx(0.16)
+        assert layers["device"] == pytest.approx(0.04)
+        assert sum(layers.values()) == pytest.approx(summary.attributed_ms)
+        assert summary.layer_spans == {
+            "ipc": 1, "service": 1, "writer/reader": 1,
+        }
 
 
 class TestFormatting:
     def test_summary_line_is_compact(self):
-        line = format_trace_summary(summarize_trace("t", two_root_trace()))
-        assert line.startswith("t  roots=2 spans=3 busy=0.500ms idle=0.100ms")
+        line = format_summary_line(summarize("t", two_root_trace()))
+        assert line.startswith(
+            "t  log=- roots=2 spans=3 busy=0.500ms idle=0.100ms"
+        )
         assert "ipc=0.300ms" in line
 
     def test_critical_path_report_shows_coverage(self):
-        summary = summarize_trace("t", two_root_trace())
-        text = format_critical_path(summary, critical_path(two_root_trace()))
+        text = format_explanation(summarize("t", two_root_trace()))
         assert "delayed-write gap 0.100ms" in text
+        assert "  ipc           client.flush  [0us +300us self=300us] <- ipc" in text
+        assert "  writer/reader   writer.force" in text
         assert "components:" in text
         assert "(100.0% coverage)" in text
 
@@ -182,14 +308,14 @@ class TestAcceptanceBar:
             for root in service.tracer.recent()
             if root.trace_id == trace_id
         ]
-        return summarize_trace(trace_id, roots)
+        return summarize(trace_id, roots)
 
     def test_components_account_for_busy_time_within_1_percent(self):
         summary = self.run_traced_request()
-        assert summary.duration_us > 0
+        assert summary.busy_us > 0
         assert abs(summary.coverage - 1.0) <= 0.01
 
     def test_delayed_write_gap_is_visible(self):
         summary = self.run_traced_request()
         assert summary.idle_us >= 3000
-        assert len(summary.root_names) >= 2
+        assert summary.count >= 2

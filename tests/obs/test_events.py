@@ -98,14 +98,12 @@ class TestEventJournal:
         journal.emit("visible")
         assert [e.kind for e in journal.events()] == ["visible"]
 
-    def test_by_kind_and_recent(self):
+    def test_by_kind(self):
         journal = EventJournal(SimClock())
         journal.emit("a")
         journal.emit("b")
         journal.emit("a")
         assert len(journal.by_kind("a")) == 2
-        assert [e.kind for e in journal.recent(2)] == ["b", "a"]
-        assert journal.recent(0) == []
 
     def test_null_journal_is_inert(self):
         assert NULL_JOURNAL.emit("anything", x=1) is None

@@ -3,14 +3,7 @@
 import json
 import math
 
-from repro.obs import (
-    MetricsRegistry,
-    json_snapshot,
-    openmetrics_text,
-    parse_openmetrics_text,
-    parse_prometheus_text,
-    prometheus_text,
-)
+from repro.obs import MetricsRegistry, json_snapshot, prometheus_text
 
 
 def build_registry() -> MetricsRegistry:
@@ -49,28 +42,14 @@ class TestPrometheusText:
         c.labels(path='a"b\\c\nd').inc()
         text = prometheus_text(reg)
         assert 'esc_total{path="a\\"b\\\\c\\nd"} 1' in text
-        parsed = parse_prometheus_text(text)
-        ((name, labels),) = parsed["esc_total"]["samples"]
-        assert labels == (("path", 'a"b\\c\nd'),)
 
-    def test_round_trip(self):
-        reg = build_registry()
-        parsed = parse_prometheus_text(prometheus_text(reg))
-        fam = parsed["clio_device_reads_total"]
-        assert fam["kind"] == "counter"
-        assert fam["help"] == "Blocks read"
-        assert fam["samples"][
-            ("clio_device_reads_total", (("volume", "0"),))
-        ] == 7
-        hist = parsed["clio_append_ms"]["samples"]
-        assert hist[("clio_append_ms_bucket", (("le", "+Inf"),))] == 3
-        assert hist[("clio_append_ms_sum", ())] == 101.5
-        assert hist[("clio_append_ms_count", ())] == 3
-
-    def test_parse_handles_inf_values(self):
-        parsed = parse_prometheus_text("x_now +Inf\ny_now -Inf\n")
-        assert parsed["x_now"]["samples"][("x_now", ())] == math.inf
-        assert parsed["y_now"]["samples"][("y_now", ())] == -math.inf
+    def test_infinite_and_nan_values_rendered(self):
+        reg = MetricsRegistry()
+        reg.gauge("x_now").set(math.inf)
+        reg.gauge("y_now").set(-math.inf)
+        reg.gauge("z_now").set(math.nan)
+        lines = prometheus_text(reg).splitlines()
+        assert {"x_now +Inf", "y_now -Inf", "z_now NaN"} <= set(lines)
 
 
 class TestJsonSnapshot:
@@ -91,7 +70,7 @@ class TestJsonSnapshot:
         assert json_snapshot(build_registry()) == json_snapshot(build_registry())
 
 
-class TestMultiLabelRoundTrip:
+class TestMultiLabelExposition:
     def build_multi_label_registry(self) -> MetricsRegistry:
         reg = MetricsRegistry()
         ops = reg.counter(
@@ -113,128 +92,20 @@ class TestMultiLabelRoundTrip:
         lat.labels(kind="write").observe(50.0)
         return reg
 
-    def test_counter_children_survive_round_trip(self):
-        reg = self.build_multi_label_registry()
-        parsed = parse_prometheus_text(prometheus_text(reg))
-        samples = parsed["clio_ops_total"]["samples"]
-        assert samples[
-            ("clio_ops_total", (("kind", "read"), ("volume", "0")))
-        ] == 5
-        assert samples[
-            ("clio_ops_total", (("kind", "read"), ("volume", "1")))
-        ] == 2
-        assert samples[
-            ("clio_ops_total", (("kind", "write"), ("volume", "0")))
-        ] == 9
+    def test_every_counter_child_has_its_own_series(self):
+        lines = prometheus_text(self.build_multi_label_registry()).splitlines()
+        assert 'clio_ops_total{kind="read",volume="0"} 5' in lines
+        assert 'clio_ops_total{kind="read",volume="1"} 2' in lines
+        assert 'clio_ops_total{kind="write",volume="0"} 9' in lines
 
-    def test_labelled_histogram_children_survive_round_trip(self):
-        reg = self.build_multi_label_registry()
-        parsed = parse_prometheus_text(prometheus_text(reg))
-        samples = parsed["clio_op_ms"]["samples"]
-        assert samples[
-            ("clio_op_ms_bucket", (("kind", "read"), ("le", "1")))
-        ] == 1
-        assert samples[
-            ("clio_op_ms_bucket", (("kind", "read"), ("le", "+Inf")))
-        ] == 2
-        assert samples[("clio_op_ms_count", (("kind", "read"),))] == 2
-        assert samples[("clio_op_ms_sum", (("kind", "write"),))] == 50.0
+    def test_labelled_histogram_children_keep_their_labels(self):
+        lines = prometheus_text(self.build_multi_label_registry()).splitlines()
+        assert 'clio_op_ms_bucket{kind="read",le="1"} 1' in lines
+        assert 'clio_op_ms_bucket{kind="read",le="+Inf"} 2' in lines
+        assert 'clio_op_ms_count{kind="read"} 2' in lines
+        assert 'clio_op_ms_sum{kind="write"} 50' in lines
 
-    def test_round_trip_is_lossless_on_reexport(self):
-        reg = self.build_multi_label_registry()
-        text = prometheus_text(reg)
-        assert parse_prometheus_text(text) == parse_prometheus_text(text)
-
-
-class TestExemplars:
-    def test_json_snapshot_surfaces_bucket_exemplars(self):
-        reg = MetricsRegistry()
-        lat = reg.histogram("clio_append_ms", buckets=(1, 5))
-        lat.observe(0.5, exemplar="c10.1")
-        lat.observe(99.0, exemplar="c20.2")
-        (family,) = json_snapshot(reg)["families"]
-        (sample,) = family["samples"]
-        assert sample["exemplars"] == [
-            {"le": 1, "trace_id": "c10.1", "value": 0.5},
-            {"le": "+Inf", "trace_id": "c20.2", "value": 99.0},
-        ]
-
-    def test_prometheus_text_unchanged_by_exemplars(self):
-        with_exemplars = MetricsRegistry()
-        without = MetricsRegistry()
-        for reg, exemplar in ((with_exemplars, "c10.1"), (without, None)):
-            h = reg.histogram("clio_append_ms", buckets=(1, 5))
-            h.observe(0.5, exemplar=exemplar)
-        # The text exposition round-trips losslessly, so exemplars stay
-        # out of it entirely.
-        assert prometheus_text(with_exemplars) == prometheus_text(without)
-
-    def test_histogram_without_exemplars_omits_the_key(self):
-        reg = MetricsRegistry()
-        reg.histogram("clio_append_ms", buckets=(1,)).observe(0.5)
-        (family,) = json_snapshot(reg)["families"]
-        (sample,) = family["samples"]
-        assert "exemplars" not in sample
-
-
-class TestOpenMetrics:
-    def build_exemplar_registry(self) -> MetricsRegistry:
-        reg = build_registry()
-        lat = reg.histogram(
-            "clio_locate_ms",
-            help="Locate latency",
-            labelnames=("volume",),
-            buckets=(1, 5),
-        )
-        lat.labels(volume="0").observe(0.5, exemplar="c10.1")
-        lat.labels(volume="0").observe(99.0, exemplar="c20.2")
-        lat.labels(volume="1").observe(2.0, exemplar="c30.3")
-        return reg
-
-    def test_bucket_lines_carry_exemplars_and_eof(self):
-        text = openmetrics_text(self.build_exemplar_registry())
-        assert (
-            'clio_locate_ms_bucket{volume="0",le="1"} 1 '
-            '# {trace_id="c10.1"} 0.5' in text
-        )
-        assert (
-            'clio_locate_ms_bucket{volume="0",le="+Inf"} 2 '
-            '# {trace_id="c20.2"} 99' in text
-        )
-        assert text.rstrip().endswith("# EOF")
-
-    def test_series_identical_to_prometheus_exposition(self):
-        reg = self.build_exemplar_registry()
-        assert parse_prometheus_text(
-            prometheus_text(reg)
-        ) == parse_prometheus_text(
-            "\n".join(
-                line.partition(" # {")[0]
-                for line in openmetrics_text(reg).splitlines()
-                if line != "# EOF"
-            )
-        )
-
-    def test_round_trip_recovers_samples_and_exemplars(self):
-        reg = self.build_exemplar_registry()
-        parsed = parse_openmetrics_text(openmetrics_text(reg))
-        # Samples match the plain-Prometheus parse of the same registry.
-        plain = parse_prometheus_text(prometheus_text(reg))
-        for name, family in plain.items():
-            assert parsed[name]["samples"] == family["samples"]
-        # ... and the exemplars come back with trace id and value.
-        exemplars = parsed["clio_locate_ms"]["exemplars"]
-        assert exemplars[
-            ("clio_locate_ms_bucket", (("le", "1"), ("volume", "0")))
-        ] == {"trace_id": "c10.1", "value": 0.5}
-        assert exemplars[
-            ("clio_locate_ms_bucket", (("le", "+Inf"), ("volume", "0")))
-        ] == {"trace_id": "c20.2", "value": 99.0}
-        assert exemplars[
-            ("clio_locate_ms_bucket", (("le", "5"), ("volume", "1")))
-        ] == {"trace_id": "c30.3", "value": 2.0}
-
-    def test_registry_without_exemplars_round_trips_clean(self):
-        reg = build_registry()
-        parsed = parse_openmetrics_text(openmetrics_text(reg))
-        assert parsed == parse_prometheus_text(prometheus_text(reg))
+    def test_exposition_is_deterministic(self):
+        assert prometheus_text(
+            self.build_multi_label_registry()
+        ) == prometheus_text(self.build_multi_label_registry())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import (
+from repro.obs.registry import (
     COUNT_BUCKETS,
     Counter,
     Gauge,
@@ -40,11 +40,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_overwrites(self):
         g = MetricsRegistry().gauge("resident_blocks")
         g.set(10)
-        g.inc(2)
-        g.dec(5)
+        g.set(7)
         assert g.value == 7
 
 
@@ -145,13 +144,11 @@ class TestRegistry:
         (family,) = reg.collect()
         assert family.samples == (((), 12.0),)
 
-    def test_get_and_names(self):
+    def test_get(self):
         reg = MetricsRegistry()
         c = reg.counter("b_total")
-        reg.gauge("a_now")
         assert reg.get("b_total") is c
         assert reg.get("missing") is None
-        assert reg.names() == ["a_now", "b_total"]
 
 
 class TestStandardBuckets:
@@ -215,35 +212,3 @@ class TestQuantile:
         h = self.make_histogram([0.3, 0.9, 1.1, 2.5, 3.9, 7.5, 9.0])
         quantiles = [h.quantile(q / 20) for q in range(21)]
         assert quantiles == sorted(quantiles)
-
-
-class TestExemplars:
-    def test_observe_records_latest_exemplar_per_bucket(self):
-        h = Histogram("h", "", buckets=(1, 4, 16))
-        h.observe(0.5, exemplar="c10.1")
-        h.observe(0.7, exemplar="c20.2")  # same bucket: latest wins
-        h.observe(8.0, exemplar="c30.3")
-        h.observe(99.0, exemplar="c40.4")  # +Inf bucket
-        snapshot = h._default.snapshot()
-        assert snapshot.exemplars == (
-            (1.0, "c20.2", 0.7),
-            (16.0, "c30.3", 8.0),
-            (float("inf"), "c40.4", 99.0),
-        )
-
-    def test_observations_without_exemplars_leave_none(self):
-        h = Histogram("h", "", buckets=(1, 4))
-        h.observe(0.5)
-        h.observe(2.0)
-        assert h._default.snapshot().exemplars == ()
-
-    def test_labelled_children_keep_their_own_exemplars(self):
-        h = Histogram("h", "", labelnames=("kind",), buckets=(1,))
-        h.labels(kind="read").observe(0.5, exemplar="c1.1")
-        h.labels(kind="write").observe(0.5, exemplar="c2.2")
-        assert h.labels(kind="read").snapshot().exemplars == (
-            (1.0, "c1.1", 0.5),
-        )
-        assert h.labels(kind="write").snapshot().exemplars == (
-            (1.0, "c2.2", 0.5),
-        )

@@ -8,7 +8,8 @@ a standalone script (``scripts/trace_determinism.py``)."""
 
 from repro.core import LogService
 from repro.core.asyncclient import AsyncLogClient
-from repro.obs import TraceLog, encode_span
+from repro.obs import TraceLog
+from repro.obs.tracelog import encode_span
 from repro.vsystem.clock import SkewedClock
 from repro.vsystem.ipc import AsyncPort
 

@@ -5,7 +5,9 @@ read side that the ``clio trace`` subcommands are built on."""
 import pytest
 
 from repro.core import LogService
-from repro.obs import Span, TraceContext, TraceLog, decode_span, encode_span
+from repro.obs import Span, TraceContext, TraceLog
+from repro.obs.critical_path import per_trace
+from repro.obs.tracelog import decode_span, encode_span
 
 
 def make_service():
@@ -153,7 +155,10 @@ class TestPersistence:
         h.root("append_many", context=ctx)
         h.root("read")
         h.tracelog.persist()
-        grouped = h.tracelog.traces()
+        grouped = {
+            summary.key: summary.roots
+            for summary in per_trace(h.tracelog.read_back())
+        }
         assert [s.name for s in grouped["req-9"]] == [
             "client.flush", "append_many",
         ]

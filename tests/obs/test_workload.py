@@ -141,15 +141,6 @@ class TestSmokeRun:
         decoded = json.loads(smoke_run.encode())
         assert decoded == smoke_run.as_dict()
 
-    def test_workload_metrics_flow_through_the_registry(self):
-        # The clio_workload_* families are registered by wire_service and
-        # driven by the harness; a plain service reports them at zero.
-        from repro.obs.slo import metric_value
-
-        service = LogService.create(observability=True)
-        assert metric_value(service, "clio_workload_phases_total") == 0.0
-        assert metric_value(service, "clio_workload_think_us_total") == 0.0
-
 
 class TestUnderLoadCampaign:
     def test_small_menu_under_smoke_load_full_coverage(self, smoke_run):

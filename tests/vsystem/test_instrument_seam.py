@@ -14,12 +14,17 @@ from repro.vsystem import instrument
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: Runs ``clio`` in-process, then prints which tooling packages got loaded.
+#: Runs ``clio`` in-process, then prints which tooling packages (and which
+#: of the cold-path imports only some verbs need) got loaded.
 LOADED_AFTER = """\
 import sys
 import repro.cli
 code = repro.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-loaded = sorted(m for m in sys.modules if m.startswith(("repro.obs", "repro.lint")))
+loaded = sorted(
+    m
+    for m in sys.modules
+    if m.startswith(("repro.obs", "repro.lint")) or m in ("uuid", "repro.core.fsck")
+)
 print("LOADED", code, loaded)
 """
 
@@ -39,15 +44,15 @@ class TestPlugInIsLoadedOnDemand:
     def test_import_and_plain_verbs_load_no_tooling(self, tmp_path):
         assert clio().strip() == "LOADED 0 []"
         store = str(tmp_path / "store")
-        for argv in (
-            ("init", store, "--block-size", "512", "--degree", "8"),
-            ("create", store, "/app"),
-            ("append", store, "/app", "hello"),
-        ):
+        # Only creating a volume needs an id generator.
+        out = clio("init", store, "--block-size", "512", "--degree", "8")
+        assert out.strip().endswith("LOADED 0 ['uuid']")
+        for argv in (("create", store, "/app"), ("append", store, "/app", "hello")):
             assert clio(*argv).strip().endswith("LOADED 0 []")
         out = clio("cat", store, "/app")
         assert out.startswith("hello\n")
         assert out.strip().endswith("LOADED 0 []")
+        assert clio("fsck", store).strip().endswith("LOADED 0 ['repro.core.fsck']")
 
     def test_stats_loads_the_plug_in_and_prints_the_registry(self, tmp_path):
         store = str(tmp_path / "store")
