@@ -12,7 +12,7 @@ Run:  python examples/alert_monitor.py
 
 from repro import LogService
 from repro.obs import AlertLog, SloEngine, default_ruleset
-from repro.worm import corrupt_range
+from repro.worm.corruption import corrupt_range
 
 
 def main() -> None:

@@ -17,7 +17,8 @@ Run:  python examples/archival_jukebox.py
 
 from repro import LogService
 from repro.core.fsck import check_service
-from repro.worm import MirroredWormDevice, VolumeOfflineError, WormDevice
+from repro.worm import VolumeOfflineError, WormDevice
+from repro.worm.mirror import MirroredWormDevice
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ Run:  python examples/audit_monitor.py
 
 from repro import LogService
 from repro.apps import AfterHoursMonitor, AuditTrail, FailedLoginMonitor
-from repro.worm import corrupt_block
+from repro.worm.corruption import corrupt_block
 
 
 def main() -> None:

@@ -67,6 +67,10 @@ echo "engine  (core worm cache vsystem): $(count src/repro/core src/repro/worm s
 echo "tooling (obs lint cli.py):         $(count src/repro/obs src/repro/lint src/repro/cli.py)"
 echo "src/repro:                         $(count src/repro)"
 echo "bench:                             $(count bench)"
+echo "import repro.cli loads:            $(PYTHONPATH=src python -c '
+import sys, repro.cli
+files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "repro"]
+print(len(files), "modules,", sum(len(open(f).readlines()) for f in files), "lines")')"
 echo "docs/OBSERVABILITY.md:             $(wc -l < docs/OBSERVABILITY.md)"
 echo "operator verbs (and arguments):    $(PYTHONPATH=src python -c '
 from repro.cli import operator_verbs

@@ -9,7 +9,6 @@ Public API:
 * :class:`AppendResult`, :class:`ReadEntry` — operation results.
 """
 
-from repro.core.asyncclient import AsyncLogClient, SequenceWrapError
 from repro.core.ids import (
     CATALOG_ID,
     CORRUPTED_BLOCK_ID,
@@ -28,8 +27,6 @@ from repro.core.writer import AppendResult
 __all__ = [
     "LogService",
     "LogFile",
-    "AsyncLogClient",
-    "SequenceWrapError",
     "EntryId",
     "ClientEntryId",
     "EntryLocation",

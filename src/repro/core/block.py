@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -62,12 +63,14 @@ class BlockFormatError(ValueError):
 
 
 class ParsedBlock:
-    """A decoded block: its fragments plus continuation flags.
+    """A verified block: its image, fragment offsets and continuation flags.
 
-    ``fragments[0]`` is the tail of an entry begun in an earlier block when
-    ``cont_in`` is set; the final fragment is the head of an entry finished
-    in a later block when ``cont_out`` is set.  Every other fragment is one
-    complete record.
+    Fragment *i* is ``image[bounds[i]:bounds[i + 1]]``; :meth:`fragment`
+    slices one and :attr:`fragments` all of them, only when asked, so a
+    block whose records are only peeked at copies nothing.  Fragment 0 is
+    the tail of an entry begun in an earlier block when ``cont_in`` is set;
+    the final fragment is the head of an entry finished in a later block
+    when ``cont_out`` is set.  Every other fragment is one complete record.
 
     A parsed block is also where the read path keeps what it has already
     decoded out of these fragments, so each record is interpreted once per
@@ -93,7 +96,9 @@ class ParsedBlock:
     __slots__ = (
         "cont_in",
         "cont_out",
-        "fragments",
+        "image",
+        "bounds",
+        "fragment_count",
         "_starts",
         "record_ids",
         "entries",
@@ -101,14 +106,16 @@ class ParsedBlock:
     )
 
     def __init__(
-        self, cont_in: bool, cont_out: bool, fragments: tuple[bytes, ...]
+        self, cont_in: bool, cont_out: bool, image: bytes, bounds: list[int]
     ) -> None:
         self.cont_in = cont_in
         self.cont_out = cont_out
-        self.fragments = fragments
-        self._starts = list(range(1 if cont_in else 0, len(fragments)))
+        self.image = image
+        self.bounds = bounds
+        count = self.fragment_count = len(bounds) - 1
+        self._starts = list(range(1 if cont_in else 0, count))
         self.record_ids: list[int | None] | None = None
-        self.entries: list[LogEntry | None] = [None] * len(fragments)
+        self.entries: list[LogEntry | None] = [None] * count
         self.entrymaps: dict[int, EntrymapRecord | None] = {}
 
     def __repr__(self) -> str:
@@ -117,9 +124,14 @@ class ParsedBlock:
             f"fragments={self.fragments!r})"
         )
 
+    def fragment(self, slot: int) -> bytes:
+        """A copy of fragment ``slot``."""
+        return self.image[self.bounds[slot] : self.bounds[slot + 1]]
+
     @property
-    def fragment_count(self) -> int:
-        return len(self.fragments)
+    def fragments(self) -> tuple[bytes, ...]:
+        """Every fragment, sliced out of the image (a fresh copy per call)."""
+        return tuple(map(self.fragment, range(self.fragment_count)))
 
     def entry_start_slots(self) -> list[int]:
         """Indices of fragments that *begin* an entry in this block (one
@@ -128,24 +140,21 @@ class ParsedBlock:
 
     def starts_entry(self, slot: int) -> bool:
         """True if an entry begins at fragment ``slot`` of this block."""
-        return (1 if self.cont_in else 0) <= slot < len(self.fragments)
+        return (1 if self.cont_in else 0) <= slot < self.fragment_count
 
     def is_complete(self, slot: int) -> bool:
         """True if the record starting at ``slot`` ends inside this block."""
-        return not (self.cont_out and slot == len(self.fragments) - 1)
+        return not (self.cont_out and slot == self.fragment_count - 1)
 
     @property
     def is_pure_middle(self) -> bool:
         """True when the whole block is the middle of one giant entry."""
-        return self.cont_in and self.cont_out and len(self.fragments) == 1
-
-
-def _payload_region(block_size: int) -> int:
-    return block_size - BLOCK_OVERHEAD
+        return self.cont_in and self.cont_out and self.fragment_count == 1
 
 
 def parse_block(data: bytes) -> ParsedBlock:
-    """Decode a block image, verifying magic and CRC."""
+    """Verify a block image — magic, CRC, geometry, size index and
+    continuation flags — and record where its fragments lie."""
     block_size = len(data)
     if block_size < MIN_BLOCK_SIZE:
         raise BlockFormatError(f"block of {block_size} bytes is too small")
@@ -160,31 +169,28 @@ def parse_block(data: bytes) -> ParsedBlock:
             f"CRC mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
         )
     index_size = _INDEX_ENTRY_SIZE * count
-    payload_region = _payload_region(block_size)
+    payload_region = block_size - BLOCK_OVERHEAD
     if index_size > payload_region or data_len > payload_region - index_size:
         raise BlockFormatError("block geometry inconsistent (data overlaps index)")
 
     # The index runs right-to-left (s_n .. s_1), so one read yields the
     # sizes in reverse; the geometry check above keeps it inside the block.
-    sizes = struct.unpack_from(f">{count}H", data, index_end - index_size)[::-1]
-    if sum(sizes) != data_len:
+    # Their running sum from the header end gives every fragment's bounds.
+    sizes = struct.unpack_from(f">{count}H", data, index_end - index_size)
+    bounds = list(accumulate(reversed(sizes), initial=_HEADER_SIZE))
+    if bounds[-1] - _HEADER_SIZE != data_len:
         raise BlockFormatError(
-            f"size index sums to {sum(sizes)} but data length is {data_len}"
+            f"size index sums to {bounds[-1] - _HEADER_SIZE} but data length "
+            f"is {data_len}"
         )
     cont_in = bool(flags & _FLAG_CONT_IN)
     cont_out = bool(flags & _FLAG_CONT_OUT)
     if cont_in:
-        if count == 0 or sizes[0] != cont_len:
+        if count == 0 or bounds[1] - _HEADER_SIZE != cont_len:
             raise BlockFormatError("continuation-in length disagrees with index")
     elif cont_len != 0:
         raise BlockFormatError("continuation length set without the flag")
-
-    fragments = []
-    position = _HEADER_SIZE
-    for size in sizes:
-        fragments.append(bytes(data[position : position + size]))
-        position += size
-    return ParsedBlock(cont_in=cont_in, cont_out=cont_out, fragments=tuple(fragments))
+    return ParsedBlock(cont_in, cont_out, data, bounds)
 
 
 class BlockBuilder:
@@ -228,7 +234,8 @@ class BlockBuilder:
     def free_bytes(self) -> int:
         """Payload bytes available if one more fragment is added."""
         return (
-            _payload_region(self.block_size)
+            self.block_size
+            - BLOCK_OVERHEAD
             - self._data_len
             - _INDEX_ENTRY_SIZE * (len(self._fragments) + 1)
         )
@@ -325,6 +332,6 @@ class BlockBuilder:
         parsed = parse_block(data)
         builder = cls(block_size=len(data), cont_in=parsed.cont_in)
         builder._fragments = list(parsed.fragments)
-        builder._data_len = sum(len(f) for f in parsed.fragments)
+        builder._data_len = parsed.bounds[-1] - _HEADER_SIZE
         builder.cont_out = parsed.cont_out
         return builder

@@ -34,6 +34,7 @@ __all__ = [
     "DecodedRecord",
     "decode_record",
     "peek_logfile_id",
+    "peek_timestamp",
     "CorruptRecord",
 ]
 
@@ -60,9 +61,10 @@ _HEADER_SIZES = {
     HeaderForm.TIMESTAMPED: 10,
     HeaderForm.FULL: 14,
 }
-#: Header size by raw version nibble — the one table both
-#: :func:`decode_record` and :func:`peek_logfile_id` validate against.
+#: Header size by raw version nibble — the one table :func:`decode_record`
+#: and the header peeks validate against.
 _SIZE_BY_VERSION = {form.value: size for form, size in _HEADER_SIZES.items()}
+_MINIMAL_SIZE = _HEADER_SIZES[HeaderForm.MINIMAL]
 _TIMESTAMPED_SIZE = _HEADER_SIZES[HeaderForm.TIMESTAMPED]
 _FULL_SIZE = _HEADER_SIZES[HeaderForm.FULL]
 
@@ -137,29 +139,40 @@ class DecodedRecord:
     record_size: int
 
 
-def peek_logfile_id(record: bytes) -> int:
-    """Validate a record's header and return its logfile id.
-
-    This is the header check of :func:`decode_record` on its own — length,
-    header-version nibble, room for that form's header — without building
-    the entry, so the payload is never copied.  It accepts the first
-    fragment of a fragmented record too: the writer guarantees the whole
-    header fits there.  Raises :class:`CorruptRecord` exactly when
-    ``decode_record`` would.
-    """
-    length = len(record)
+def _header_size(record: bytes, start: int, end: int) -> int:
+    """Validate the header of ``record[start:end]`` and return its size;
+    raises :class:`CorruptRecord` exactly when :func:`decode_record` would."""
+    length = end - start
     if length < 2:
         raise CorruptRecord(f"record of {length} bytes has no header")
-    first = record[0]
-    header_size = _SIZE_BY_VERSION.get(first >> 4)
+    version = record[start] >> 4
+    header_size = _SIZE_BY_VERSION.get(version)
     if header_size is None:
-        raise CorruptRecord(f"unknown header-version {first >> 4}")
+        raise CorruptRecord(f"unknown header-version {version}")
     if length < header_size:
         raise CorruptRecord(
             f"record of {length} bytes shorter than its {header_size}-byte "
-            f"{HeaderForm(first >> 4).name} header"
+            f"{HeaderForm(version).name} header"
         )
-    return ((first & 0x0F) << 8) | record[1]
+    return header_size
+
+
+def peek_logfile_id(record: bytes, start: int = 0, end: int | None = None) -> int:
+    """The logfile id of the record at ``record[start:end]`` (all of it by
+    default), its header validated in place: nothing is built or copied.  A
+    fragmented record's first fragment will do; its whole header is there."""
+    _header_size(record, start, len(record) if end is None else end)
+    return ((record[start] & 0x0F) << 8) | record[start + 1]
+
+
+def peek_timestamp(record: bytes, start: int = 0, end: int | None = None) -> int | None:
+    """Like :func:`peek_logfile_id`, but return the header timestamp (None
+    for the ``MINIMAL`` form) — the time search's probe (Section 2.1)."""
+    header_size = _header_size(record, start, len(record) if end is None else end)
+    if header_size == _MINIMAL_SIZE:
+        return None
+    timestamp: int = _U64.unpack_from(record, start + 2)[0]
+    return timestamp
 
 
 def decode_record(record: bytes) -> DecodedRecord:
@@ -168,8 +181,8 @@ def decode_record(record: bytes) -> DecodedRecord:
     Raises :class:`CorruptRecord` if the header-version nibble is not a
     known form or the record is shorter than its header.
     """
-    logfile_id = peek_logfile_id(record)
-    header_size = _SIZE_BY_VERSION[record[0] >> 4]
+    header_size = _header_size(record, 0, len(record))
+    logfile_id = ((record[0] & 0x0F) << 8) | record[1]
     timestamp = None
     client_seq = None
     if header_size == _TIMESTAMPED_SIZE:

@@ -95,6 +95,8 @@ class EntrymapRecord:
 
     @classmethod
     def decode(cls, payload: bytes) -> "EntrymapRecord":
+        if len(payload) < _FIXED.size:
+            raise ValueError(f"entrymap record of {len(payload)} bytes has no header")
         level, degree, cover_start, count = _FIXED.unpack_from(payload, 0)
         if level < 1 or degree < 2:
             raise ValueError(f"bad entrymap record (level={level}, N={degree})")

@@ -210,78 +210,84 @@ class LogReader:
     def read_parsed(self, volume_index: int, local_block: int) -> ParsedBlock | None:
         """Read and parse one block via the cache; None if the block is
         unwritten, invalidated, or corrupt (corruption is reported)."""
-        if local_block < 0 or local_block >= self.volume_extent(volume_index):
+        # ``volume_extent`` inlined, as this runs on every block access; its
+        # one look at the tail also serves the loader.
+        store = self.store
+        active_volume, tail_addr = self._tail_position()
+        burned = max(0, store.sequence.volumes[volume_index].next_data_block)
+        at_active = volume_index == active_volume
+        extent = tail_addr + 1 if at_active and tail_addr >= burned else burned
+        if local_block < 0 or local_block >= extent:
             return None
-        key = self.store.cache_key(volume_index, local_block)
+        key = store.cache_key(volume_index, local_block)
         warm = self._warm_parsed(volume_index, local_block, key)
         if warm is not None:
             return warm
-        volume = self.store.sequence.volumes[volume_index]
+        cache = store.cache
 
         # ``_warm_parsed`` has already shown the access to the sequential-
         # run detector.
-        readahead = self.store.config.readahead_blocks
-        if (
-            readahead > 0
-            and self._seq_run >= _PREFETCH_TRIGGER
-            and key not in self.store.cache
-        ):
+        readahead = store.config.readahead_blocks
+        if readahead > 0 and self._seq_run >= _PREFETCH_TRIGGER and key not in cache:
             self._prefetch(volume_index, local_block, readahead)
 
+        tail_image = self._tail_image if at_active and local_block == tail_addr else None
+
         def loader() -> bytes:
-            with self.store.tracer.span(
+            # The writer's image of the tail block, else one device read;
+            # spans only while tracing is on.
+            image = tail_image() if tail_image is not None else None
+            tracer = store.tracer
+            if not tracer.enabled:
+                if image is None:
+                    image = self._read_device(volume_index, local_block)
+                return image
+            with tracer.span(
                 "cache.fill", volume=volume_index, block=local_block
             ) as fill:
-                active_volume, tail_addr = self._tail_position()
-                if (
-                    self._tail_image is not None
-                    and volume_index == active_volume
-                    and local_block == tail_addr
-                ):
-                    image = self._tail_image()
-                    if image is not None:
-                        fill.set("source", "tail-image")
-                        return image
-                with self.store.tracer.span(
+                if image is not None:
+                    fill.set("source", "tail-image")
+                    return image
+                with tracer.span(
                     "device.io", op="read", volume=volume_index, block=local_block
                 ):
-                    busy_before = volume.device.stats.busy_ms
-                    data = volume.read_data_block(local_block)
-                    self.stats.device_reads += 1
-                    self.store.charge(
-                        "device", volume.device.stats.busy_ms - busy_before
-                    )
-                return data
+                    return self._read_device(volume_index, local_block)
 
         try:
-            data = self.store.cache.get(key, loader)
+            data = cache.get(key, loader)
         except (UnwrittenBlockError, InvalidatedBlockError):
             return None
         except VolumeOfflineError:
             if self._on_volume_demand is not None and self._on_volume_demand(
                 volume_index
             ):
-                data = self.store.cache.get(key, loader)
+                data = cache.get(key, loader)
             else:
                 raise
         self.stats.block_accesses += 1
-        self.store.charge("cache_interpret", self.store.costs.cached_block_ms)
+        store.charge("cache_interpret", store.costs.cached_block_ms)
         # No decoded object is pooled for this block (the warm access above
         # would have returned it), so this access pays the real parse.
         try:
             parsed = parse_block(data)
         except BlockFormatError:
             self.stats.corrupt_blocks_found += 1
-            self.store.cache.invalidate(key)
-            self.store.journal.emit(
-                "block.corrupt", volume=volume_index, block=local_block
-            )
+            cache.invalidate(key)
+            store.journal.emit("block.corrupt", volume=volume_index, block=local_block)
             if self._on_corrupt is not None:
                 self._on_corrupt(volume_index, local_block)
             return None
         self.stats.blocks_parsed += 1
-        self.store.cache.put_parsed(key, parsed)
+        cache.put_parsed(key, parsed)
         return parsed
+
+    def _read_device(self, volume_index: int, local_block: int) -> bytes:
+        volume = self.store.sequence.volumes[volume_index]
+        busy_before = volume.device.stats.busy_ms
+        data = volume.read_data_block(local_block)
+        self.stats.device_reads += 1
+        self.store.charge("device", volume.device.stats.busy_ms - busy_before)
+        return data
 
     def _warm_parsed(
         self, volume_index: int, local_block: int, key: Hashable
@@ -378,7 +384,7 @@ class LogReader:
             entry = parsed.entries[slot]
             if entry is not None:
                 return entry
-        record = parsed.fragments[slot]
+        record = parsed.fragment(slot)
         complete = in_block
         next_block = location.global_block + 1
         while not complete:
@@ -389,7 +395,7 @@ class LogReader:
                     f"{slot} is missing its continuation in block "
                     f"{next_block}"
                 )
-            record += tail_parsed.fragments[0]
+            record += tail_parsed.fragment(0)
             complete = not (tail_parsed.cont_out and tail_parsed.fragment_count == 1)
             next_block += 1
         try:
@@ -414,7 +420,7 @@ class LogReader:
         entry = parsed.entries[slot]
         if entry is None:
             try:
-                entry = decode_record(parsed.fragments[slot]).entry
+                entry = decode_record(parsed.fragment(slot)).entry
             except CorruptRecord:
                 return None
             parsed.entries[slot] = entry
@@ -425,15 +431,15 @@ class LogReader:
 
         None for a continuation-in fragment and for a record whose header
         does not validate.  Every id in a block is peeked on the first call
-        — a header check, no payload copied — and kept with the block, so
+        — a header check in the block image, nothing copied — and kept, so
         filtering a block by log file never decodes a record.
         """
         if parsed.record_ids is None:
-            fragments = parsed.fragments
-            ids: list[int | None] = [None] * len(fragments)
+            image, bounds = parsed.image, parsed.bounds
+            ids: list[int | None] = [None] * parsed.fragment_count
             for slot in parsed.entry_start_slots():
                 try:
-                    ids[slot] = peek_logfile_id(fragments[slot])
+                    ids[slot] = peek_logfile_id(image, bounds[slot], bounds[slot + 1])
                 except CorruptRecord:
                     pass
             parsed.record_ids = ids

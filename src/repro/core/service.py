@@ -83,7 +83,7 @@ class LogService:
         self.last_recovery_report: RecoveryReport | None = None
         self.reader = LogReader(
             store,
-            tail_position=lambda: (writer.volume_index, writer.tail_block_addr),
+            tail_position=writer.tail_position,
             on_corrupt=self._handle_corrupt_block,
             tail_image=writer.tail_image,
             on_volume_demand=self._handle_volume_demand,

@@ -142,7 +142,8 @@ class LogStore:
         the innermost open span under ``component`` (the profiler's input).
         """
         self.clock.advance_ms(ms)
-        self.tracer.charge(component, ms)
+        if self.tracer.enabled:
+            self.tracer.charge(component, ms)
 
     def charge_us(self, component: str, us: int) -> None:
         """Like :meth:`charge` but in integer microseconds (exact)."""

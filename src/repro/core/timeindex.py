@@ -8,15 +8,17 @@ search succeeds to a resolution of at least a single block."
 
 Because the writer's clock is monotone and there is a single append point,
 first-entry timestamps are non-decreasing in block order — so the search is
-a descent over block positions, probing first-entry timestamps.  Following
-the paper, the probe points at the upper levels are the entrymap-entry
-positions (multiples of N^i), which are exactly the blocks most likely to
-already sit in the block cache; within the final group the search finishes
-with a bounded scan.
+a plain binary search over global block positions: it keeps the answer in
+``[lo, hi)``, probes the first-entry timestamp at ``(lo + hi) // 2``, and
+stops when one block is left.  A probe that lands on a block without a
+first-entry timestamp (unreadable, the middle of a fragmented entry, or a
+first header without one) moves forward to the next block that has one,
+bounded by ``hi``.  Each probe is one block access and a header peek.
 """
 
 from __future__ import annotations
 
+from repro.core.entry import CorruptRecord, peek_timestamp
 from repro.core.reader import LogReader
 
 __all__ = ["TimeIndex"]
@@ -34,15 +36,22 @@ class TimeIndex:
         """Timestamp of the first entry *starting* in a block.
 
         None for unreadable blocks and for blocks wholly occupied by the
-        middle of a fragmented entry (those have no entry start).
+        middle of a fragmented entry (those have no entry start).  Headers
+        are peeked in place (or read from the decoded memo): a probe builds
+        no entry and copies no payload.
         """
         parsed = self.reader.read_parsed_global(global_block)
         if parsed is None:
             return None
+        image, bounds, entries = parsed.image, parsed.bounds, parsed.entries
         for slot in parsed.entry_start_slots():
-            header = self.reader.entry_header_at(parsed, slot)
-            if header is not None:
-                return header.timestamp
+            entry = entries[slot]
+            if entry is not None:
+                return entry.timestamp
+            try:
+                return peek_timestamp(image, bounds[slot], bounds[slot + 1])
+            except CorruptRecord:
+                continue
         return None
 
     def _probe(self, global_block: int, hi: int) -> tuple[int, int | None]:

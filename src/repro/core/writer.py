@@ -77,6 +77,10 @@ class TailWriter:
     def volume_index(self) -> int:
         return self._volume_index
 
+    def tail_position(self) -> tuple[int, int]:
+        """(volume index, tail block address), for the reader's every access."""
+        return self._volume_index, self._block_addr
+
     @property
     def tail_block_addr(self) -> int:
         """Local address of the in-progress tail block (-1 before first append)."""
@@ -387,7 +391,7 @@ class TailWriter:
         members: set[int] = set(self._carry_tracked_ids if parsed.cont_in else ())
         for slot in parsed.entry_start_slots():
             try:
-                header = decode_record(parsed.fragments[slot]).entry
+                header = decode_record(parsed.fragment(slot)).entry
             except Exception:
                 continue
             try:

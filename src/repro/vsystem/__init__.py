@@ -2,13 +2,10 @@
 
 from repro.vsystem.clock import SimClock, SkewedClock
 from repro.vsystem.costs import SUN3, CostModel
-from repro.vsystem.ipc import AsyncPort, IpcChannel
 
 __all__ = [
     "SimClock",
     "SkewedClock",
     "CostModel",
     "SUN3",
-    "IpcChannel",
-    "AsyncPort",
 ]

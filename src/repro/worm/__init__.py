@@ -8,7 +8,6 @@ battery-backed-RAM tail staging (:class:`NvramTail`), and the fault
 injection used to exercise Section 2.3's recovery paths.
 """
 
-from repro.worm.corruption import CrashingWormDevice, corrupt_block, corrupt_range
 from repro.worm.device import BlockDevice, DeviceStats, RewritableDevice, WormDevice
 from repro.worm.errors import (
     BlockOutOfRange,
@@ -23,7 +22,6 @@ from repro.worm.errors import (
     VolumeSequenceError,
     WriteOnceViolation,
 )
-from repro.worm.mirror import MirroredWormDevice, MirrorFailure
 from repro.worm.geometry import (
     MAGNETIC_DISK,
     NULL_GEOMETRY,
@@ -49,9 +47,6 @@ __all__ = [
     "LogVolume",
     "VolumeHeader",
     "VolumeSequence",
-    "CrashingWormDevice",
-    "corrupt_block",
-    "corrupt_range",
     "StorageError",
     "WriteOnceViolation",
     "BlockOutOfRange",
@@ -63,6 +58,4 @@ __all__ = [
     "VolumeSealedError",
     "VolumeSequenceError",
     "DeviceCrashed",
-    "MirroredWormDevice",
-    "MirrorFailure",
 ]

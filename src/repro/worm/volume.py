@@ -85,6 +85,10 @@ class VolumeHeader:
 
     @classmethod
     def decode(cls, data: bytes) -> "VolumeHeader":
+        if len(data) < _HEADER_STRUCT.size:
+            raise VolumeSequenceError(
+                f"volume header of {len(data)} bytes; not a Clio volume"
+            )
         (
             magic,
             version,

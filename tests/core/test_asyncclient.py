@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import LogService
 from repro.core.asyncclient import AsyncLogClient, SequenceWrapError
-from repro.vsystem import SUN3, AsyncPort, SkewedClock
+from repro.vsystem import SUN3, SkewedClock
+from repro.vsystem.ipc import AsyncPort
 
 
 def make_client(batch_size=4, skew_us=300, **service_kwargs):
@@ -113,7 +114,8 @@ class TestConfirmation:
         sublog per client — identities then resolve unambiguously while
         the parent log still aggregates everything."""
         from repro.core.asyncclient import AsyncLogClient
-        from repro.vsystem import AsyncPort, SkewedClock
+        from repro.vsystem import SkewedClock
+        from repro.vsystem.ipc import AsyncPort
 
         service = LogService.create(
             block_size=256, degree_n=4, volume_capacity_blocks=1024

@@ -1,15 +1,19 @@
-"""Hostile bytes against the read path's two decoders.
+"""Hostile bytes against the read path's decoders.
 
 For any input, ``parse_block`` either returns a block or raises its own
-``BlockFormatError``, and ``decode_record`` / ``peek_logfile_id`` either
-succeed or raise ``CorruptRecord`` — never ``struct.error``, ``IndexError``
-or a ``ValueError`` of another kind.  The header peek the decoded tier
-filters with must accept and reject exactly what the full decode does.
+``BlockFormatError``, and ``decode_record`` / ``peek_logfile_id`` /
+``peek_timestamp`` either succeed or raise ``CorruptRecord`` — never
+``struct.error``, ``IndexError`` or a ``ValueError`` of another kind.  The
+header peeks the decoded tier and the time search use must accept and
+reject exactly what the full decode does.  ``EntrymapRecord.decode`` raises
+only ``ValueError`` (what the reader and ``fsck`` catch) and
+``VolumeHeader.decode`` only ``VolumeSequenceError``.
 """
 
 import struct
 import zlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +30,11 @@ from repro.core.entry import (
     LogEntry,
     decode_record,
     peek_logfile_id,
+    peek_timestamp,
 )
+from repro.core.entrymap import EntrymapRecord
+from repro.worm.errors import VolumeSequenceError
+from repro.worm.volume import VolumeHeader
 
 BLOCK = 128
 
@@ -97,6 +105,23 @@ class TestRecordHeader:
         else:
             assert peeked == decoded.logfile_id
 
+    @settings(max_examples=300)
+    @given(st.binary(max_size=40), st.binary(max_size=8), st.binary(max_size=8))
+    def test_timestamp_peek_in_place_agrees_with_decode(self, record, before, after):
+        """Peeked where it sits inside a larger buffer, the timestamp is
+        the decoded one, and the peek fails exactly when the decode does."""
+        buffer = before + record + after
+        try:
+            peeked = peek_timestamp(buffer, len(before), len(before) + len(record))
+        except CorruptRecord:
+            with pytest.raises(CorruptRecord):
+                decode_record(record)
+            return
+        assert peeked == decode_record(record).entry.timestamp
+        assert peek_logfile_id(
+            buffer, len(before), len(before) + len(record)
+        ) == peek_logfile_id(record)
+
     @given(
         st.integers(0, 15),
         st.integers(0, 4095),
@@ -166,3 +191,82 @@ class TestParseBlock:
             assert "geometry" in str(exc)
         else:
             raise AssertionError("oversized fragment count accepted")
+
+
+@st.composite
+def entrymap_records(draw):
+    degree = draw(st.integers(2, 40))
+    return EntrymapRecord(
+        level=draw(st.integers(1, 5)),
+        degree=degree,
+        cover_start=draw(st.integers(0, (1 << 64) - 1)),
+        bitmaps=draw(
+            st.dictionaries(
+                st.integers(0, 4095), st.integers(0, (1 << degree) - 1), max_size=5
+            )
+        ),
+    )
+
+
+def _entrymap_or_value_error(payload: bytes) -> EntrymapRecord | None:
+    try:
+        return EntrymapRecord.decode(payload)
+    except ValueError as exc:
+        assert not isinstance(exc, struct.error)
+        return None
+
+
+class TestEntrymapRecord:
+    @settings(max_examples=300)
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes(self, payload):
+        _entrymap_or_value_error(payload)
+
+    @given(entrymap_records(), st.data())
+    def test_truncated_records(self, record, data):
+        encoded = record.encode()
+        assert EntrymapRecord.decode(encoded) == record
+        cut = data.draw(st.integers(0, len(encoded) - 1))
+        assert _entrymap_or_value_error(encoded[:cut]) is None
+
+    def test_short_payload_is_a_value_error(self):
+        for length in range(13):
+            with pytest.raises(ValueError, match="no header"):
+                EntrymapRecord.decode(b"\x01" * length)
+
+
+def _header_or_sequence_error(data: bytes) -> VolumeHeader | None:
+    try:
+        return VolumeHeader.decode(data)
+    except VolumeSequenceError:
+        return None
+
+
+class TestVolumeHeader:
+    HEADER = VolumeHeader(
+        block_size=512,
+        degree_n=16,
+        volume_index=3,
+        capacity_blocks=4096,
+        volume_id=b"v" * 16,
+        sequence_id=b"s" * 16,
+        predecessor_id=b"p" * 16,
+        created_ts=1987,
+    )
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_bytes(self, data):
+        _header_or_sequence_error(data)
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_bytes_behind_a_valid_magic(self, data):
+        _header_or_sequence_error(b"CLIOVOL1" + data)
+
+    def test_truncated_header(self):
+        image = self.HEADER.encode()
+        assert VolumeHeader.decode(image) == self.HEADER
+        for cut in range(80):
+            assert _header_or_sequence_error(image[:cut]) is None, cut
+        assert VolumeHeader.decode(image[:80]) == self.HEADER

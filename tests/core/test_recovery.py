@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import LogService
 from repro.core.service import ServiceCrashed
-from repro.worm import corrupt_block, corrupt_range
+from repro.worm.corruption import corrupt_block, corrupt_range
 
 
 def make_service(**kwargs):
@@ -176,7 +176,8 @@ class TestCrashDurability:
         reconstruct that group's memberships from the blocks themselves —
         otherwise the rebuilt level-2 accumulator authoritatively denies
         the group's contents and a forced entry becomes unfindable."""
-        from repro.worm import CrashingWormDevice, DeviceCrashed, WormDevice
+        from repro.worm import DeviceCrashed, WormDevice
+        from repro.worm.corruption import CrashingWormDevice
 
         ops = [
             (0, 0, False), (0, 256, False), (0, 400, True), (0, 0, True),
@@ -239,7 +240,8 @@ class TestCrashSweep:
 
     @pytest.mark.parametrize("crash_after", [1, 2, 3, 5, 8, 13, 21, 34])
     def test_sweep(self, crash_after):
-        from repro.worm import CrashingWormDevice, DeviceCrashed, WormDevice
+        from repro.worm import DeviceCrashed, WormDevice
+        from repro.worm.corruption import CrashingWormDevice
 
         inner = WormDevice(block_size=256, capacity_blocks=512)
         proxy = CrashingWormDevice(inner, crash_after_writes=crash_after)

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LogService
-from repro.worm import CrashingWormDevice, DeviceCrashed, WormDevice
+from repro.worm import DeviceCrashed, WormDevice
+from repro.worm.corruption import CrashingWormDevice
 
 # One operation: (logfile index 0-2, payload size, force?)
 operations = st.lists(

@@ -175,7 +175,8 @@ class TestRandomizedCrashSweep:
         """Random entries, random force points, a crash at a random device
         write — recovery always yields a per-log-file prefix of what was
         written, and forced entries always survive."""
-        from repro.worm import CrashingWormDevice, DeviceCrashed, WormDevice
+        from repro.worm import DeviceCrashed, WormDevice
+        from repro.worm.corruption import CrashingWormDevice
 
         rng = random.Random(seed)
         inner = WormDevice(block_size=512, capacity_blocks=4096)

@@ -89,7 +89,7 @@ class TestCorruptionProperties:
         crash, and the in-order property must hold per log file."""
         import random
 
-        from repro.worm import corrupt_block
+        from repro.worm.corruption import corrupt_block
 
         service = run_ops(ops, volume_capacity_blocks=4096)
         # Record each file's history before damaging the media.

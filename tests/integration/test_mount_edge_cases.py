@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core import LogService
-from repro.worm import (
-    LogVolume,
-    VolumeSequenceError,
-    WormDevice,
-    corrupt_block,
-)
+from repro.worm import LogVolume, VolumeSequenceError, WormDevice
+from repro.worm.corruption import corrupt_block
 
 
 def build_sequence(n_volumes=3):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LogService
 from repro.core.service import ReadOnlyService
-from repro.worm import corrupt_block
+from repro.worm.corruption import corrupt_block
 
 
 def build_store():

@@ -15,7 +15,7 @@ from repro.obs.slo import (
     parse_rule,
     recovery_model_rule,
 )
-from repro.worm import corrupt_range
+from repro.worm.corruption import corrupt_range
 
 
 def make_service(**kwargs) -> LogService:

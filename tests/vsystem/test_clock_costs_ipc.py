@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.vsystem import SUN3, AsyncPort, IpcChannel, SimClock, SkewedClock
+from repro.vsystem import SUN3, SimClock, SkewedClock
+from repro.vsystem.ipc import AsyncPort, IpcChannel
 
 
 class TestSimClock:

@@ -15,7 +15,7 @@ from repro.vsystem import instrument
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Runs ``clio`` in-process, then prints which tooling packages (and which
-#: of the cold-path imports only some verbs need) got loaded.
+#: of the cold-path imports only some verbs, or no verb, need) got loaded.
 LOADED_AFTER = """\
 import sys
 import repro.cli
@@ -23,7 +23,15 @@ code = repro.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded = sorted(
     m
     for m in sys.modules
-    if m.startswith(("repro.obs", "repro.lint")) or m in ("uuid", "repro.core.fsck")
+    if m.startswith(("repro.obs", "repro.lint"))
+    or m in (
+        "uuid",
+        "repro.core.fsck",
+        "repro.core.asyncclient",
+        "repro.vsystem.ipc",
+        "repro.worm.corruption",
+        "repro.worm.mirror",
+    )
 )
 print("LOADED", code, loaded)
 """

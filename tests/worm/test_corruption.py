@@ -11,14 +11,8 @@ import random
 
 import pytest
 
-from repro.worm import (
-    BlockOutOfRange,
-    CrashingWormDevice,
-    DeviceCrashed,
-    WormDevice,
-    corrupt_block,
-)
-from repro.worm.corruption import corrupt_range
+from repro.worm import BlockOutOfRange, DeviceCrashed, WormDevice
+from repro.worm.corruption import CrashingWormDevice, corrupt_block, corrupt_range
 
 BS = 64
 

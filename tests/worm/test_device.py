@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.worm import (
     BlockOutOfRange,
-    CrashingWormDevice,
     DeviceCrashed,
     InvalidatedBlockError,
     RewritableDevice,
@@ -16,8 +15,8 @@ from repro.worm import (
     VolumeFullError,
     WormDevice,
     WriteOnceViolation,
-    corrupt_block,
 )
+from repro.worm.corruption import CrashingWormDevice, corrupt_block
 
 BS = 64
 

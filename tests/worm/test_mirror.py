@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import LogService
-from repro.worm import UnwrittenBlockError, WormDevice, corrupt_block
+from repro.worm import UnwrittenBlockError, WormDevice
+from repro.worm.corruption import corrupt_block
 from repro.worm.mirror import MirroredWormDevice, MirrorFailure
 
 BS = 128
