@@ -10,8 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The clio-lint invariant analyzer (docs/LINTING.md): WORM encapsulation,
-# sim-time purity, charge discipline, and friends.  Exit 1 on findings.
+# The clio-lint invariant analyzer (docs/LINTING.md): sim-time purity, WORM
+# encapsulation, charge discipline, engine imports, set-iteration order.
+# Exit 1 on findings.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint src/repro
 

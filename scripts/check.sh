@@ -31,6 +31,21 @@ PYTHONPATH=src python -m repro workload index benchmarks/runs --verify \
     > /dev/null
 echo "workload ok: gates pass, artifact deterministic, catalog verified"
 
+echo "== cross-process determinism (PYTHONHASHSEED=1 vs =2: string-set order differs) =="
+# The gates above repeat each run inside one process, where string hashing
+# and so set order never change; these pairs change it.
+seeds=$(mktemp -d)
+for seed in 1 2; do
+    PYTHONHASHSEED=$seed PYTHONPATH=src python -m repro campaign run \
+        --menu small --out "$seeds/campaign_$seed.json" > /dev/null
+    PYTHONHASHSEED=$seed PYTHONPATH=src python -m repro workload run \
+        --profile smoke --campaign small --out "$seeds/workload_$seed.json" > /dev/null
+done
+cmp "$seeds/campaign_1.json" "$seeds/campaign_2.json"
+cmp "$seeds/workload_1.json" "$seeds/workload_2.json"
+rm -rf "$seeds"
+echo "cross-seed ok: campaign and workload artifacts byte-identical across hash seeds"
+
 echo "== benchmark records (BENCH_*.json regenerate byte-identically from benchmarks/) =="
 records=$(mktemp -d)
 CLIO_BENCH_RECORD_DIR="$records" PYTHONPATH=src python -m pytest benchmarks/ -q \
@@ -65,6 +80,9 @@ echo "== size (the wc -l totals ROADMAP quotes; regenerate, do not type) =="
 count() { find "$@" -name '*.py' -print0 | xargs -0 cat | wc -l; }
 echo "engine  (core worm cache vsystem): $(count src/repro/core src/repro/worm src/repro/cache src/repro/vsystem)"
 echo "tooling (obs lint cli.py):         $(count src/repro/obs src/repro/lint src/repro/cli.py)"
+echo "  obs/:                            $(count src/repro/obs)"
+echo "  lint/:                           $(count src/repro/lint)"
+echo "  cli.py:                          $(count src/repro/cli.py)"
 echo "src/repro:                         $(count src/repro)"
 echo "bench:                             $(count bench)"
 echo "import repro.cli loads:            $(PYTHONPATH=src python -c '

@@ -1,33 +1,18 @@
 """Core abstractions for ``clio lint``: findings, rules, and contexts.
 
 The analyzer is dependency-free: every rule is a pure function of a parsed
-``ast`` tree (per-file rules) or of all parsed trees plus the project root
-(project rules).  Rules never import the code under analysis — the
-invariants they enforce (write-once storage, simulated time, the Section-3
-cost model) must hold *before* the code is ever executed.
+``ast`` tree (per-file rules) or of all parsed trees (project rules).
+Rules never import the code under analysis — the invariants they enforce
+(write-once storage, simulated time, the Section-3 cost model) must hold
+*before* the code is ever executed.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-__all__ = [
-    "Finding",
-    "FileContext",
-    "ProjectContext",
-    "Rule",
-    "ProjectRule",
-    "parse_suppressions",
-]
-
-#: ``# clio-lint: disable=rule-a,rule-b`` — suppress on that physical line.
-_SUPPRESS_RE = re.compile(r"#\s*clio-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
-#: ``# clio-lint: disable-file=rule-a`` — suppress for the whole file.
-_SUPPRESS_FILE_RE = re.compile(r"#\s*clio-lint:\s*disable-file=([A-Za-z0-9_,\- ]+)")
+__all__ = ["Finding", "FileContext", "Rule", "ProjectRule"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,65 +23,17 @@ class Finding:
     path: str  #: project-relative POSIX path
     line: int
     message: str
-    severity: str = "error"  #: "error" | "warning"
-    #: Tie-breaker when the same (rule, path, line text) occurs repeatedly;
-    #: lets baselines survive unrelated line-number churn.
-    occurrence: int = 0
-    #: The stripped source line the finding anchors to (baseline key).
-    line_text: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """A location-tolerant identity for baselining.
-
-        Built from the rule, the file, the *text* of the flagged line and
-        an occurrence counter — not the line number — so inserting code
-        above a baselined finding does not resurrect it.
-        """
-        raw = f"{self.rule}|{self.path}|{self.line_text}|{self.occurrence}"
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}: {self.severity}: "
-            f"[{self.rule}] {self.message}"
-        )
-
-
-def parse_suppressions(lines: list[str]) -> tuple[dict[int, set[str]], set[str]]:
-    """Extract suppression comments from source lines.
-
-    Returns ``(per_line, whole_file)`` where ``per_line`` maps 1-based line
-    numbers to the rule names disabled on that line.
-    """
-    per_line: dict[int, set[str]] = {}
-    whole_file: set[str] = set()
-    for number, text in enumerate(lines, start=1):
-        match = _SUPPRESS_FILE_RE.search(text)
-        if match:
-            whole_file.update(
-                name.strip() for name in match.group(1).split(",") if name.strip()
-            )
-            continue
-        match = _SUPPRESS_RE.search(text)
-        if match:
-            per_line.setdefault(number, set()).update(
-                name.strip() for name in match.group(1).split(",") if name.strip()
-            )
-    return per_line, whole_file
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 @dataclass(slots=True)
 class FileContext:
     """Everything a per-file rule may consult about one module."""
 
-    path: Path  #: absolute path on disk
     relpath: str  #: POSIX path relative to the project root
     tree: ast.Module
-    source: str
-    lines: list[str] = field(default_factory=list)
-    suppressed_lines: dict[int, set[str]] = field(default_factory=dict)
-    suppressed_file: set[str] = field(default_factory=set)
 
     @property
     def parts(self) -> tuple[str, ...]:
@@ -112,72 +49,30 @@ class FileContext:
             parts[i : i + n] == segments for i in range(len(parts) - n + 1)
         )
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        if rule in self.suppressed_file:
-            return True
-        return rule in self.suppressed_lines.get(line, set())
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def finding(
-        self,
-        rule: str,
-        node_or_line: ast.AST | int,
-        message: str,
-        severity: str = "error",
-    ) -> Finding:
+    def finding(self, rule: str, node_or_line: ast.AST | int, message: str) -> Finding:
         line = (
             node_or_line
             if isinstance(node_or_line, int)
             else getattr(node_or_line, "lineno", 1)
         )
-        return Finding(
-            rule=rule,
-            path=self.relpath,
-            line=line,
-            message=message,
-            severity=severity,
-            line_text=self.line_text(line),
-        )
-
-
-@dataclass(slots=True)
-class ProjectContext:
-    """All parsed files plus the project root, for cross-file rules."""
-
-    root: Path
-    files: list[FileContext]
-
-    def find(self, relpath_suffix: str) -> FileContext | None:
-        """The first file whose relative path ends with ``relpath_suffix``."""
-        for ctx in self.files:
-            if ctx.relpath.endswith(relpath_suffix):
-                return ctx
-        return None
+        return Finding(rule=rule, path=self.relpath, line=line, message=message)
 
 
 class Rule:
-    """A per-file pass.  Subclasses set the class attributes and implement
-    :meth:`check`, yielding findings; suppression and baseline filtering is
-    the engine's job."""
+    """A per-file pass.  Subclasses set :attr:`name` and implement
+    :meth:`check`, returning every violation they see."""
 
     name: str = ""
-    description: str = ""
-    #: The paper section whose invariant this rule protects.
-    paper_section: str = ""
 
     def check(self, ctx: FileContext) -> list[Finding]:
         raise NotImplementedError
 
 
 class ProjectRule(Rule):
-    """A cross-file pass, run once over the whole project."""
+    """A cross-file pass, run once over every parsed file."""
 
     def check(self, ctx: FileContext) -> list[Finding]:
         return []
 
-    def check_project(self, project: ProjectContext) -> list[Finding]:
+    def check_project(self, files: list[FileContext]) -> list[Finding]:
         raise NotImplementedError

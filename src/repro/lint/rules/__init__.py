@@ -1,25 +1,15 @@
 """The default rule set for ``clio lint``.
 
-Twelve rules, each protecting an invariant the runtime can only catch
-late or not at all; see ``docs/LINTING.md`` for the catalog with paper
-references.
+Five rules, each guarding a paper or seam invariant that no runtime gate
+sees before a change ships; see ``docs/LINTING.md`` for the catalog and
+for the retired rules and the gates that took them over.
 """
 
 from __future__ import annotations
 
 from repro.lint.base import Rule
-from repro.lint.rules.encoding import DeterministicJsonRule
-from repro.lint.rules.hygiene import (
-    ExceptionHygieneRule,
-    ExportHygieneRule,
-    MutableDefaultRule,
-)
-from repro.lint.rules.metrics import MetricsDriftRule, SpanDriftRule
+from repro.lint.rules.iteration import DeterministicIterationRule
 from repro.lint.rules.purity import SimTimePurityRule
-from repro.lint.rules.robustness import (
-    DeterministicIterationRule,
-    ExceptionSafetyRule,
-)
 from repro.lint.rules.worm import (
     ChargeDisciplineRule,
     EngineImportsRule,
@@ -33,13 +23,6 @@ __all__ = [
     "WormEncapsulationRule",
     "ChargeDisciplineRule",
     "EngineImportsRule",
-    "ExceptionHygieneRule",
-    "MutableDefaultRule",
-    "ExportHygieneRule",
-    "DeterministicJsonRule",
-    "MetricsDriftRule",
-    "SpanDriftRule",
-    "ExceptionSafetyRule",
     "DeterministicIterationRule",
 ]
 
@@ -49,13 +32,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     WormEncapsulationRule,
     ChargeDisciplineRule,
     EngineImportsRule,
-    ExceptionHygieneRule,
-    MutableDefaultRule,
-    ExportHygieneRule,
-    DeterministicJsonRule,
-    MetricsDriftRule,
-    SpanDriftRule,
-    ExceptionSafetyRule,
     DeterministicIterationRule,
 )
 

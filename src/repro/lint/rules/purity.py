@@ -49,13 +49,11 @@ _EXEMPT_SUFFIX = "vsystem/clock.py"
 
 
 class SimTimePurityRule(Rule):
+    """No wall-clock reads (``time.time``, ``datetime.now``, ...) and no
+    unseeded randomness outside vsystem/clock.py; determinism is what makes
+    the Fig-3/Fig-4 counts reproducible (§3, §2.1)."""
+
     name = "sim-time"
-    description = (
-        "No wall-clock reads (time.time, datetime.now, ...) and no unseeded "
-        "randomness outside vsystem/clock.py; determinism is what makes "
-        "the Fig-3/Fig-4 counts reproducible."
-    )
-    paper_section = "§3 (measured cost constants), §2.1 (timestamps)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
         if ctx.relpath.endswith(_EXEMPT_SUFFIX):

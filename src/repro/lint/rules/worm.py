@@ -18,7 +18,7 @@ file-backed devices, volumes delegating to their device) as long as every
 definition of the delegate name charges.  Callees are resolved by *short
 name*, not type: ``x.read_block()`` matches every project definition of
 ``read_block`` — a hazard missed because two classes share a method name
-is worse than a finding that needs a suppression comment.
+is worse than a false positive fixed by charging or renaming.
 
 The engine-imports rule keeps the server's cost accounting independent of
 the tooling that observes it: ``core``, ``worm``, ``cache`` and ``vsystem``
@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.base import FileContext, Finding, ProjectContext, ProjectRule, Rule
+from repro.lint.base import FileContext, Finding, ProjectRule, Rule
 
 __all__ = ["WormEncapsulationRule", "ChargeDisciplineRule", "EngineImportsRule"]
 
@@ -60,13 +60,11 @@ _WORM_PRIVATE = frozenset(
 
 
 class WormEncapsulationRule(Rule):
+    """Outside repro/worm, no access to a device's private block storage
+    (``_blocks``, ``_raw_overwrite``, ...): the append-only contract is
+    enforced by the device layer, not by convention (§2, §2.3.2)."""
+
     name = "worm-encapsulation"
-    description = (
-        "Outside repro/worm, no access to a device's private block storage "
-        "(_blocks, _raw_overwrite, ...): the append-only contract is "
-        "enforced by the device layer, not by convention."
-    )
-    paper_section = "§2 (append-only device contract), §2.3.2 (corruption)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
         if ctx.in_package("worm"):
@@ -212,21 +210,19 @@ def _collect_functions(ctx: FileContext) -> list[_FunctionInfo]:
 
 
 class ChargeDisciplineRule(ProjectRule):
+    """Every implementation of a device/volume I/O primitive in repro/worm
+    or repro/core must transitively charge simulated time; any other
+    function there that performs device I/O must go through a charging
+    primitive or charge itself (§3, §3.3.2)."""
+
     name = "charge-discipline"
-    description = (
-        "Every implementation of a device/volume I/O primitive in "
-        "repro/worm or repro/core must transitively charge simulated time; "
-        "any other function there that performs device I/O must go through "
-        "a charging primitive or charge itself."
-    )
-    paper_section = "§3 (cost model), §3.3.2 (read costs)"
 
     @staticmethod
     def _in_scope(ctx: FileContext) -> bool:
         return ctx.in_package("worm") or ctx.in_package("core")
 
-    def check_project(self, project: ProjectContext) -> list[Finding]:
-        scoped = [ctx for ctx in project.files if self._in_scope(ctx)]
+    def check_project(self, files: list[FileContext]) -> list[Finding]:
+        scoped = [ctx for ctx in files if self._in_scope(ctx)]
         if not scoped:
             return []
         per_module = {ctx.relpath: _collect_functions(ctx) for ctx in scoped}
@@ -341,14 +337,13 @@ _LOAD_POINT = ("repro/core/service.py", "enable_observability", "repro.obs.wirin
 
 
 class EngineImportsRule(Rule):
+    """repro/core, worm, cache and vsystem never import repro.obs,
+    repro.lint, repro.cli or bench — at module level, inside a function or
+    under TYPE_CHECKING — except the plug-in load point in
+    ``LogService.enable_observability`` (§3: the server owns its cost
+    accounting)."""
+
     name = "engine-imports"
-    description = (
-        "repro/core, worm, cache and vsystem never import repro.obs, "
-        "repro.lint, repro.cli or bench — at module level, inside a "
-        "function or under TYPE_CHECKING — except the plug-in load point "
-        "in LogService.enable_observability."
-    )
-    paper_section = "§3 (the server owns its cost accounting)"
 
     def check(self, ctx: FileContext) -> list[Finding]:
         if not any(ctx.in_package("repro", pkg) for pkg in _ENGINE_PACKAGES):

@@ -472,13 +472,9 @@ _PHASE_RUNNERS = {
 
 
 def _registry_picks(service: Any) -> dict[str, float]:
-    picks: dict[str, float] = {}
-    for name in _REGISTRY_PICKS:
-        try:
-            picks[name] = metric_value(service, name)
-        except Exception:
-            picks[name] = -1.0
-    return picks
+    # metric_value raises ValueError on an unknown name, so a renamed or
+    # removed family fails the run.
+    return {name: metric_value(service, name) for name in _REGISTRY_PICKS}
 
 
 def _span_digest(span: Any) -> str:

@@ -1,5 +1,5 @@
-"""Fixture tests for the exception-safety and deterministic-iteration
-rules (``repro.lint.rules.robustness``).  They arrived with the PR-8
+"""Fixture tests for the deterministic-iteration rule
+(``repro.lint.rules.iteration``).  They arrived with an earlier
 concurrency analyzer and outlived it; the file keeps its name so the test
 ids stay stable."""
 
@@ -19,93 +19,6 @@ def lint(tmp_path, files, rule):
     write_tree(tmp_path, files)
     result = run_lint(tmp_path, [tmp_path])
     return [f for f in result.findings if f.rule == rule]
-
-
-class TestExceptionSafetyRule:
-    def test_unprotected_toggle_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["Journal"]
-
-
-                class Journal:
-                    def __init__(self) -> None:
-                        self.enabled = True
-
-                    def emit_quietly(self, fn) -> None:
-                        self.enabled = False
-                        fn()
-                        self.enabled = True
-                """},
-            "exception-safety",
-        )
-        assert len(findings) == 1
-        assert "self.enabled" in findings[0].message
-        assert "try/finally" in findings[0].message
-
-    def test_try_finally_restore_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["Journal"]
-
-
-                class Journal:
-                    def __init__(self) -> None:
-                        self.enabled = True
-
-                    def emit_quietly(self, fn) -> None:
-                        self.enabled = False
-                        try:
-                            fn()
-                        finally:
-                            self.enabled = True
-                """},
-            "exception-safety",
-        )
-        assert findings == []
-
-    def test_save_and_restore_pattern_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["Tracer"]
-
-
-                class Tracer:
-                    def __init__(self) -> None:
-                        self.depth = 0
-
-                    def nested(self, fn) -> None:
-                        saved = self.depth
-                        self.depth = 0
-                        fn()
-                        self.depth = saved
-                """},
-            "exception-safety",
-        )
-        assert len(findings) == 1
-
-    def test_sequential_computed_reassignment_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["Cursor"]
-
-
-                class Cursor:
-                    def __init__(self) -> None:
-                        self.position = 0
-
-                    def walk(self, step, probe) -> None:
-                        self.position = step(0)
-                        probe(self.position)
-                        self.position = step(1)
-                """},
-            "exception-safety",
-        )
-        assert findings == []
 
 
 class TestDeterministicIterationRule:

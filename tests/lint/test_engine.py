@@ -1,10 +1,7 @@
-"""Engine behavior: discovery, suppression comments, occurrence
-numbering, parse errors, and baseline round trips."""
+"""Engine behavior: discovery and parse errors."""
 
 import textwrap
 
-from repro.lint.base import Finding
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.engine import PARSE_ERROR_RULE, discover_files, run_lint
 
 
@@ -21,97 +18,6 @@ class TestDiscovery:
         write(tmp_path, "pkg/__pycache__/mod.cpython-311.py", "X = 1\n")
         assert discover_files([tmp_path]) == [keep.resolve()]
         assert discover_files([keep]) == [keep.resolve()]
-
-
-class TestSuppression:
-    def test_line_comment_suppresses_one_finding(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            import time
-
-            A = time.time()  # clio-lint: disable=sim-time
-            B = time.time()
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        sim = [f for f in result.findings if f.rule == "sim-time"]
-        assert [f.line for f in sim] == [4]
-        assert result.suppressed == 1
-
-    def test_file_comment_suppresses_the_whole_file(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            # clio-lint: disable-file=sim-time
-            import time
-
-            A = time.time()
-            B = time.time()
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        assert [f for f in result.findings if f.rule == "sim-time"] == []
-        assert result.suppressed == 2
-
-    def test_other_rules_still_fire_on_suppressed_lines(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            import time
-
-            A = time.time()  # clio-lint: disable=bare-except
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        assert [f.rule for f in result.findings if f.line == 3] == ["sim-time"]
-
-    def test_one_comment_can_name_several_rules(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            import time
-
-            __all__ = ["f"]
-
-
-            def f(xs=[], t=time.time()):  # clio-lint: disable=sim-time, mutable-default
-                return xs, t
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        assert result.findings == []
-        assert result.suppressed == 2
-
-    def test_suppression_on_a_decorated_def_line(self, tmp_path):
-        # The finding anchors at the ``def`` line (not the decorator), so
-        # that is where the suppression comment must live.
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            import functools
-
-            __all__ = ["wrapped", "plain"]
-
-
-            @functools.lru_cache
-            def wrapped(xs=[]):  # clio-lint: disable=mutable-default
-                return xs
-
-
-            def plain(xs=[]):
-                return xs
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        defaults = [f for f in result.findings if f.rule == "mutable-default"]
-        assert [f.line for f in defaults] == [11]
-        assert result.suppressed == 1
 
 
 class TestParseError:
@@ -150,80 +56,3 @@ class TestParseError:
             f.rule == "sim-time" and f.path == "good.py"
             for f in result.findings
         ), good
-
-
-class TestFingerprints:
-    def test_fingerprint_ignores_line_number(self):
-        a = Finding(rule="r", path="p.py", line=3, message="m", line_text="x = 1")
-        b = Finding(rule="r", path="p.py", line=9, message="m", line_text="x = 1")
-        assert a.fingerprint == b.fingerprint
-
-    def test_repeated_identical_lines_get_distinct_occurrences(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """\
-            import time
-
-            t = time.time()
-            t = time.time()
-            """,
-        )
-        result = run_lint(tmp_path, [tmp_path])
-        sim = [f for f in result.findings if f.rule == "sim-time"]
-        assert [f.occurrence for f in sim] == [0, 1]
-        assert len({f.fingerprint for f in sim}) == 2
-
-
-class TestBaselineStability:
-    def test_baseline_survives_reformatting_above_the_finding(self, tmp_path):
-        path = write(
-            tmp_path,
-            "mod.py",
-            """\
-            import time
-
-            __all__ = []
-
-            STARTED = time.time()
-            """,
-        )
-        first = run_lint(tmp_path, [tmp_path])
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, first.findings)
-
-        # Reformat: new header comment and blank lines shift every line
-        # number, but the finding's own line text is unchanged.
-        path.write_text(
-            "# Module header added later.\n\n\n"
-            "import time\n\n__all__ = []\n\n\n"
-            "STARTED = time.time()\n"
-        )
-        second = run_lint(tmp_path, [tmp_path])
-        accepted = load_baseline(baseline)
-        assert [f.line for f in second.findings] == [9]
-        assert [
-            f for f in second.findings if f.fingerprint not in accepted
-        ] == []
-
-
-class TestBaseline:
-    def test_round_trip_and_missing_file(self, tmp_path):
-        findings = [
-            Finding(rule="r", path="a.py", line=1, message="m", line_text="x"),
-            Finding(rule="r", path="b.py", line=2, message="m", line_text="y"),
-        ]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        assert load_baseline(path) == {f.fingerprint for f in findings}
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_baseline_file_is_byte_deterministic(self, tmp_path):
-        findings = [
-            Finding(rule="r", path="b.py", line=2, message="m", line_text="y"),
-            Finding(rule="r", path="a.py", line=1, message="m", line_text="x"),
-        ]
-        first, second = tmp_path / "one.json", tmp_path / "two.json"
-        write_baseline(first, findings)
-        write_baseline(second, list(reversed(findings)))
-        assert first.read_bytes() == second.read_bytes()

@@ -4,6 +4,7 @@ stays silent on a known-good one."""
 import textwrap
 
 from repro.lint.engine import run_lint
+from tests.integration.test_obs_docs import metric_drift, span_drift
 
 
 def lint(tmp_path, files, rule):
@@ -344,290 +345,38 @@ class TestEngineImports:
         assert [f.line for f in findings] == [3, 8]
 
 
-class TestExceptionHygiene:
-    def test_bare_except_and_swallowing_catch_all_are_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def risky(op):
-                    try:
-                        op()
-                    except:
-                        pass
-                    try:
-                        op()
-                    except Exception:
-                        pass
-                """},
-            "bare-except",
-        )
-        assert len(findings) == 2
+# The metric and span drift checks run as the doc-sync test in
+# tests/integration/test_obs_docs.py rather than as lint rules; these
+# fixtures plant drift on each side of both catalogs.
 
-    def test_narrow_and_handled_exceptions_are_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def risky(op, log):
-                    try:
-                        op()
-                    except ValueError:
-                        pass
-                    try:
-                        op()
-                    except Exception as exc:
-                        log.append(exc)
-                        raise
-                """},
-            "bare-except",
-        )
-        assert findings == []
+_METRIC_DOC_OK = textwrap.dedent("""\
+    ## Metric catalog
 
-
-class TestMutableDefault:
-    def test_list_default_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def collect(item, into=[]):
-                    into.append(item)
-                    return into
-                """},
-            "mutable-default",
-        )
-        assert len(findings) == 1
-        assert "collect" in findings[0].message
-
-    def test_dict_call_and_kwonly_defaults_are_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def configure(*, options=dict(), tags={}):
-                    return options, tags
-                """},
-            "mutable-default",
-        )
-        assert len(findings) == 2
-
-    def test_none_default_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def collect(item, into=None):
-                    into = [] if into is None else into
-                    into.append(item)
-                    return into
-                """},
-            "mutable-default",
-        )
-        assert findings == []
-
-
-class TestExportHygiene:
-    def test_missing_all_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                def public():
-                    return 1
-                """},
-            "export-hygiene",
-        )
-        assert len(findings) == 1
-        assert "no __all__" in findings[0].message
-
-    def test_unlisted_public_unbound_and_duplicate_are_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["listed", "ghost", "listed"]
-
-
-                def listed():
-                    return 1
-
-
-                def unlisted():
-                    return 2
-                """},
-            "export-hygiene",
-        )
-        messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 3
-        assert "duplicate" in messages
-        assert "'ghost'" in messages
-        assert "'unlisted'" in messages
-
-    def test_truthful_all_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["Public", "helper"]
-
-
-                class Public:
-                    pass
-
-
-                def helper():
-                    return Public()
-
-
-                def _private():
-                    return None
-                """},
-            "export-hygiene",
-        )
-        assert findings == []
-
-    def test_module_getattr_permits_lazy_names(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                __all__ = ["lazy"]
-
-
-                def __getattr__(name):
-                    raise AttributeError(name)
-                """},
-            "export-hygiene",
-        )
-        assert findings == []
-
-
-class TestDeterministicJson:
-    def test_dumps_without_sort_keys_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                import json
-                from json import dumps as encode
-
-
-                def snapshot(state):
-                    return json.dumps(state), encode(state)
-                """},
-            "nondeterministic-json",
-        )
-        assert len(findings) == 2
-
-    def test_sorted_dumps_and_kwargs_passthrough_are_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"mod.py": """\
-                import json
-
-
-                def snapshot(state, **kwargs):
-                    a = json.dumps(state, sort_keys=True)
-                    b = json.dumps(state, **kwargs)
-                    return a, b
-                """},
-            "nondeterministic-json",
-        )
-        assert findings == []
-
-
-_WIRING_OK = """\
-    def wire(registry):
-        instruments = {
-            field: registry.counter(f"clio_dev_{field}_total", "help")
-            for field in ("reads", "writes")
-        }
-        registry.counter("clio_good_total", "help")
-        registry.histogram("clio_lat_ms", "help")
-        return instruments
-    """
-
-_DOC_OK = """\
     | `clio_dev_reads_total` | device reads |
-    | `clio_dev_writes_total` | device writes |
     | `clio_good_total` | a counter |
-    | `clio_lat_ms` | exported as `clio_lat_ms_bucket` etc. |
-    """
+
+    ## Next section
+    """)
+
+_LIVE_OK = {"clio_dev_reads_total", "clio_good_total"}
 
 
 class TestMetricsDrift:
-    def write_doc(self, tmp_path, text):
-        path = tmp_path / "docs" / "OBSERVABILITY.md"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text))
+    def test_synchronized_namespace_is_clean(self):
+        assert metric_drift(_METRIC_DOC_OK, _LIVE_OK) == set()
 
-    def test_synchronized_namespace_is_clean(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK)
-        findings = lint(
-            tmp_path, {"obs/wiring.py": _WIRING_OK}, "metrics-drift"
-        )
-        assert findings == []
-
-    def test_registered_but_undocumented_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK)
-        findings = lint(
-            tmp_path,
-            {"obs/wiring.py": _WIRING_OK.replace(
-                '"clio_good_total"', '"clio_sneaky_total"'
-            )},
-            "metrics-drift",
-        )
-        messages = "\n".join(f.message for f in findings)
-        assert "'clio_sneaky_total'" in messages
-        assert "not documented" in messages
+    def test_registered_but_undocumented_is_flagged(self):
+        live = _LIVE_OK - {"clio_good_total"} | {"clio_sneaky_total"}
         # The doc's now-stale clio_good_total row is the mirror error.
-        assert "'clio_good_total'" in messages
+        assert metric_drift(_METRIC_DOC_OK, live) == {
+            "clio_sneaky_total", "clio_good_total"
+        }
 
-    def test_documented_but_unregistered_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK + "| `clio_ghost_total` | gone |\n")
-        findings = lint(
-            tmp_path, {"obs/wiring.py": _WIRING_OK}, "metrics-drift"
+    def test_documented_but_unregistered_is_flagged(self):
+        doc = _METRIC_DOC_OK.replace(
+            "## Next", "| `clio_ghost_total` | gone |\n\n## Next"
         )
-        assert len(findings) == 1
-        assert "'clio_ghost_total'" in findings[0].message
-        assert findings[0].path == "docs/OBSERVABILITY.md"
-
-    def test_unregistered_reference_in_source_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK)
-        findings = lint(
-            tmp_path,
-            {
-                "obs/wiring.py": _WIRING_OK,
-                "obs/slo.py": """\
-                    RULE_METRIC = "clio_missing_total"
-                    """,
-            },
-            "metrics-drift",
-        )
-        assert len(findings) == 1
-        assert "'clio_missing_total'" in findings[0].message
-        assert findings[0].path == "obs/slo.py"
-
-    def test_histogram_series_and_docstring_prose_resolve(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK)
-        findings = lint(
-            tmp_path,
-            {
-                "obs/wiring.py": _WIRING_OK,
-                "obs/export.py": '''\
-                    """Prose mentioning clio_anything_total is not a reference."""
-
-                    SERIES = "clio_lat_ms_bucket"
-                    ''',
-            },
-            "metrics-drift",
-        )
-        assert findings == []
-
-    def test_unanalyzable_registration_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _DOC_OK)
-        findings = lint(
-            tmp_path,
-            {"obs/wiring.py": _WIRING_OK + """\
-
-    def wire_dynamic(registry, name):
-        registry.counter(name, "help")
-    """},
-            "metrics-drift",
-        )
-        assert len(findings) == 1
-        assert "not statically analyzable" in findings[0].message
+        assert metric_drift(doc, _LIVE_OK) == {"clio_ghost_total"}
 
 
 _SPAN_SRC_OK = """\
@@ -640,7 +389,7 @@ _SPAN_SRC_OK = """\
             pass
     """
 
-_SPAN_DOC_OK = """\
+_SPAN_DOC_OK = textwrap.dedent("""\
     # Observability
 
     ### Span-name catalog
@@ -653,75 +402,40 @@ _SPAN_DOC_OK = """\
     ### Next section
 
     | `unrelated.table` | rows outside the catalog are ignored |
-    """
+    """)
 
 
 class TestSpanDrift:
-    def write_doc(self, tmp_path, text):
-        path = tmp_path / "docs" / "OBSERVABILITY.md"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text))
+    def test_synchronized_catalog_is_clean(self):
+        assert span_drift(_SPAN_DOC_OK, [_SPAN_SRC_OK]) == set()
 
-    def test_synchronized_catalog_is_clean(self, tmp_path):
-        self.write_doc(tmp_path, _SPAN_DOC_OK)
-        findings = lint(
-            tmp_path, {"core/service.py": _SPAN_SRC_OK}, "span-drift"
-        )
-        assert findings == []
-
-    def test_opened_but_undeclared_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _SPAN_DOC_OK)
-        findings = lint(
-            tmp_path,
-            {
-                "core/service.py": _SPAN_SRC_OK.replace(
-                    '"append"', '"append.sneaky"'
-                )
-            },
-            "span-drift",
-        )
-        messages = "\n".join(f.message for f in findings)
-        assert "'append.sneaky'" in messages
-        assert "not declared" in messages
+    def test_opened_but_undeclared_is_flagged(self):
+        source = _SPAN_SRC_OK.replace('"append"', '"append.sneaky"')
         # The catalog's now-stale `append` row is the mirror error.
-        assert "'append'" in messages
+        assert span_drift(_SPAN_DOC_OK, [source]) == {
+            '"append.sneaky"', '"append"'
+        }
 
-    def test_declared_but_never_opened_is_flagged(self, tmp_path):
-        self.write_doc(
-            tmp_path, _SPAN_DOC_OK.replace(
-                "| `append` | the service |",
-                "| `append` | the service |\n| `ghost.span` | nobody |",
-            )
+    def test_declared_but_never_opened_is_flagged(self):
+        doc = _SPAN_DOC_OK.replace(
+            "| `append` | the service |",
+            "| `append` | the service |\n| `ghost.span` | nobody |",
         )
-        findings = lint(
-            tmp_path, {"core/service.py": _SPAN_SRC_OK}, "span-drift"
-        )
-        assert len(findings) == 1
-        assert "'ghost.span'" in findings[0].message
-        assert findings[0].path == "docs/OBSERVABILITY.md"
+        assert span_drift(doc, [_SPAN_SRC_OK]) == {'"ghost.span"'}
 
-    def test_rows_outside_catalog_section_are_ignored(self, tmp_path):
+    def test_rows_outside_catalog_section_are_ignored(self):
         # `unrelated.table` sits under "Next section", not the catalog, so
         # it is neither declared nor required to be opened.
-        self.write_doc(tmp_path, _SPAN_DOC_OK)
-        findings = lint(
-            tmp_path, {"core/service.py": _SPAN_SRC_OK}, "span-drift"
+        assert '"unrelated.table"' not in span_drift(
+            _SPAN_DOC_OK, [_SPAN_SRC_OK]
         )
-        assert findings == []
+        moved = _SPAN_DOC_OK.replace("### Next section\n", "")
+        assert span_drift(moved, [_SPAN_SRC_OK]) == {'"unrelated.table"'}
 
-    def test_non_literal_span_name_is_flagged(self, tmp_path):
-        self.write_doc(tmp_path, _SPAN_DOC_OK)
-        findings = lint(
-            tmp_path,
-            {
-                "core/service.py": _SPAN_SRC_OK + """\
-
+    def test_non_literal_span_name_is_flagged(self):
+        dynamic = """\
     def dynamic(self, name):
         with self.tracer.span(name):
             pass
     """
-            },
-            "span-drift",
-        )
-        assert len(findings) == 1
-        assert "not a string literal" in findings[0].message
+        assert span_drift(_SPAN_DOC_OK, [_SPAN_SRC_OK, dynamic]) == {"n"}

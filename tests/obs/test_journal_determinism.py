@@ -1,10 +1,10 @@
 """Journal determinism: two services running the identical workload must
 persist byte-identical event journals.
 
-This is the property the nondeterministic-json lint rule protects — event
-encoding is sorted-key JSON, so identical histories burn identical bytes
-on the write-once medium, and a re-persisted journal never diverges from
-the original."""
+This test holds the property on the real bytes — event encoding is
+sorted-key JSON, so identical histories burn identical bytes on the
+write-once medium, and a re-persisted journal never diverges from the
+original."""
 
 from repro.core import LogService
 from repro.obs.events import EventLog

@@ -18,6 +18,7 @@ import pathlib
 import pytest
 
 from repro.core.service import LogService
+from repro.obs import workload
 from repro.obs.slo import AlertLog, SloEngine, ThresholdRule
 from repro.obs.workload import (
     COVERAGE_FLOOR,
@@ -125,6 +126,13 @@ class TestSmokeRun:
                 "clio_sim_clock_ms",
             ):
                 assert later["registry"][name] >= earlier["registry"][name]
+
+    def test_unknown_registry_pick_raises(self, monkeypatch):
+        # A renamed or removed family must fail the run, not record -1.0.
+        picks = (*workload._REGISTRY_PICKS, "clio_gone_total")
+        monkeypatch.setattr(workload, "_REGISTRY_PICKS", picks)
+        with pytest.raises(ValueError, match="clio_gone_total"):
+            workload._registry_picks(LogService.create())
 
     def test_alert_log_read_back_matches_timeline(self, smoke_run):
         alerts = smoke_run.as_dict()["alerts"]
