@@ -219,6 +219,8 @@ class BlockBuilder:
         self.cont_out = False
         self._fragments: list[bytes] = []
         self._data_len = 0
+        #: The last :meth:`encode`; the two adders, the only mutators, drop it.
+        self._image: bytes | None = None
 
     # -- capacity ----------------------------------------------------------
 
@@ -263,6 +265,7 @@ class BlockBuilder:
         take = min(free, len(record))
         self._fragments.append(record[:take])
         self._data_len += take
+        self._image = None
         if take < len(record):
             self.cont_out = True
         return take
@@ -283,6 +286,7 @@ class BlockBuilder:
         take = min(free, len(remainder))
         self._fragments.append(remainder[:take])
         self._data_len += take
+        self._image = None
         if take < len(remainder):
             self.cont_out = True
         return take
@@ -291,6 +295,8 @@ class BlockBuilder:
 
     def encode(self) -> bytes:
         """Produce the full block image (free space zero-filled, CRC set)."""
+        if self._image is not None:
+            return self._image
         flags = 0
         cont_len = 0
         if self.cont_in:
@@ -319,7 +325,8 @@ class BlockBuilder:
             raise RuntimeError("block overfilled — builder accounting bug")
         image_wo_crc = header + body + b"\x00" * gap + index
         crc = zlib.crc32(image_wo_crc)
-        return image_wo_crc + struct.pack(">I", crc)
+        self._image = image_wo_crc + struct.pack(">I", crc)
+        return self._image
 
     @classmethod
     def from_image(cls, data: bytes) -> "BlockBuilder":

@@ -25,6 +25,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
+from repro.core.entrymap import UNTRACKED_IDS
 from repro.core.ids import (
     FIRST_CLIENT_ID,
     MAX_LOGFILE_ID,
@@ -164,6 +165,11 @@ class Catalog:
         self._by_id: dict[int, LogFileInfo] = {VOLUME_SEQUENCE_ID: root}
         self._children: dict[int, dict[str, int]] = {VOLUME_SEQUENCE_ID: {}}
         self._next_id = FIRST_CLIENT_ID
+        #: Memoized :meth:`chain` / :meth:`tracked` answers, filled on first
+        #: ask.  The catalog only grows (no rename, delete or reparent), so
+        #: an answer once walked never goes stale.
+        self._chains: dict[int, tuple[int, ...]] = {}
+        self._tracked: dict[int, frozenset[int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -204,13 +210,39 @@ class Catalog:
         """Ids of ``logfile_id`` and all its ancestors up to (and
         including) the root.  Entry membership propagates along this chain:
         a sublog entry 'also belongs to' every ancestor log file."""
-        chain = []
-        info = self.info(logfile_id)
-        while True:
-            chain.append(info.logfile_id)
-            if info.is_root:
-                return chain
-            info = self.info(info.parent_id)
+        return list(self.chain(logfile_id))
+
+    def chain(self, logfile_id: int) -> tuple[int, ...]:
+        """:meth:`ancestors`, memoized; an unknown id raises and memoizes
+        nothing."""
+        chain = self._chains.get(logfile_id)
+        if chain is None:
+            walk: list[int] = []
+            info = self.info(logfile_id)
+            while not info.is_root:
+                walk.append(info.logfile_id)
+                info = self.info(info.parent_id)
+            walk.append(info.logfile_id)
+            chain = self._chains[logfile_id] = tuple(walk)
+        return chain
+
+    def tracked(self, logfile_id: int) -> frozenset[int]:
+        """The log files the entrymap notes an entry of ``logfile_id``
+        under: its :meth:`chain` minus ``UNTRACKED_IDS``, memoized alike."""
+        members = self._tracked.get(logfile_id)
+        if members is None:
+            members = frozenset(self.chain(logfile_id)) - UNTRACKED_IDS
+            self._tracked[logfile_id] = members
+        return members
+
+    def owner_tracked(self, logfile_id: int) -> frozenset[int]:
+        """:meth:`tracked` for an owner id read off the medium: an id the
+        catalog has never seen (garbage carrying a valid header, or an
+        entry whose CREATE was lost) belongs to itself alone."""
+        try:
+            return self.tracked(logfile_id)
+        except CatalogError:
+            return frozenset((logfile_id,)) - UNTRACKED_IDS
 
     def all_ids(self) -> list[int]:
         return sorted(self._by_id)

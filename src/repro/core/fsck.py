@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.catalog import Catalog, CatalogError, CatalogRecord
-from repro.core.entrymap import UNTRACKED_IDS, EntrymapRecord
+from repro.core.entrymap import EntrymapRecord
 from repro.core.ids import (
     CATALOG_ID,
     CORRUPTED_BLOCK_ID,
@@ -82,11 +82,7 @@ def _block_entry_info(reader, volume_index, block, catalog):
             continue
         if first_ts == "unset":
             first_ts = header.timestamp
-        try:
-            chain = catalog.ancestors(header.logfile_id)
-        except Exception:
-            chain = [header.logfile_id]
-        members.update(a for a in chain if a not in UNTRACKED_IDS)
+        members.update(catalog.owner_tracked(header.logfile_id))
     if first_ts == "unset":
         first_ts = None
     return members, first_ts, parsed
@@ -256,13 +252,7 @@ def check_service(service, max_blocks: int | None = None) -> FsckReport:
                 if starts:
                     header = reader.entry_header_at(parsed, starts[-1])
                     if header is not None:
-                        try:
-                            chain = catalog.ancestors(header.logfile_id)
-                        except Exception:
-                            chain = [header.logfile_id]
-                        owner = {
-                            a for a in chain if a not in UNTRACKED_IDS
-                        }
+                        owner = catalog.owner_tracked(header.logfile_id)
                 # else: pure middle block — owner unchanged.
             else:
                 owner = None

@@ -23,12 +23,7 @@ from typing import Callable, Hashable, Iterator
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
 from repro.core.catalog import CatalogError
 from repro.core.entry import CorruptRecord, LogEntry, decode_record, peek_logfile_id
-from repro.core.entrymap import (
-    UNTRACKED_IDS,
-    EntrymapRecord,
-    EntrymapSearch,
-    SearchStats,
-)
+from repro.core.entrymap import EntrymapRecord, EntrymapSearch, SearchStats
 from repro.core.ids import ENTRYMAP_ID, EntryLocation
 from repro.core.store import LogStore
 from repro.worm.errors import (
@@ -458,6 +453,7 @@ class LogReader:
         if parsed is None:
             return None
         members: set[int] = set()
+        owner_tracked = self.store.catalog.owner_tracked
         ids = self.record_ids(parsed)
         for slot in parsed.entry_start_slots():
             record_id = ids[slot]
@@ -468,11 +464,11 @@ class LogReader:
                 # intact block).  Report it once per location.
                 self._report_corrupt_record(volume_index, local_block, slot)
                 continue
-            members.update(self._tracked_ancestors(record_id))
+            members.update(owner_tracked(record_id))
         if parsed.cont_in:
             owner = self._continuation_owner(volume_index, local_block)
             if owner is not None:
-                members.update(self._tracked_ancestors(owner))
+                members.update(owner_tracked(owner))
         return frozenset(members)
 
     def _report_corrupt_record(
@@ -486,15 +482,6 @@ class LogReader:
         self.store.journal.emit(
             "record.corrupt", volume=volume_index, block=local_block, slot=slot
         )
-
-    def _tracked_ancestors(self, logfile_id: int) -> list[int]:
-        try:
-            chain = self.store.catalog.ancestors(logfile_id)
-        except CatalogError:
-            # An id the catalog has never seen (garbage that happens to
-            # carry a valid header-version) belongs to itself alone.
-            chain = [logfile_id]
-        return [a for a in chain if a not in UNTRACKED_IDS]
 
     def _continuation_owner(self, volume_index: int, local_block: int) -> int | None:
         """The logfile id of the entry whose fragment opens this block."""
@@ -716,7 +703,7 @@ class LogReader:
             # a volume can also be considered a log file" (Section 2).
             return True
         try:
-            return wanted in self.store.catalog.ancestors(entry_logfile_id)
+            return wanted in self.store.catalog.chain(entry_logfile_id)
         except CatalogError:
             return False
 

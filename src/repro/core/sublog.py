@@ -27,7 +27,7 @@ def is_member(catalog: Catalog, entry_logfile_id: int, target_logfile_id: int) -
     """
     if target_logfile_id == VOLUME_SEQUENCE_ID:
         return True
-    return target_logfile_id in catalog.ancestors(entry_logfile_id)
+    return target_logfile_id in catalog.chain(entry_logfile_id)
 
 
 def descendants(catalog: Catalog, logfile_id: int) -> set[int]:
@@ -45,14 +45,13 @@ def descendants(catalog: Catalog, logfile_id: int) -> set[int]:
 
 def depth(catalog: Catalog, logfile_id: int) -> int:
     """Distance from the root (the root itself has depth 0)."""
-    return len(catalog.ancestors(logfile_id)) - 1
+    return len(catalog.chain(logfile_id)) - 1
 
 
 def common_ancestor(catalog: Catalog, a: int, b: int) -> int:
     """Deepest log file both ``a`` and ``b`` belong to (possibly the root)."""
-    ancestors_a = catalog.ancestors(a)
-    ancestors_b = set(catalog.ancestors(b))
-    for candidate in ancestors_a:
+    ancestors_b = catalog.chain(b)
+    for candidate in catalog.chain(a):
         if candidate in ancestors_b:
             return candidate
     return VOLUME_SEQUENCE_ID

@@ -129,8 +129,7 @@ class TailWriter:
         durable before returning (NVRAM store, or a burned partial block on
         pure WORM configurations).
         """
-        ancestors = self.store.catalog.ancestors(logfile_id)
-        tracked = frozenset(a for a in ancestors if a not in UNTRACKED_IDS)
+        tracked = self.store.catalog.tracked(logfile_id)
         timestamp = None
         if want_timestamp or client_seq is not None:
             timestamp = self._make_timestamp()
@@ -179,8 +178,7 @@ class TailWriter:
             )
         if not payloads:
             return []
-        ancestors = self.store.catalog.ancestors(logfile_id)
-        tracked = frozenset(a for a in ancestors if a not in UNTRACKED_IDS)
+        tracked = self.store.catalog.tracked(logfile_id)
         space = self.store.space
         results: list[AppendResult] = []
         self._amortize_timestamps = True
@@ -385,20 +383,16 @@ class TailWriter:
     def _renote_members(self, image: bytes, local: int) -> None:
         """Record a relocated block's memberships under its real address."""
         from repro.core.block import parse_block
-        from repro.core.entry import decode_record
+        from repro.core.entry import CorruptRecord, decode_record
 
         parsed = parse_block(image)
         members: set[int] = set(self._carry_tracked_ids if parsed.cont_in else ())
         for slot in parsed.entry_start_slots():
             try:
                 header = decode_record(parsed.fragment(slot)).entry
-            except Exception:
+            except CorruptRecord:
                 continue
-            try:
-                chain = self.store.catalog.ancestors(header.logfile_id)
-            except Exception:
-                chain = [header.logfile_id]
-            members.update(a for a in chain if a not in UNTRACKED_IDS)
+            members.update(self.store.catalog.owner_tracked(header.logfile_id))
         if members:
             self._state.note_membership(local, members)
 

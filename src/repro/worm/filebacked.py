@@ -217,19 +217,29 @@ class FileBackedNvram(NvramTail):
         self._file_is_empty = not data
 
     def _persist(self) -> None:
+        """Write the image beside the sidecar in one ``write``, then rename
+        it over: a crash leaves the old file or the new, never a mix."""
+        image = self._image
+        if image is None:
+            raw = self._HEADER.pack(self._MAGIC, 0, 0)
+        else:
+            raw = (
+                self._HEADER.pack(self._MAGIC, image.block_index, len(image.data))
+                + image.data
+            )
         tmp = self.path + ".tmp"
-        with open(tmp, "wb") as handle:
-            if self._image is None:
-                handle.write(self._HEADER.pack(self._MAGIC, 0, 0))
-            else:
-                handle.write(
-                    self._HEADER.pack(
-                        self._MAGIC, self._image.block_index, len(self._image.data)
-                    )
-                )
-                handle.write(self._image.data)
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                written = os.write(fd, raw)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise StorageError(f"{tmp!r}: {exc}") from exc
+        if written != len(raw):
+            raise StorageError(f"{tmp!r}: wrote {written} of {len(raw)} bytes")
         os.replace(tmp, self.path)
-        self._file_is_empty = self._image is None
+        self._file_is_empty = image is None
 
     def store(self, block_index: int, data: bytes) -> None:
         super().store(block_index, data)
