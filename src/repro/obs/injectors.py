@@ -1,7 +1,15 @@
-"""Reusable fault injectors and the one stepped driver that fires them.
+"""The fault menu's vocabulary, its injectors, and the one stepped driver
+that fires them.
 
-One :class:`Injection` object per fault class carries the whole staging
-of that fault, in four steps:
+Section 2.3.2's failure catalog ("a failure may cause a portion of the log
+volume to be written with garbage"), the mirrored-volume option of Section
+5.1, and the NVRAM tail staging of Section 2.3.1 each name a way the log
+service can be damaged.  A :class:`FaultSpec` pins one such fault to a
+deterministic injection point, a simulated-clock trigger inside a
+canonical workload.  One :class:`Injection` subclass per fault class
+(listed once, in ``_INJECTION_CLASSES``) declares the channels its fault is
+designed to reach and carries the whole staging of that fault, in four
+steps:
 
 * :meth:`Injection.service_overrides` — constructor kwargs the fault
   needs staged before the service exists (a mirrored device factory, a
@@ -26,11 +34,10 @@ clock, corruption helpers use fixed seeds, and a failed premise raises
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.service import CrashRemains, LogService
-from repro.obs.faultspec import FaultSpec
 from repro.obs.slo import SloEngine, default_ruleset
 from repro.vsystem.clock import SimClock
 from repro.worm.corruption import CrashingWormDevice, corrupt_block
@@ -45,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import Event
 
 __all__ = [
+    "CHANNELS",
     "CORRUPT_KINDS",
     "CORRUPT_RULES",
     "MIRROR_KINDS",
@@ -54,6 +62,7 @@ __all__ = [
     "CampaignError",
     "CrashMidBatchInjection",
     "Drive",
+    "FaultSpec",
     "Injection",
     "MirrorDivergenceInjection",
     "NvramLossInjection",
@@ -78,6 +87,60 @@ CORRUPT_KINDS = frozenset({"block.corrupt", "record.corrupt"})
 
 #: Journal kinds a diverged mirror surfaces through.
 MIRROR_KINDS = frozenset({"mirror.read_repair", "mirror.replica_dropped"})
+
+
+#: The observability channels a fault can surface in, in report order.
+CHANNELS: tuple[str, ...] = ("events", "alerts", "recovery", "traces")
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """One fault, pinned to a deterministic injection point.
+
+    ``at_us`` is the simulated-clock trigger: the driver fires the
+    injection before the first workload step at or past that instant
+    (``0`` means the fault is configured before the workload starts, e.g.
+    a device factory that runs out of media).  ``params`` are per-class
+    integer knobs, stored as sorted pairs so the spec hashes and encodes
+    deterministically.  ``workload`` names the idle drive the campaign
+    runs the fault on (checked where that drive is looked up).
+    """
+
+    fault_id: str
+    fault_class: str
+    workload: str
+    at_us: int
+    params: tuple[tuple[str, int], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        if self.fault_class not in _INJECTION_CLASSES:
+            raise ValueError(f"unknown fault class {self.fault_class!r}")
+        if self.at_us < 0:
+            raise ValueError("at_us must be >= 0")
+        object.__setattr__(self, "params", tuple(sorted(self.params)))
+
+    def param(self, name: str) -> int:
+        for key, value in self.params:
+            if key == name:
+                return value
+        raise KeyError(f"{self.fault_id}: no parameter {name!r}")
+
+    @property
+    def expected_channels(self) -> tuple[str, ...]:
+        """The channels this fault's class is designed to surface in (the
+        "Detection coverage matrix" section of docs/OBSERVABILITY.md).
+        The silent-miss gate needs only one; this records the design."""
+        return _INJECTION_CLASSES[self.fault_class].expected_channels
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "at_us": self.at_us,
+            "expected_channels": list(self.expected_channels),
+            "fault_class": self.fault_class,
+            "fault_id": self.fault_id,
+            "params": {name: value for name, value in self.params},
+            "workload": self.workload,
+        }
 
 
 class CampaignError(RuntimeError):
@@ -205,6 +268,8 @@ class Injection:
     stop raises); then ``settle`` and ``probe``.
     """
 
+    #: The channels the fault is designed to surface in, in CHANNELS order.
+    expected_channels: tuple[str, ...] = ()
     #: Exceptions the driver should treat as the fault's planned stop.
     stop_on: tuple[type[BaseException], ...] = ()
 
@@ -248,6 +313,7 @@ class TornWriteInjection(Injection):
     """A torn sector write at the tail: the crash block carries a garbage
     suffix, which recovery's tail scan must flag as corrupt."""
 
+    expected_channels = ("events", "alerts", "recovery")
     stop_on = (DeviceCrashed,)
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -268,7 +334,7 @@ class TornWriteInjection(Injection):
         volume: Any = service.store.sequence.volumes[-1]
         crasher = CrashingWormDevice(
             volume.device,
-            crash_after_writes=self.spec.param("crash_after_writes", 1),
+            crash_after_writes=self.spec.param("crash_after_writes"),
             torn=True,
         )
         volume.device = crasher
@@ -310,6 +376,7 @@ class BitRotInjection(Injection):
     """Cold bit-rot: a written block rots to garbage while the service is
     down; the mount-time scan must flag it."""
 
+    expected_channels = ("events", "alerts", "recovery")
     stop_on = (CampaignAbort,)
 
     def fire(self, service: "LogService") -> None:
@@ -347,6 +414,8 @@ class MirrorDivergenceInjection(Injection):
     """One replica of a mirrored volume diverges (a block invalidated on
     it only); the next read must repair from a survivor and say so."""
 
+    expected_channels = ("events", "alerts")
+
     def __init__(self, spec: FaultSpec) -> None:
         super().__init__(spec)
         self.replica_sets: list[list[Any]] = []
@@ -354,7 +423,7 @@ class MirrorDivergenceInjection(Injection):
     def _factory(self) -> Any:
         pair = [
             WormDevice(1024, 4096, NULL_GEOMETRY)
-            for _ in range(self.spec.param("replicas", 2))
+            for _ in range(self.spec.param("replicas"))
         ]
         self.replica_sets.append(pair)
         return MirroredWormDevice(pair)
@@ -397,6 +466,7 @@ class NvramLossInjection(Injection):
     """The NVRAM staging the forced tail does not survive the crash; the
     remount must record that the staged image is gone."""
 
+    expected_channels = ("events", "recovery")
     stop_on = (CampaignAbort,)
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -447,13 +517,14 @@ class CrashMidBatchInjection(Injection):
     """The device dies part-way through a server-side group commit; the
     failed ``append_many`` must leave an error-attributed trace."""
 
+    expected_channels = ("traces",)
     stop_on = (DeviceCrashed,)
 
     def fire(self, service: "LogService") -> None:
         volume: Any = service.store.sequence.volumes[-1]
         volume.device = CrashingWormDevice(
             volume.device,
-            crash_after_writes=self.spec.param("crash_after_writes", 2),
+            crash_after_writes=self.spec.param("crash_after_writes"),
         )
         batch = [f"batch entry {index:04d} ".encode() * 8 for index in range(64)]
         service.open_log_file("/access").append_many(batch)
@@ -479,11 +550,12 @@ class VolumeExhaustionInjection(Injection):
     reaches the client.  The fault is configured at create time
     (``at_us=0``); :meth:`fire` is passive."""
 
+    expected_channels = ("events", "traces")
     stop_on = (VolumeSequenceError,)
 
     def __init__(self, spec: FaultSpec) -> None:
         super().__init__(spec)
-        self.capacity = spec.param("capacity_blocks", 48)
+        self.capacity = spec.param("capacity_blocks")
         self.made: list[Any] = []
 
     def _factory(self) -> Any:

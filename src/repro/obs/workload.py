@@ -45,9 +45,9 @@ from repro.core.catalog import CatalogError
 from repro.obs.campaign import CampaignReport, FaultOutcome, menu_specs
 from repro.obs.canonical import canonical_json
 from repro.obs.critical_path import summarize
-from repro.obs.faultspec import FaultSpec
 from repro.obs.injectors import (
     Drive,
+    FaultSpec,
     Injection,
     counters_fingerprint,
     create_service,
@@ -65,12 +65,8 @@ __all__ = [
     "Profile",
     "SLO_INTERVAL_MS",
     "UNDER_LOAD_WARMUP_OPS",
-    "WorkloadRun",
     "artifact_sha256",
     "builtin_profiles",
-    "diff_runs",
-    "format_index",
-    "format_run",
     "get_profile",
     "read_index",
     "register_run",
@@ -125,14 +121,14 @@ class Phase:
     ops: int
     params: tuple[tuple[str, int | float | str], ...] = ()
 
-    def param(self, name: str, default: int | float | str) -> int | float | str:
+    def param(self, name: str) -> int | float | str:
         for key, value in self.params:
             if key == name:
                 return value
-        return default
+        raise KeyError(f"phase {self.name!r}: no parameter {name!r}")
 
-    def int_param(self, name: str, default: int) -> int:
-        return int(self.param(name, default))
+    def int_param(self, name: str) -> int:
+        return int(self.param(name))
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -350,33 +346,27 @@ def _phase_seed(profile: Profile, index: int) -> int:
     return profile.seed * 1_000_003 + index
 
 
-def _run_bursty(ctx: _ReplayContext, phase: Phase, index: int) -> None:
-    """Login storms: tight clusters of Section 3.5 login/logout records
-    separated by long quiet gaps."""
-    burst = phase.int_param("burst", 20)
-    intra = phase.int_param("intra_gap_us", 20_000)
-    inter = phase.int_param("inter_gap_us", 2_000_000)
+#: Per login-phase kind, the names of its (period, short gap, long gap)
+#: parameters: every ``period``-th operation waits the long gap, the rest
+#: the short one.  The names are the artifact's, so they stay per kind.
+_LOGIN_SCHEDULES = {
+    # Login storms: tight clusters separated by long quiet gaps.
+    "bursty": ("burst", "intra_gap_us", "inter_gap_us"),
+    # Day/night cycles: the schedule that makes a thousand operations span
+    # a quarter of simulated wall-calendar.
+    "diurnal": ("day_ops", "day_gap_us", "night_gap_us"),
+}
+
+
+def _run_login(ctx: _ReplayContext, phase: Phase, index: int) -> None:
+    """Section 3.5 login/logout records on a two-gap think schedule."""
+    period, short, long = (
+        phase.int_param(name) for name in _LOGIN_SCHEDULES[phase.kind]
+    )
     workload = LoginLogWorkload(seed=_phase_seed(ctx.profile, index))
     for position, record in enumerate(workload.generate(phase.ops)):
         ctx.maybe_fire()
-        ctx.think(inter if position > 0 and position % burst == 0 else intra)
-        ctx.sublog("/access", record.user).append(record.encode())
-        ctx.op_done()
-
-
-def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
-    """Day/night cycles: ``day_ops`` operations spaced ``day_gap_us``
-    apart, then one long ``night_gap_us`` — the schedule that makes a
-    thousand operations span a quarter of simulated wall-calendar."""
-    day_ops = phase.int_param("day_ops", 12)
-    day_gap = phase.int_param("day_gap_us", 1_800_000_000)
-    night_gap = phase.int_param("night_gap_us", 64_800_000_000)
-    workload = LoginLogWorkload(seed=_phase_seed(ctx.profile, index))
-    for position, record in enumerate(workload.generate(phase.ops)):
-        ctx.maybe_fire()
-        ctx.think(
-            night_gap if position > 0 and position % day_ops == 0 else day_gap
-        )
+        ctx.think(long if position > 0 and position % period == 0 else short)
         ctx.sublog("/access", record.user).append(record.encode())
         ctx.op_done()
 
@@ -384,10 +374,10 @@ def _run_diurnal(ctx: _ReplayContext, phase: Phase, index: int) -> None:
 def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Appends interleaved with locates (newest-entry tail queries, the
     paper's dominant access) and bounded history scans."""
-    gap = phase.int_param("gap_us", 500_000)
-    locate_every = phase.int_param("locate_every", 7)
-    scan_every = phase.int_param("scan_every", 23)
-    streams = phase.int_param("streams", 4)
+    gap = phase.int_param("gap_us")
+    locate_every = phase.int_param("locate_every")
+    scan_every = phase.int_param("scan_every")
+    streams = phase.int_param("streams")
     stream = EntryStream(
         logfile_weights=zipf_weights(streams),
         size_dist=uniform_size(24, 180),
@@ -415,9 +405,9 @@ def _run_mixed(ctx: _ReplayContext, phase: Phase, index: int) -> None:
 def _run_multi_tenant(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """Zipf-skewed appends across tenant sublogs: a few hot tenants, a
     long cold tail (LogBase's sustained multi-tenant regime)."""
-    gap = phase.int_param("gap_us", 400_000)
-    tenants = phase.int_param("tenants", 6)
-    skew = float(phase.param("skew", 1.2))
+    gap = phase.int_param("gap_us")
+    tenants = phase.int_param("tenants")
+    skew = float(phase.param("skew"))
     stream = EntryStream(
         logfile_weights=zipf_weights(tenants, skew=skew),
         size_dist=uniform_size(32, 220),
@@ -434,12 +424,10 @@ def _run_filetrace(ctx: _ReplayContext, phase: Phase, index: int) -> None:
     """The Section 4.1 Ousterhout-lifetime replay through the history
     file server, with the trace's own interarrival times charged as
     think time (so the phase stays fully attributed)."""
-    flush_delay = phase.int_param("flush_delay_us", 300_000_000)
+    flush_delay = phase.int_param("flush_delay_us")
     trace = FileTrace(
         file_count=phase.ops,
-        mean_interarrival_us=phase.int_param(
-            "mean_interarrival_us", 2_000_000
-        ),
+        mean_interarrival_us=phase.int_param("mean_interarrival_us"),
         seed=_phase_seed(ctx.profile, index),
     )
     server = HistoryFileServer(ctx.service, flush_delay_us=flush_delay)
@@ -463,8 +451,8 @@ def _run_filetrace(ctx: _ReplayContext, phase: Phase, index: int) -> None:
 
 
 _PHASE_RUNNERS = {
-    "bursty": _run_bursty,
-    "diurnal": _run_diurnal,
+    "bursty": _run_login,
+    "diurnal": _run_login,
     "mixed": _run_mixed,
     "multi_tenant": _run_multi_tenant,
     "filetrace": _run_filetrace,
@@ -566,7 +554,7 @@ def _replay(
 # --------------------------------------------------------------------- #
 
 
-def _under_load_outcome(profile: Profile, spec: FaultSpec) -> Any:
+def _under_load_outcome(profile: Profile, spec: FaultSpec) -> FaultOutcome:
     """One fault staged inside a fresh full replay of ``profile``."""
     def drive_for(service: Any, injection: Injection) -> Drive:
         return _replay(
@@ -599,36 +587,11 @@ def run_under_load_campaign(profile: Profile, menu: str) -> dict[str, Any]:
 # --------------------------------------------------------------------- #
 
 
-class WorkloadRun:
-    """One scored run: the artifact dict plus its pass/fail gates."""
-
-    def __init__(self, record: dict[str, Any]) -> None:
-        self.record = record
-
-    @property
-    def run_id(self) -> str:
-        return str(self.record["run"]["run_id"])
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.record["run"]["passed"])
-
-    @property
-    def failures(self) -> list[str]:
-        return [str(reason) for reason in self.record["run"]["failures"]]
-
-    def as_dict(self) -> dict[str, Any]:
-        return self.record
-
-    def encode(self) -> str:
-        """Byte-deterministic artifact form (sorted keys, compact)."""
-        return canonical_json(self.record)
-
-
-def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
+def run_workload(profile_name: str, menu: str | None = None) -> dict[str, Any]:
     """Replay ``profile_name`` against a fresh observable service, score
     it through the four obs channels, and (optionally) re-prove the
-    ``menu`` fault campaign under that load."""
+    ``menu`` fault campaign under that load.  Returns the artifact record
+    (``canonical_json`` of it is the artifact's bytes)."""
     profile = get_profile(profile_name)
     service = create_service()
     alert_log = AlertLog(service)
@@ -687,7 +650,7 @@ def run_workload(profile_name: str, menu: str | None = None) -> WorkloadRun:
             "think_us": replay.think_us,
         },
     }
-    return WorkloadRun(record)
+    return record
 
 
 # --------------------------------------------------------------------- #
@@ -771,28 +734,33 @@ def _write_index(runs_dir: str, rows: list[dict[str, str]]) -> str:
     return path
 
 
-def register_run(runs_dir: str, run: WorkloadRun) -> str:
+def register_run(runs_dir: str, record: dict[str, Any]) -> str:
     """Write the run's artifact as ``<run_id>.json`` under ``runs_dir``
     and upsert its row (keyed by run id, sorted) into ``INDEX.csv``."""
     os.makedirs(runs_dir, exist_ok=True)
-    text = run.encode()
-    artifact_path = os.path.join(runs_dir, f"{run.run_id}.json")
+    run_id = str(record["run"]["run_id"])
+    text = canonical_json(record)
+    artifact_path = os.path.join(runs_dir, f"{run_id}.json")
     with open(artifact_path, "w", encoding="utf-8") as handle:
         handle.write(text)
-    rows = [
-        row for row in read_index(runs_dir) if row.get("run_id") != run.run_id
-    ]
-    rows.append(_index_row(run.as_dict(), artifact_sha256(text)))
+    rows = [row for row in read_index(runs_dir) if row.get("run_id") != run_id]
+    rows.append(_index_row(record, artifact_sha256(text)))
     _write_index(runs_dir, rows)
     return artifact_path
 
 
 def verify_index(runs_dir: str) -> list[str]:
-    """Re-hash every cataloged artifact; returns the list of problems
-    (missing artifacts, hash mismatches) — empty means the catalog is
-    sound."""
+    """Check the catalog: ``runs_dir`` and its ``INDEX.csv`` exist, every
+    row's artifact is present and hashes to the row's digest, and every
+    ``*.json`` artifact has a row.  Returns the problems found; empty
+    means the catalog is sound."""
+    if not os.path.isdir(runs_dir):
+        return [f"catalog directory missing ({runs_dir})"]
+    if not os.path.exists(os.path.join(runs_dir, INDEX_FILE)):
+        return [f"{INDEX_FILE} missing in {runs_dir}"]
     problems: list[str] = []
-    for row in read_index(runs_dir):
+    rows = read_index(runs_dir)
+    for row in rows:
         run_id = row.get("run_id", "?")
         path = os.path.join(runs_dir, f"{run_id}.json")
         if not os.path.exists(path):
@@ -805,144 +773,9 @@ def verify_index(runs_dir: str) -> list[str]:
                 f"{run_id}: sha256 mismatch (index {row.get('sha256')}, "
                 f"artifact {digest})"
             )
+    cataloged = {f"{row.get('run_id')}.json" for row in rows}
+    for name in sorted(os.listdir(runs_dir)):
+        if name.endswith(".json") and name not in cataloged:
+            problems.append(f"{name}: artifact has no {INDEX_FILE} row")
     return problems
 
-
-def format_index(rows: list[dict[str, str]]) -> str:
-    if not rows:
-        return "run catalog is empty"
-    widths = {
-        column: max(
-            len(column), max(len(row.get(column, "-")) for row in rows)
-        )
-        for column in INDEX_COLUMNS
-        if column != "sha256"
-    }
-    header = "  ".join(
-        f"{column:<{widths[column]}}"
-        for column in INDEX_COLUMNS
-        if column != "sha256"
-    )
-    lines = [header, "-" * len(header)]
-    for row in sorted(rows, key=lambda item: item.get("run_id", "")):
-        lines.append(
-            "  ".join(
-                f"{row.get(column, '-'):<{widths[column]}}"
-                for column in INDEX_COLUMNS
-                if column != "sha256"
-            )
-        )
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- #
-# Rendering and diffing
-# --------------------------------------------------------------------- #
-
-
-def format_run(record: dict[str, Any]) -> str:
-    """Human-readable rendering of a workload-run artifact dict."""
-    run = record["run"]
-    lines = [
-        "workload run: {run_id} profile={profile} seed={seed} "
-        "ops={ops} sim_days={sim_days} passed={passed}".format(**run)
-    ]
-    for reason in run["failures"]:
-        lines.append(f"FAILURE: {reason}")
-    lines.append("")
-    header = (
-        f"{'phase':<18} {'kind':<13} {'ops':>5} {'sim_ms':>16} "
-        f"{'think_ms':>16} {'coverage':>9} {'spans':>7}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for phase in record["phases"]:
-        attribution = phase.get("attribution", {})
-        trace = phase.get("trace", {})
-        lines.append(
-            f"{phase['name']:<18} {phase['kind']:<13} {phase['ops']:>5} "
-            f"{phase.get('sim_ms', 0.0):>16.3f} "
-            f"{phase['think_us'] / 1000.0:>16.3f} "
-            f"{attribution.get('coverage', 0.0):>9.4f} "
-            f"{trace.get('spans', 0):>7}"
-        )
-    alerts = record["alerts"]
-    lines.append("")
-    lines.append(
-        f"alerts: {alerts['persisted']} persisted, "
-        f"readback_ok={alerts['readback_ok']}"
-    )
-    for alert in alerts["timeline"]:
-        lines.append(
-            f"  [{alert['ts_us']:>14d}us] {alert['phase']}: "
-            f"{alert['severity']} {alert['rule']} (value={alert['value']:g})"
-        )
-    campaign = record.get("campaign")
-    if campaign:
-        lines.append("")
-        lines.append(
-            "under-load campaign: menu={menu} faults={faults} "
-            "detected={detected} coverage={coverage:.0%} "
-            "passed={passed}".format(**campaign)
-        )
-        if campaign["silent_misses"]:
-            lines.append(
-                "SILENT MISSES: " + ", ".join(campaign["silent_misses"])
-            )
-        for row in campaign["matrix"]:
-            hits = [
-                name
-                for name in campaign["channels"]
-                if row["channels"].get(name) is not None
-            ]
-            lines.append(
-                f"  {row['fault_id']:<28} -> {', '.join(hits) or 'SILENT'}"
-            )
-    return "\n".join(lines)
-
-
-def _phase_map(record: dict[str, Any]) -> dict[str, dict[str, Any]]:
-    return {phase["name"]: phase for phase in record["phases"]}
-
-
-def diff_runs(old: dict[str, Any], new: dict[str, Any]) -> list[str]:
-    """Phase- and gate-level differences between two run artifacts."""
-    changes: list[str] = []
-    old_phases = _phase_map(old)
-    new_phases = _phase_map(new)
-    for name in sorted(old_phases.keys() - new_phases.keys()):
-        changes.append(f"- phase removed: {name}")
-    for name in sorted(new_phases.keys() - old_phases.keys()):
-        changes.append(f"+ phase added: {name}")
-    for name in sorted(old_phases.keys() & new_phases.keys()):
-        before, after = old_phases[name], new_phases[name]
-        for key in ("ops", "sim_ms", "think_us"):
-            if before.get(key) != after.get(key):
-                changes.append(
-                    f"! {name}.{key}: {before.get(key)} -> {after.get(key)}"
-                )
-        was = before.get("attribution", {}).get("coverage")
-        now = after.get("attribution", {}).get("coverage")
-        if was != now:
-            changes.append(f"! {name}.coverage: {was} -> {now}")
-        if before.get("trace", {}).get("digest") != after.get("trace", {}).get(
-            "digest"
-        ):
-            changes.append(f"! {name}: trace digest changed")
-    if old["alerts"]["persisted"] != new["alerts"]["persisted"]:
-        changes.append(
-            f"! alerts: {old['alerts']['persisted']} -> "
-            f"{new['alerts']['persisted']}"
-        )
-    old_campaign = old.get("campaign") or {}
-    new_campaign = new.get("campaign") or {}
-    if old_campaign.get("coverage") != new_campaign.get("coverage"):
-        changes.append(
-            f"! campaign coverage: {old_campaign.get('coverage')} -> "
-            f"{new_campaign.get('coverage')}"
-        )
-    if old["run"]["clock_us"] != new["run"]["clock_us"]:
-        changes.append(
-            f"! clock_us: {old['run']['clock_us']} -> {new['run']['clock_us']}"
-        )
-    return changes

@@ -6,8 +6,9 @@ For any input, ``parse_block`` either returns a block or raises its own
 ``struct.error``, ``IndexError`` or a ``ValueError`` of another kind.  The
 header peeks the decoded tier and the time search use must accept and
 reject exactly what the full decode does.  ``EntrymapRecord.decode`` raises
-only ``ValueError`` (what the reader and ``fsck`` catch) and
-``VolumeHeader.decode`` only ``VolumeSequenceError``.
+only ``ValueError`` (what the reader and ``fsck`` catch),
+``CatalogRecord.decode`` only ``CatalogError`` (what catalog replay and
+``fsck`` catch) and ``VolumeHeader.decode`` only ``VolumeSequenceError``.
 """
 
 import struct
@@ -24,6 +25,7 @@ from repro.core.block import (
     ParsedBlock,
     parse_block,
 )
+from repro.core.catalog import CatalogError, CatalogOp, CatalogRecord
 from repro.core.entry import (
     CorruptRecord,
     HeaderForm,
@@ -233,6 +235,53 @@ class TestEntrymapRecord:
         for length in range(13):
             with pytest.raises(ValueError, match="no header"):
                 EntrymapRecord.decode(b"\x01" * length)
+
+
+def _catalog_or_catalog_error(payload: bytes) -> CatalogRecord | None:
+    try:
+        record = CatalogRecord.decode(payload)
+    except CatalogError:
+        return None
+    assert isinstance(record.op, CatalogOp)
+    return record
+
+
+@st.composite
+def catalog_records(draw):
+    return CatalogRecord(
+        op=draw(st.sampled_from(CatalogOp)),
+        logfile_id=draw(st.integers(0, 4095)),
+        parent_id=draw(st.integers(0, 4095)),
+        permissions=draw(st.integers(0, 0o777)),
+        created_ts=draw(st.integers(0, (1 << 64) - 1)),
+        name=draw(st.text(max_size=12)),
+        key=draw(st.text(max_size=12)),
+        value=draw(st.binary(max_size=12)),
+    )
+
+
+class TestCatalogRecord:
+    @settings(max_examples=300)
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes(self, payload):
+        _catalog_or_catalog_error(payload)
+
+    @settings(max_examples=300)
+    @given(catalog_records(), st.data())
+    def test_bit_flipped_records(self, record, data):
+        encoded = bytearray(record.encode())
+        assert CatalogRecord.decode(bytes(encoded)) == record
+        for _ in range(data.draw(st.integers(1, 3))):
+            position = data.draw(st.integers(0, len(encoded) - 1))
+            encoded[position] ^= 1 << data.draw(st.integers(0, 7))
+        _catalog_or_catalog_error(bytes(encoded))
+
+    def test_unknown_op_and_non_utf8_name_are_catalog_errors(self):
+        encoded = CatalogRecord(op=CatalogOp.CREATE, logfile_id=9, name="ab").encode()
+        with pytest.raises(CatalogError):
+            CatalogRecord.decode(b"\x07" + encoded[1:])
+        with pytest.raises(CatalogError):
+            CatalogRecord.decode(encoded.replace(b"ab", b"\xff\xfe"))
 
 
 def _header_or_sequence_error(data: bytes) -> VolumeHeader | None:

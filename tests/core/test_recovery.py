@@ -8,6 +8,7 @@ prefix is back.
 import pytest
 
 from repro.core import LogService
+from repro.core.catalog import CatalogOp, CatalogRecord
 from repro.core.service import ServiceCrashed
 from repro.worm.corruption import corrupt_block, corrupt_range
 
@@ -226,6 +227,37 @@ class TestCrashDurability:
         service.crash()
         with pytest.raises(ServiceCrashed):
             service.create_log_file("/x")
+
+
+class _RawCatalogPayload:
+    """Stands in for a CatalogRecord whose encoding is hostile bytes."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def encode(self):
+        return self.payload
+
+
+_GOOD_CREATE = CatalogRecord(op=CatalogOp.CREATE, logfile_id=77, name="zz").encode()
+
+
+class TestHostileCatalogRecord:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x07" + _GOOD_CREATE[1:],  # op byte outside CatalogOp
+            _GOOD_CREATE.replace(b"zz", b"\xff\xfe"),  # non-UTF-8 name
+        ],
+        ids=["unknown-op", "non-utf8-name"],
+    )
+    def test_bad_record_is_skipped_and_mount_succeeds(self, payload):
+        service = make_service()
+        service.create_log_file("/a").append(b"kept", force=True)
+        service.writer.append_catalog_record(_RawCatalogPayload(payload))
+        mounted, report = remount(service)
+        assert [e.data for e in mounted.open_log_file("/a").entries()] == [b"kept"]
+        assert report.catalog_records_replayed == 1
 
 
 class TestCrashSweep:

@@ -64,42 +64,6 @@ class TestCliErrors:
             assert command in out
 
 
-class TestArtifactVerbsRejectBadInput:
-    """``campaign|workload report|diff`` read a file named on the command
-    line: a missing file or another document's shape is an ``error:`` line
-    and exit 1, never a traceback."""
-
-    VERBS = (
-        ("campaign", "report", 1),
-        ("campaign", "diff", 2),
-        ("workload", "report", 1),
-        ("workload", "diff", 2),
-    )
-
-    def expect_error(self, argv, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        # SystemExit(str): the interpreter prints it to stderr and exits 1.
-        assert str(exit_info.value.code).startswith("error: ")
-        return str(exit_info.value.code)
-
-    @pytest.mark.parametrize("group,verb,files", VERBS)
-    def test_missing_file(self, group, verb, files, tmp_path, capsys):
-        argv = [group, verb] + [str(tmp_path / "nope.json")] * files
-        assert "cannot read artifact" in self.expect_error(argv, capsys)
-
-    @pytest.mark.parametrize("group,verb,files", VERBS)
-    def test_wrong_shape_and_bad_json(self, group, verb, files, tmp_path, capsys):
-        other = tmp_path / "other.json"
-        # Each group is handed the *other* group's kind of document.
-        other.write_text('{"run": {}}' if group == "campaign" else '{"matrix": []}')
-        message = self.expect_error([group, verb] + [str(other)] * files, capsys)
-        assert "not the expected artifact" in message
-        for text in ("[1, 2]", "{not json"):
-            other.write_text(text)
-            self.expect_error([group, verb] + [str(other)] * files, capsys)
-
-
 class TestAbsentLogIsNotAFailedService:
     """Only the catalog's "no such name" means "this store has no such
     log"; a service that cannot answer must not be read as absence."""

@@ -19,18 +19,15 @@ import pytest
 
 from repro.core.service import LogService
 from repro.obs import workload
+from repro.obs.canonical import canonical_json
 from repro.obs.slo import AlertLog, SloEngine, ThresholdRule
 from repro.obs.workload import (
     COVERAGE_FLOOR,
     Phase,
     Profile,
-    WorkloadRun,
     _replay,
     artifact_sha256,
     builtin_profiles,
-    diff_runs,
-    format_index,
-    format_run,
     get_profile,
     read_index,
     register_run,
@@ -61,9 +58,10 @@ class TestProfiles:
 
     def test_phase_param_lookup(self):
         phase = Phase("p", "bursty", 10, (("burst", 5), ("gap_us", 7)))
-        assert phase.param("burst", 0) == 5
-        assert phase.param("missing", 42) == 42
-        assert phase.int_param("gap_us", 0) == 7
+        assert phase.param("burst") == 5
+        assert phase.int_param("gap_us") == 7
+        with pytest.raises(KeyError, match="missing"):
+            phase.param("missing")
 
     def test_year_profile_schedule_spans_a_year(self):
         # Static schedule check (the live replay is exercised against the
@@ -73,34 +71,30 @@ class TestProfiles:
         total_us = 0
         for phase in year.phases:
             if phase.kind == "bursty":
-                burst = phase.int_param("burst", 0)
-                inter = phase.int_param("inter_gap_us", 0)
-                intra = phase.int_param("intra_gap_us", 0)
+                burst = phase.int_param("burst")
+                inter = phase.int_param("inter_gap_us")
+                intra = phase.int_param("intra_gap_us")
                 bursts = phase.ops // burst - 1
                 total_us += bursts * inter + (phase.ops - bursts) * intra
             elif phase.kind == "diurnal":
-                day_ops = phase.int_param("day_ops", 0)
+                day_ops = phase.int_param("day_ops")
                 nights = phase.ops // day_ops - 1
-                total_us += nights * phase.int_param("night_gap_us", 0)
-                total_us += (phase.ops - nights) * phase.int_param(
-                    "day_gap_us", 0
-                )
+                total_us += nights * phase.int_param("night_gap_us")
+                total_us += (phase.ops - nights) * phase.int_param("day_gap_us")
             elif phase.kind in ("mixed", "multi_tenant"):
-                total_us += phase.ops * phase.int_param("gap_us", 0)
+                total_us += phase.ops * phase.int_param("gap_us")
             elif phase.kind == "filetrace":
-                total_us += phase.ops * phase.int_param(
-                    "mean_interarrival_us", 0
-                )
+                total_us += phase.ops * phase.int_param("mean_interarrival_us")
         assert total_us >= 365 * 24 * 60 * 60 * 1_000_000
 
 
 class TestSmokeRun:
     def test_run_passes_every_gate(self, smoke_run):
-        assert smoke_run.passed, smoke_run.failures
-        assert smoke_run.failures == []
+        assert smoke_run["run"]["passed"], smoke_run["run"]["failures"]
+        assert smoke_run["run"]["failures"] == []
 
     def test_every_phase_attributes_95_percent(self, smoke_run):
-        record = smoke_run.as_dict()
+        record = smoke_run
         assert record["phases"]
         for phase in record["phases"]:
             assert phase["attribution"]["coverage"] >= COVERAGE_FLOOR, (
@@ -111,7 +105,7 @@ class TestSmokeRun:
     def test_think_time_is_charged_not_skipped(self, smoke_run):
         # The harness advances the clock only via charge_us, so think time
         # appears as the workload_think component inside each phase span.
-        for phase in smoke_run.as_dict()["phases"]:
+        for phase in smoke_run["phases"]:
             if phase["think_us"] > 0:
                 components = phase["attribution"]["components"]
                 assert components["workload_think"] == pytest.approx(
@@ -119,7 +113,7 @@ class TestSmokeRun:
                 )
 
     def test_phase_registry_picks_are_monotonic(self, smoke_run):
-        phases = smoke_run.as_dict()["phases"]
+        phases = smoke_run["phases"]
         for earlier, later in zip(phases, phases[1:]):
             for name in (
                 "clio_writer_client_entries_total",
@@ -135,24 +129,30 @@ class TestSmokeRun:
             workload._registry_picks(LogService.create())
 
     def test_alert_log_read_back_matches_timeline(self, smoke_run):
-        alerts = smoke_run.as_dict()["alerts"]
+        alerts = smoke_run["alerts"]
         assert alerts["readback_ok"]
         assert alerts["persisted"] == len(alerts["timeline"])
 
     def test_artifact_is_byte_identical_across_runs(self, smoke_run):
-        assert (
-            run_workload("smoke", menu="small").encode()
-            == smoke_run.encode()
+        assert canonical_json(run_workload("smoke", menu="small")) == (
+            canonical_json(smoke_run)
         )
 
     def test_artifact_round_trips_through_json(self, smoke_run):
-        decoded = json.loads(smoke_run.encode())
-        assert decoded == smoke_run.as_dict()
+        decoded = json.loads(canonical_json(smoke_run))
+        assert decoded == smoke_run
+
+    def test_encode_is_sorted_and_compact(self, smoke_run):
+        encoded = canonical_json(smoke_run)
+        assert ": " not in encoded
+        assert encoded == json.dumps(
+            json.loads(encoded), sort_keys=True, separators=(",", ":")
+        )
 
 
 class TestUnderLoadCampaign:
     def test_small_menu_under_smoke_load_full_coverage(self, smoke_run):
-        campaign = smoke_run.as_dict()["campaign"]
+        campaign = smoke_run["campaign"]
         assert campaign["menu"] == "small"
         assert campaign["coverage"] == 1.0
         assert campaign["silent_misses"] == []
@@ -161,7 +161,7 @@ class TestUnderLoadCampaign:
     def test_faults_fire_mid_replay_not_on_idle_drives(self, smoke_run):
         # Every under-load fault waited for the warm-up op count, so the
         # injection hit a store already carrying replayed traffic.
-        campaign = smoke_run.as_dict()["campaign"]
+        campaign = smoke_run["campaign"]
         assert campaign["warmup_ops"] > 0
         for row in campaign["matrix"]:
             hits = [
@@ -285,9 +285,9 @@ class TestRunCatalog:
         rows = read_index(runs_dir)
         assert len(rows) == 1
         row = rows[0]
-        assert row["run_id"] == smoke_run.run_id
+        assert row["run_id"] == smoke_run["run"]["run_id"]
         assert row["passed"] == "yes"
-        assert row["sha256"] == artifact_sha256(smoke_run.encode())
+        assert row["sha256"] == artifact_sha256(canonical_json(smoke_run))
         assert verify_index(runs_dir) == []
 
     def test_register_is_an_upsert(self, smoke_run, tmp_path):
@@ -299,7 +299,7 @@ class TestRunCatalog:
     def test_verify_flags_tampered_artifact(self, smoke_run, tmp_path):
         runs_dir = tmp_path / "runs"
         register_run(str(runs_dir), smoke_run)
-        artifact = runs_dir / f"{smoke_run.run_id}.json"
+        artifact = runs_dir / f"{smoke_run['run']['run_id']}.json"
         artifact.write_text(artifact.read_text() + " ")
         problems = verify_index(str(runs_dir))
         assert problems and "sha256 mismatch" in problems[0]
@@ -307,17 +307,28 @@ class TestRunCatalog:
     def test_verify_flags_missing_artifact(self, smoke_run, tmp_path):
         runs_dir = tmp_path / "runs"
         register_run(str(runs_dir), smoke_run)
-        (runs_dir / f"{smoke_run.run_id}.json").unlink()
+        (runs_dir / f"{smoke_run['run']['run_id']}.json").unlink()
         problems = verify_index(str(runs_dir))
         assert problems and "artifact missing" in problems[0]
 
-    def test_format_index_renders_rows(self, smoke_run, tmp_path):
-        runs_dir = str(tmp_path / "runs")
-        register_run(runs_dir, smoke_run)
-        text = format_index(read_index(runs_dir))
-        assert smoke_run.run_id in text
-        assert "sha256" not in text  # digests stay in the csv, not the table
-        assert format_index([]) == "run catalog is empty"
+    def test_verify_flags_missing_directory(self, tmp_path):
+        problems = verify_index(str(tmp_path / "nowhere"))
+        assert problems and "catalog directory missing" in problems[0]
+
+    def test_verify_flags_missing_index(self, smoke_run, tmp_path):
+        runs_dir = tmp_path / "runs"
+        register_run(str(runs_dir), smoke_run)
+        (runs_dir / "INDEX.csv").unlink()
+        problems = verify_index(str(runs_dir))
+        assert problems and "INDEX.csv missing" in problems[0]
+
+    def test_verify_flags_orphan_artifact(self, smoke_run, tmp_path):
+        runs_dir = tmp_path / "runs"
+        register_run(str(runs_dir), smoke_run)
+        (runs_dir / "stray-run.json").write_text("{}")
+        assert verify_index(str(runs_dir)) == [
+            "stray-run.json: artifact has no INDEX.csv row"
+        ]
 
 
 class TestCheckedInCatalog:
@@ -330,9 +341,9 @@ class TestCheckedInCatalog:
         assert verify_index(str(RUNS_DIR)) == []
 
     def test_checked_in_smoke_artifact_reproduces_live(self, smoke_run):
-        path = RUNS_DIR / f"{smoke_run.run_id}.json"
+        path = RUNS_DIR / f"{smoke_run['run']['run_id']}.json"
         assert path.exists(), f"checked-in artifact missing: {path}"
-        assert smoke_run.encode() == path.read_text()
+        assert canonical_json(smoke_run) == path.read_text()
 
     def test_checked_in_year_artifact_passes_every_gate(self):
         candidates = sorted(RUNS_DIR.glob("year-*.json"))
@@ -346,58 +357,3 @@ class TestCheckedInCatalog:
         assert campaign is not None
         assert campaign["coverage"] == 1.0
         assert campaign["silent_misses"] == []
-
-
-class TestRenderingAndDiff:
-    def test_format_run_shows_phases_alerts_campaign(self, smoke_run):
-        text = format_run(smoke_run.as_dict())
-        for phase in get_profile("smoke").phases:
-            assert phase.name in text
-        assert "readback_ok=True" in text
-        assert "under-load campaign" in text
-        assert "coverage=100%" in text
-        assert "FAILURE" not in text
-
-    def test_format_run_marks_failures(self, smoke_run):
-        mutated = json.loads(smoke_run.encode())
-        mutated["run"]["passed"] = False
-        mutated["run"]["failures"] = ["phase attribution 0.5 below 0.95"]
-        text = format_run(mutated)
-        assert "FAILURE: phase attribution" in text
-
-    def test_diff_runs_no_changes(self, smoke_run):
-        record = smoke_run.as_dict()
-        assert diff_runs(record, record) == []
-
-    def test_diff_runs_flags_phase_regressions(self, smoke_run):
-        old = smoke_run.as_dict()
-        new = json.loads(smoke_run.encode())
-        new["phases"][0]["attribution"]["coverage"] = 0.5
-        new["phases"][1]["trace"]["digest"] = "0" * 64
-        changes = diff_runs(old, new)
-        assert any("coverage" in line for line in changes)
-        assert any("trace digest changed" in line for line in changes)
-
-    def test_diff_runs_flags_added_phase(self, smoke_run):
-        old = smoke_run.as_dict()
-        new = json.loads(smoke_run.encode())
-        new["phases"].append(dict(new["phases"][0], name="extra-phase"))
-        changes = diff_runs(old, new)
-        assert any(line.startswith("+ phase added") for line in changes)
-
-
-class TestWorkloadRunClass:
-    def test_failures_and_passed_reflect_record(self):
-        run = WorkloadRun(
-            {"run": {"run_id": "x", "passed": False, "failures": ["why"]}}
-        )
-        assert not run.passed
-        assert run.failures == ["why"]
-        assert run.run_id == "x"
-
-    def test_encode_is_sorted_and_compact(self, smoke_run):
-        encoded = smoke_run.encode()
-        assert ": " not in encoded
-        assert encoded == json.dumps(
-            json.loads(encoded), sort_keys=True, separators=(",", ":")
-        )
