@@ -445,21 +445,14 @@ def _cmd_events(args) -> int:
     Mounting itself emits the recovery-phase events, so even a bare
     ``clio events STORE`` shows the store's latest recovery as a timeline.
     """
-    from repro.obs.events import Event, format_event
+    from repro.obs.events import format_event
 
     service = _mount(args.store, read_only=True, observability=True)
     if args.read:
         for path in args.read:
             for _ in service.read_entries(path):
                 pass
-    if args.persisted:
-        payloads = _log_payloads(service, "/events")
-        if payloads is None:
-            print("no persisted /events log in this store", file=sys.stderr)
-            return 1
-        events = [Event.decode(payload) for payload in payloads]
-    else:
-        events = service.journal.events()
+    events = service.journal.events()
     if args.kind:
         events = [event for event in events if event.kind == args.kind]
     if args.limit is not None:
@@ -470,13 +463,14 @@ def _cmd_events(args) -> int:
     for event in events:
         print(format_event(event))
     dropped = getattr(service.journal, "dropped", 0)
-    if not args.persisted and dropped:
+    if dropped:
         print(f"({dropped} older events dropped from the ring)")
     return 0
 
 
 def _cmd_health(args) -> int:
-    """Evaluate SLO rules against a store; nonzero exit when alerts fire.
+    """Evaluate SLO rules against a store; exit 1 when alerts fire, 2 on
+    a bad ``--rule``.
 
     The default ruleset checks the paper's own bounds (recovery and locate
     model deltas) plus cache and corruption health; ``--rule`` adds custom
@@ -499,8 +493,18 @@ def _cmd_health(args) -> int:
             for _ in service.read_entries(path):
                 pass
     rules = default_ruleset()
+    bad = 0
     for spec in args.rule or []:
-        rules.append(parse_rule(spec))
+        try:
+            rule = parse_rule(spec)
+            rule.check(service)  # resolves every metric the rule names
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            bad += 1
+        else:
+            rules.append(rule)
+    if bad:
+        return 2
     alert_log = AlertLog(service) if args.persist else None
     engine = SloEngine(service, rules=rules, alert_log=alert_log)
     fired = engine.evaluate()
@@ -781,11 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kind", help="only events of this kind")
     p.add_argument("--limit", type=int, default=None, help="newest N events")
-    p.add_argument(
-        "--persisted",
-        action="store_true",
-        help="read back the durable /events log instead of the live ring",
-    )
     p.set_defaults(handler=_cmd_events, operator=True)
 
     p = commands.add_parser(

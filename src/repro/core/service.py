@@ -816,28 +816,20 @@ class LogService:
     # Observability (repro.obs)
     # ------------------------------------------------------------------ #
 
-    def enable_observability(
-        self,
-        *,
-        tracing: bool = True,
-        registry=None,
-        events: bool = True,
-    ):
-        """Attach a metrics registry (and, by default, a span tracer and an
-        event journal).
+    def enable_observability(self, *, tracing: bool = True):
+        """Attach a metrics registry, an event journal and, by default, a
+        span tracer.
 
         Idempotent; safe to call on a running service — the registry's
-        samplers read the live stats objects, so counters reflect the full
-        history, while histograms, traces and events start from this call.
-        Returns the registry.
+        counters and gauges read the live stats objects, so they reflect
+        the full history, while histograms, traces and events start from
+        this call.  Returns the registry.
         """
         # The plug-in's load point: the engine's only reference to
         # repro.obs (the engine-imports lint rule allow-lists this site).
         from repro.obs.wiring import attach_observability
 
-        return attach_observability(
-            self, tracing=tracing, registry=registry, events=events
-        )
+        return attach_observability(self, tracing=tracing)
 
     @property
     def metrics(self):

@@ -9,13 +9,7 @@ everything else is imported from its module (``repro.obs.critical_path``,
 ``repro.obs.campaign``, ``repro.obs.workload``, ...).
 """
 
-from repro.obs.events import (
-    NULL_JOURNAL,
-    Event,
-    EventJournal,
-    EventLog,
-    NullJournal,
-)
+from repro.obs.events import NULL_JOURNAL, Event, EventJournal, NullJournal
 from repro.obs.export import json_snapshot, prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import AlertLog, SloEngine, default_ruleset
@@ -44,7 +38,6 @@ __all__ = [
     "EventJournal",
     "NullJournal",
     "NULL_JOURNAL",
-    "EventLog",
     "AlertLog",
     "SloEngine",
     "default_ruleset",

@@ -1,6 +1,6 @@
 """The one canonical JSON encoding: sorted keys, compact separators.
 
-Persisted records (``/traces``, ``/events``, ``/alerts``) and the
+Persisted records (``/traces``, ``/alerts``) and the
 campaign / workload artifacts live on write-once media or are compared
 byte for byte, so identical state must encode to identical bytes.
 """

@@ -8,10 +8,6 @@ transitions, recovery phases, fired alerts — is recorded as an
 the journal of a run is as deterministic as its traces.
 
 The journal is a bounded ring buffer (volatile, like the server's RAM).
-Durability is dogfooded onto the paper's own design: :class:`EventLog`
-appends the journal's events to a log file (``/events`` by default),
-exactly the way :class:`~repro.apps.perfmon.MetricsLog` persists metric
-samples — the telemetry trail itself lives in the append-only store.
 
 Recovery wires the journal in as a crash flight recorder: the events
 emitted during a mount's recovery pass are attached to the
@@ -21,28 +17,20 @@ its own black box (see ``LogService._recover``).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.core.catalog import CatalogError
-from repro.obs.canonical import canonical_json
 from repro.vsystem.instrument import NULL_JOURNAL, ClockLike, NullJournal
 from repro.worm.device import BlockDevice
 from repro.worm.mirror import MirroredWormDevice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.logfile import LogFile
-    from repro.core.service import LogService
 
 __all__ = [
     "Event",
     "EventJournal",
     "NullJournal",
     "NULL_JOURNAL",
-    "EventLog",
     "format_event",
 ]
 
@@ -70,20 +58,6 @@ class Event:
             "kind": self.kind,
             "attrs": dict(self.attrs),
         }
-
-    def encode(self) -> bytes:
-        """Deterministic wire form (sorted keys, compact separators)."""
-        return canonical_json(self.as_dict()).encode()
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "Event":
-        raw = json.loads(payload)
-        return cls(
-            seq=int(raw["seq"]),
-            ts_us=int(raw["ts_us"]),
-            kind=str(raw["kind"]),
-            attrs=tuple(sorted(raw.get("attrs", {}).items())),
-        )
 
 
 def format_event(event: Event) -> str:
@@ -131,9 +105,9 @@ class EventJournal:
     def suppress(self) -> Iterator[None]:
         """Silence emission inside the block.
 
-        Used while :class:`EventLog` persists the journal: the persistence
-        appends cause device writes, which would otherwise journal the act
-        of journalling.
+        Used while :class:`~repro.obs.slo.AlertLog` persists alerts: the
+        persistence appends cause device writes, which would otherwise
+        journal the act of journalling.
 
         Exception-safe: the pre-entry suppression depth is restored even
         when the block raises, so emission can never stay silenced (or go
@@ -179,43 +153,3 @@ class EventJournal:
     @property
     def next_seq(self) -> int:
         return self._seq
-
-
-class EventLog:
-    """Persist journal events into a log file — telemetry dogfooded.
-
-    Mirrors :class:`~repro.apps.perfmon.MetricsLog`'s append discipline:
-    events are appended untimestamped (their payload carries the sim-time
-    stamp) and a sync makes each persisted batch durable.
-    """
-
-    def __init__(self, service: "LogService", path: str = "/events") -> None:
-        self.service = service
-        try:
-            self.log: "LogFile" = service.open_log_file(path)
-        except CatalogError:
-            self.log = service.create_log_file(path)
-        self._persisted_seq = -1
-
-    def persist(
-        self, journal: EventJournal | NullJournal | None = None
-    ) -> int:
-        """Append every not-yet-persisted journal event; returns the count.
-
-        Emission is suppressed while persisting so the device writes the
-        persistence itself causes do not echo back into the journal.
-        """
-        journal = journal if journal is not None else self.service.journal
-        fresh = [e for e in journal.events() if e.seq > self._persisted_seq]
-        if not fresh:
-            return 0
-        with journal.suppress():
-            for event in fresh:
-                self.log.append(event.encode(), timestamped=False)
-            self.service.sync()
-        self._persisted_seq = fresh[-1].seq
-        return len(fresh)
-
-    def read_back(self) -> list[Event]:
-        """Decode every persisted event, in append order."""
-        return [Event.decode(entry.data) for entry in self.log.entries()]

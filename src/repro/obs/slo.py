@@ -8,8 +8,8 @@ ruleset at points in simulated time; each rule is edge-triggered: an
 :class:`Alert` fires when the predicate transitions from holding to
 violated, and re-arms once it clears.
 
-Alerts are dogfooded onto the store exactly like events and metric
-samples: :class:`AlertLog` appends every fired alert to an append-only
+Alerts are dogfooded onto the store exactly like metric samples:
+:class:`AlertLog` appends every fired alert to an append-only
 ``/alerts`` sublog, so the alert history of a service is itself a log
 file, recoverable after a crash.
 
@@ -117,32 +117,38 @@ _METRIC_RE = re.compile(
 
 def metric_value(service: "LogService", spec: str) -> float:
     """Resolve ``name`` or ``name{label=value,...}`` against the service's
-    registry (samplers run, so the value is current).
+    registry, reading only that family.
 
-    Counters and gauges resolve to their value; a histogram resolves to
-    its *mean* observation (sum/count, 0 when empty).
+    The spec must name exactly the family's labels (none for an
+    unlabelled family); anything else is a :class:`ValueError` that names
+    them.  A label value no sample carries resolves to 0.  Counters and
+    gauges resolve to their value; a histogram resolves to its *mean*
+    observation (sum/count, 0 when empty).
     """
     match = _METRIC_RE.match(spec.strip())
     if match is None:
         raise ValueError(f"bad metric spec {spec!r}")
-    registry = service.metrics
-    metric = registry.get(match.group("name"))
-    if metric is None:
-        raise ValueError(f"unknown metric {match.group('name')!r}")
+    name = match.group("name")
+    family = service.metrics.get(name)
+    if family is None:
+        raise ValueError(f"unknown metric {name!r}")
     want: dict[str, str] = {}
     if match.group("labels"):
         for part in match.group("labels").split(","):
             key, _, value = part.partition("=")
             want[key.strip()] = value.strip().strip('"')
-    for family in registry.collect():
-        if family.name != metric.name:
-            continue
-        for labels, value in family.samples:
-            if all(dict(labels).get(k) == v for k, v in want.items()):
-                if isinstance(value, HistogramValue):
-                    return value.sum / value.count if value.count else 0.0
-                assert isinstance(value, (int, float))
-                return float(value)
+    for labels, value in family.samples:
+        have = dict(labels)
+        if set(have) != set(want):
+            takes = "{" + ",".join(sorted(have)) + "}" if have else "none"
+            raise ValueError(
+                f"metric {name!r} takes labels {takes}, got {spec.strip()!r}"
+            )
+        if have == want:
+            if isinstance(value, HistogramValue):
+                return value.sum / value.count if value.count else 0.0
+            assert isinstance(value, (int, float))
+            return float(value)
     return 0.0
 
 
@@ -210,12 +216,9 @@ class RatioRule:
         self.severity = severity
 
     def check(self, service: "LogService") -> tuple[bool, float, float, str]:
+        numerator = metric_value(service, self.numerator)
         denominator = metric_value(service, self.denominator)
-        value = (
-            metric_value(service, self.numerator) / denominator
-            if denominator
-            else 0.0
-        )
+        value = numerator / denominator if denominator else 0.0
         violated = _OPS[self.op](value, self.bound)
         return (
             violated,
@@ -307,12 +310,8 @@ def _locate_observed(service: "LogService") -> float:
     instruments = service.store.instruments
     if not isinstance(instruments, Instruments):
         return 0.0
-    total = 0.0
-    count = 0
-    for child in instruments.locate_entries_examined._children.values():
-        total += child.sum
-        count += child.count
-    return total / count if count else 0.0
+    histogram = instruments.locate_entries_examined
+    return histogram.sum / histogram.count if histogram.count else 0.0
 
 
 def _locate_bound(service: "LogService") -> float:

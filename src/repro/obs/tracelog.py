@@ -1,7 +1,7 @@
 """Persist completed span trees to a ``/traces`` sublog — traces dogfooded.
 
-Metrics and events already live in the append-only store itself
-(:class:`~repro.apps.perfmon.MetricsLog`, :class:`~repro.obs.events.EventLog`);
+Metric samples and alerts already live in the append-only store itself
+(:class:`~repro.apps.perfmon.MetricsLog`, :class:`~repro.obs.slo.AlertLog`);
 this module gives traces the same treatment.  The write-once medium is the
 natural home for an audit trail — an immutable record of what each request
 caused, including the device work performed *after* the client reply

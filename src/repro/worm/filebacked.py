@@ -17,6 +17,13 @@ The image is the only home of block bytes: the device keeps the state map
 and the append point in memory and reads a block from the file when
 asked, so opening costs the header and the map, whatever the volume holds.
 
+A new image is built as ``PATH.new`` and renamed to ``PATH`` right after
+block 0's state byte is written (or when the device is closed, if that
+comes first).  A volume's block 0 is its header, so a process killed
+mid-roll-over leaves either a mountable image or only a ``.new`` file,
+which no ``vol-*.img`` glob sees and the next
+:meth:`~FileBackedWormDevice.create` of that path removes.
+
 :class:`FileBackedNvram` similarly persists the battery-backed tail image
 to a sidecar file, so forced entries survive process exits without burning
 a block per force.
@@ -58,12 +65,15 @@ class FileBackedWormDevice(WormDevice):
         geometry: DeviceGeometry,
         clock: "SimClock | None",
         supports_tail_query: bool,
+        pending: str | None = None,
     ) -> None:
         super().__init__(
             block_size, len(states), geometry, clock, supports_tail_query
         )
         self.path = path
         self._host = host
+        #: Where a created image lives until block 0 is written, else None.
+        self._pending = pending
         #: The image's state map; the append point is its lowest unwritten byte.
         self._states = states
         self._data_offset = _HEADER.size + len(states)
@@ -92,15 +102,27 @@ class FileBackedWormDevice(WormDevice):
         header = _HEADER.pack(
             _MAGIC, block_size, capacity_blocks, int(supports_tail_query)
         )
-        host = HostFile.create(path)
+        if os.path.exists(path):
+            raise StorageError(f"{path!r} already exists")
+        pending = path + ".new"
+        if os.path.exists(pending):
+            os.remove(pending)  # a create that died before block 0
+        host = HostFile.create(pending)
         try:
             host.pwrite(header + states, 0)
             return cls(
-                path, host, states, block_size, geometry, clock, supports_tail_query
+                path,
+                host,
+                states,
+                block_size,
+                geometry,
+                clock,
+                supports_tail_query,
+                pending,
             )
         except BaseException:
             host.close()
-            os.remove(path)
+            os.remove(pending)
             raise
 
     @classmethod
@@ -139,8 +161,15 @@ class FileBackedWormDevice(WormDevice):
             raise
 
     def close(self) -> None:
-        """Release the image; every later read or write raises StorageError."""
+        """Release the image, renamed into place if block 0 never was;
+        every later read or write raises StorageError."""
+        self._publish()
         self._host.close()
+
+    def _publish(self) -> None:
+        if self._pending is not None:
+            self._host.rename(self._pending, self.path)
+            self._pending = None
 
     def __enter__(self) -> "FileBackedWormDevice":
         return self
@@ -168,6 +197,8 @@ class FileBackedWormDevice(WormDevice):
         self._host.pwrite(data, self._data_offset + block * self.block_size)
         self._host.pwrite(bytes((state,)), _HEADER.size + block)
         self._states[block] = state
+        if block == 0:
+            self._publish()
 
     def write_block(self, block: int, data: bytes) -> None:
         # Defined here only so bench/trace.py can time the file-backed burn

@@ -52,6 +52,13 @@ class HostFile:
         except OSError as error:
             raise self._failed("write", error) from error
 
+    def rename(self, src: str, dst: str) -> None:
+        """Move the image from ``src`` to ``dst``; the handle stays open."""
+        try:
+            os.rename(src, dst)
+        except OSError as error:
+            raise self._failed("rename", error) from error
+
     def size(self) -> int:
         return os.fstat(self._fd).st_size
 

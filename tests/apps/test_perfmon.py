@@ -156,10 +156,10 @@ class TestIngestIdempotence:
         from repro.obs import MetricsRegistry
 
         service, metrics = make_metrics()
-        registry = MetricsRegistry()  # standalone: no samplers move it
-        registry.counter("jobs_total").inc(4)
-        registry.gauge("queue_depth").set(2)
-        hist = registry.histogram("job_ms", buckets=(1, 10))
+        registry = MetricsRegistry()  # standalone: nothing moves it
+        registry.add("jobs_total", "counter", "", lambda: [((), 4.0)])
+        registry.add("queue_depth", "gauge", "", lambda: [((), 2.0)])
+        hist = registry.histogram("job_ms", "", buckets=(1, 10))
         hist.observe(0.5)
         first = metrics.ingest_registry(registry, prefix="app.")
         assert first == 4  # counter, gauge, hist .sum and .count

@@ -196,6 +196,35 @@ class TestHealthCommand:
         assert code == 1
         assert "clio_volumes" in out
 
+    def test_every_bad_rule_is_an_error_line_and_exit_two(self, store, capsys):
+        capsys.readouterr()
+        code = main(
+            [
+                "health",
+                store,
+                "--rule",
+                "clio_device_reads_total > 100",
+                "--rule",
+                "clio_device_reads_total{volme=0} > 0",
+                "--rule",
+                "clio_no_such_metric > 1",
+                "--rule",
+                "not a rule",
+                "--rule",
+                "clio_device_reads_total{volume=0} > 1000",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        errors = captured.err.splitlines()
+        assert len(errors) == 4
+        assert all(line.startswith("error: ") for line in errors)
+        assert "takes labels {volume}" in errors[0]
+        assert "takes labels {volume}" in errors[1]
+        assert "clio_no_such_metric" in errors[2]
+        assert "cannot parse rule" in errors[3]
+        assert captured.out == ""
+
     def test_persisted_alert_readable_via_show_log(self, store, capsys):
         capsys.readouterr()
         code = main(

@@ -4,17 +4,26 @@ import json
 import math
 
 from repro.obs import MetricsRegistry, json_snapshot, prometheus_text
+from repro.obs.registry import Histogram
+
+
+def fixed(*samples):
+    """A read function returning ``samples``: ``(labels dict, value)``."""
+    return lambda: [
+        (tuple(sorted(labels.items())), value) for labels, value in samples
+    ]
 
 
 def build_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
-    reads = reg.counter(
-        "clio_device_reads_total", help="Blocks read", labelnames=("volume",)
+    reg.add(
+        "clio_device_reads_total",
+        "counter",
+        "Blocks read",
+        fixed(({"volume": "0"}, 7.0), ({"volume": "1"}, 2.0)),
     )
-    reads.labels(volume="0").inc(7)
-    reads.labels(volume="1").inc(2)
-    reg.gauge("clio_cache_hit_ratio", help="Hit ratio").set(0.75)
-    lat = reg.histogram("clio_append_ms", help="Append latency", buckets=(1, 5))
+    reg.add("clio_cache_hit_ratio", "gauge", "Hit ratio", fixed(({}, 0.75)))
+    lat = reg.histogram("clio_append_ms", "Append latency", buckets=(1, 5))
     for value in (0.5, 2.0, 99.0):
         lat.observe(value)
     return reg
@@ -38,16 +47,15 @@ class TestPrometheusText:
 
     def test_label_values_escaped(self):
         reg = MetricsRegistry()
-        c = reg.counter("esc_total", labelnames=("path",))
-        c.labels(path='a"b\\c\nd').inc()
+        reg.add("esc_total", "counter", "", fixed(({"path": 'a"b\\c\nd'}, 1.0)))
         text = prometheus_text(reg)
         assert 'esc_total{path="a\\"b\\\\c\\nd"} 1' in text
 
     def test_infinite_and_nan_values_rendered(self):
         reg = MetricsRegistry()
-        reg.gauge("x_now").set(math.inf)
-        reg.gauge("y_now").set(-math.inf)
-        reg.gauge("z_now").set(math.nan)
+        reg.add("x_now", "gauge", "", fixed(({}, math.inf)))
+        reg.add("y_now", "gauge", "", fixed(({}, -math.inf)))
+        reg.add("z_now", "gauge", "", fixed(({}, math.nan)))
         lines = prometheus_text(reg).splitlines()
         assert {"x_now +Inf", "y_now -Inf", "z_now NaN"} <= set(lines)
 
@@ -73,23 +81,29 @@ class TestJsonSnapshot:
 class TestMultiLabelExposition:
     def build_multi_label_registry(self) -> MetricsRegistry:
         reg = MetricsRegistry()
-        ops = reg.counter(
+        reg.add(
             "clio_ops_total",
-            help="Operations by kind and volume",
-            labelnames=("kind", "volume"),
+            "counter",
+            "Operations by kind and volume",
+            fixed(
+                ({"kind": "write", "volume": "0"}, 9.0),
+                ({"kind": "read", "volume": "1"}, 2.0),
+                ({"kind": "read", "volume": "0"}, 5.0),
+            ),
         )
-        ops.labels(kind="read", volume="0").inc(5)
-        ops.labels(kind="read", volume="1").inc(2)
-        ops.labels(kind="write", volume="0").inc(9)
-        lat = reg.histogram(
+        read, write = Histogram(buckets=(1, 10)), Histogram(buckets=(1, 10))
+        read.observe(0.4)
+        read.observe(5.0)
+        write.observe(50.0)
+        reg.add(
             "clio_op_ms",
-            help="Latency by kind",
-            labelnames=("kind",),
-            buckets=(1, 10),
+            "histogram",
+            "Latency by kind",
+            fixed(
+                ({"kind": "read"}, read.snapshot()),
+                ({"kind": "write"}, write.snapshot()),
+            ),
         )
-        lat.labels(kind="read").observe(0.4)
-        lat.labels(kind="read").observe(5.0)
-        lat.labels(kind="write").observe(50.0)
         return reg
 
     def test_every_counter_child_has_its_own_series(self):

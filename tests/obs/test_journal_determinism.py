@@ -1,13 +1,12 @@
 """Journal determinism: two services running the identical workload must
-persist byte-identical event journals.
+record byte-identical event journals.
 
-This test holds the property on the real bytes — event encoding is
-sorted-key JSON, so identical histories burn identical bytes on the
-write-once medium, and a re-persisted journal never diverges from the
-original."""
+This test holds the property on canonical bytes — each event rendered as
+sorted-key JSON — so any nondeterminism in what is journalled, its order,
+its sim-time stamps or its attributes shows up as a byte diff."""
 
 from repro.core import LogService
-from repro.obs.events import EventLog
+from repro.obs.canonical import canonical_json
 
 
 def run_workload(service: LogService) -> list[bytes]:
@@ -17,9 +16,9 @@ def run_workload(service: LogService) -> list[bytes]:
         if i % 5 == 4:
             service.sync()
     list(log.entries())
-    event_log = EventLog(service, path="/events")
-    assert event_log.persist() > 0
-    return [entry.data for entry in event_log.log.entries()]
+    events = service.journal.events()
+    assert events
+    return [canonical_json(event.as_dict()).encode() for event in events]
 
 
 def make_service() -> LogService:
@@ -31,7 +30,7 @@ def make_service() -> LogService:
     )
 
 
-def test_identical_workloads_persist_byte_identical_journals():
+def test_identical_workloads_record_byte_identical_journals():
     first = run_workload(make_service())
     second = run_workload(make_service())
     assert first == second

@@ -1,58 +1,69 @@
-"""Tests for the metrics registry: counters, gauges, histograms, labels."""
+"""Tests for the metrics registry: families read at collection time,
+histograms, and the label rules ``metric_value`` enforces."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.registry import (
     COUNT_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    LabelCardinalityError,
-    MetricError,
+    MetricFamily,
     MetricsRegistry,
 )
+from repro.obs.slo import metric_value
+
+
+def one(read):
+    return lambda: [((), float(read()))]
+
+
+def per_volume(values):
+    return lambda: [
+        ((("volume", str(index)),), float(value))
+        for index, value in enumerate(values)
+    ]
 
 
 class TestCounter:
     def test_starts_at_zero_and_increments(self):
         reg = MetricsRegistry()
-        c = reg.counter("ops_total")
-        assert c.value == 0
-        c.inc()
-        c.inc(3)
-        assert c.value == 4
-
-    def test_negative_increment_rejected(self):
-        c = MetricsRegistry().counter("ops_total")
-        with pytest.raises(MetricError):
-            c.inc(-1)
+        external = {"ops": 0}
+        reg.add("ops_total", "counter", "", one(lambda: external["ops"]))
+        assert reg.get("ops_total").samples == (((), 0.0),)
+        external["ops"] += 1
+        external["ops"] += 3
+        assert reg.get("ops_total").samples == (((), 4.0),)
 
     def test_set_total_mirrors_external_counter(self):
-        c = MetricsRegistry().counter("reads_total")
-        c.set_total(17)
-        assert c.value == 17
+        reg = MetricsRegistry()
+        stats = SimpleNamespace(reads=17)
+        reg.add("reads_total", "counter", "", one(lambda: stats.reads))
+        assert reg.get("reads_total").samples == (((), 17.0),)
 
     def test_labelless_family_exports_before_first_increment(self):
         reg = MetricsRegistry()
-        reg.counter("quiet_total")
+        reg.add("quiet_total", "counter", "", one(lambda: 0))
         (family,) = reg.collect()
         assert family.samples == (((), 0.0),)
 
 
 class TestGauge:
     def test_set_overwrites(self):
-        g = MetricsRegistry().gauge("resident_blocks")
-        g.set(10)
-        g.set(7)
-        assert g.value == 7
+        reg = MetricsRegistry()
+        box = [10]
+        reg.add("resident_blocks", "gauge", "", one(lambda: box[0]))
+        box[0] = 7
+        assert reg.get("resident_blocks").samples == (((), 7.0),)
 
 
 class TestHistogram:
     def test_observations_land_in_cumulative_buckets(self):
-        h = MetricsRegistry().histogram("batch", buckets=(1, 4, 16))
+        reg = MetricsRegistry()
+        h = reg.histogram("batch", "", buckets=(1, 4, 16))
         for value in (1, 2, 5, 100):
             h.observe(value)
-        ((_, snap),) = h._collect_samples()
+        ((_, snap),) = reg.get("batch").samples
         assert snap.count == 4
         assert snap.sum == 108
         # Cumulative: <=1 holds one, <=4 holds two, <=16 holds three,
@@ -60,94 +71,69 @@ class TestHistogram:
         assert snap.buckets == ((1.0, 1), (4.0, 2), (16.0, 3), (float("inf"), 4))
 
     def test_bucket_bounds_sorted_and_unique(self):
-        reg = MetricsRegistry()
-        with pytest.raises(MetricError):
-            reg.histogram("dup", buckets=(1, 1, 2))
-        with pytest.raises(MetricError):
-            reg.histogram("empty", buckets=())
-        h = reg.histogram("unsorted", buckets=(16, 1, 4))
-        assert h.buckets == (1.0, 4.0, 16.0)
+        with pytest.raises(ValueError):
+            Histogram(buckets=(1, 1, 2))
+        with pytest.raises(ValueError):
+            Histogram(buckets=())
+        assert Histogram(buckets=(16, 1, 4)).bounds == (1.0, 4.0, 16.0)
 
 
 class TestLabels:
+    def registry(self):
+        reg = MetricsRegistry()
+        reg.add("io_total", "counter", "", per_volume([2, 5]))
+        reg.add("ops_total", "counter", "", one(lambda: 3))
+        return SimpleNamespace(metrics=reg)
+
     def test_children_are_independent(self):
-        c = MetricsRegistry().counter("io_total", labelnames=("volume",))
-        c.labels(volume="0").inc(2)
-        c.labels(volume="1").inc(5)
-        assert c.labels(volume="0").value == 2
-        assert c.labels(volume="1").value == 5
+        service = self.registry()
+        assert metric_value(service, "io_total{volume=0}") == 2
+        assert metric_value(service, "io_total{volume=1}") == 5
+        # A label value no sample carries counts nothing.
+        assert metric_value(service, "io_total{volume=9}") == 0
 
     def test_wrong_label_names_rejected(self):
-        c = MetricsRegistry().counter("io_total", labelnames=("volume",))
-        with pytest.raises(MetricError):
-            c.labels(disk="0")
-        with pytest.raises(MetricError):
-            c.labels()
+        service = self.registry()
+        with pytest.raises(ValueError, match=r"takes labels \{volume\}"):
+            metric_value(service, "io_total{disk=0}")
+        with pytest.raises(ValueError, match="takes labels none"):
+            metric_value(service, "ops_total{volume=0}")
 
     def test_labelled_metric_has_no_default_child(self):
-        c = MetricsRegistry().counter("io_total", labelnames=("volume",))
-        with pytest.raises(MetricError):
-            c.inc()
-
-    def test_invalid_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(MetricError):
-            reg.counter("bad-name")
-        with pytest.raises(MetricError):
-            reg.counter("ok_total", labelnames=("bad-label",))
-        with pytest.raises(MetricError):
-            Counter("ok_total", "", labelnames=("dup", "dup"))
-
-    def test_cardinality_limit_enforced(self):
-        c = Counter("hot", "", labelnames=("k",), max_label_sets=3)
-        for i in range(3):
-            c.labels(k=str(i)).inc()
-        with pytest.raises(LabelCardinalityError):
-            c.labels(k="3")
-        # Existing children stay reachable after the limit trips.
-        assert c.labels(k="0").value == 1
+        # An unlabelled spec on a labelled family names no sample: it is
+        # an error, not the first volume's value.
+        with pytest.raises(ValueError, match=r"takes labels \{volume\}"):
+            metric_value(self.registry(), "io_total")
 
 
 class TestRegistry:
-    def test_registration_is_idempotent(self):
-        reg = MetricsRegistry()
-        a = reg.counter("ops_total", help="first wins")
-        b = reg.counter("ops_total", help="ignored")
-        assert a is b
-        assert a.help == "first wins"
-
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("ops_total")
-        with pytest.raises(MetricError):
-            reg.gauge("ops_total")
+        reg.add("ops_total", "counter", "", one(lambda: 0))
+        with pytest.raises(ValueError):
+            reg.add("ops_total", "gauge", "", one(lambda: 0))
+        with pytest.raises(ValueError):
+            reg.histogram("ops_total", "")
 
     def test_collect_sorted_by_name(self):
         reg = MetricsRegistry()
-        reg.counter("zebra")
-        reg.gauge("alpha")
+        reg.add("zebra", "counter", "", one(lambda: 0))
+        reg.add("alpha", "gauge", "", one(lambda: 0))
         assert [f.name for f in reg.collect()] == ["alpha", "zebra"]
-
-    def test_samplers_run_on_collect(self):
-        reg = MetricsRegistry()
-        external = {"reads": 0}
-        gauge = reg.gauge("reads_now")
-
-        def sample(r):
-            gauge.set(external["reads"])
-
-        reg.register_sampler(sample)
-        external["reads"] = 9
-        (family,) = reg.collect()
-        assert family.samples == (((), 9.0),)
-        external["reads"] = 12
-        (family,) = reg.collect()
-        assert family.samples == (((), 12.0),)
 
     def test_get(self):
         reg = MetricsRegistry()
-        c = reg.counter("b_total")
-        assert reg.get("b_total") is c
+        reg.add("b_total", "counter", "help", per_volume([1, 2, 3] * 4))
+        family = reg.get("b_total")
+        assert isinstance(family, MetricFamily)
+        assert (family.name, family.kind, family.help) == (
+            "b_total",
+            "counter",
+            "help",
+        )
+        # Samples sort by label value as strings: "10" before "2".
+        volumes = [labels[0][1] for labels, _ in family.samples]
+        assert volumes[:4] == ["0", "1", "10", "11"]
         assert reg.get("missing") is None
 
 
@@ -155,17 +141,13 @@ class TestStandardBuckets:
     def test_count_buckets_are_powers_of_two(self):
         assert all(b & (b - 1) == 0 for b in COUNT_BUCKETS)
 
-    def test_gauge_and_histogram_importable_directly(self):
-        assert Gauge("g", "").kind == "gauge"
-        assert Histogram("h", "", buckets=(1,)).kind == "histogram"
-
 
 class TestQuantile:
     def make_histogram(self, observations, buckets=(1, 2, 4, 8)):
-        h = Histogram("h", "", buckets=buckets)
+        h = Histogram(buckets=buckets)
         for value in observations:
             h.observe(value)
-        return h
+        return h.snapshot()
 
     def test_empty_histogram_is_zero(self):
         h = self.make_histogram([])
@@ -203,10 +185,14 @@ class TestQuantile:
         assert h.quantile(0.75) == pytest.approx(4.0)
 
     def test_snapshot_value_quantile_matches_histogram(self):
-        h = self.make_histogram([0.5, 1.5, 3.0, 6.0])
-        snapshot = h._default.snapshot()
+        # The registry's collected value is the instrument's snapshot.
+        reg = MetricsRegistry()
+        h = reg.histogram("h", "", buckets=(1, 2, 4, 8))
+        for value in (0.5, 1.5, 3.0, 6.0):
+            h.observe(value)
+        ((_, collected),) = reg.get("h").samples
         for q in (0.1, 0.5, 0.9):
-            assert snapshot.quantile(q) == h.quantile(q)
+            assert collected.quantile(q) == h.snapshot().quantile(q)
 
     def test_monotone_in_q(self):
         h = self.make_histogram([0.3, 0.9, 1.1, 2.5, 3.9, 7.5, 9.0])

@@ -57,6 +57,27 @@ class TestMetricValue:
         with pytest.raises(ValueError):
             metric_value(service, "no_such_metric")
 
+    def test_unlabelled_spec_on_a_labelled_family_raises(self):
+        # Not volume 0's count standing in for the whole family.
+        service = make_service(volume_capacity_blocks=16)
+        write_workload(service, entries=200)
+        assert len(service.devices) > 1
+        with pytest.raises(ValueError, match=r"takes labels \{volume\}"):
+            metric_value(service, "clio_device_writes_total")
+
+    def test_misspelt_or_extra_label_raises(self):
+        service = make_service()
+        write_workload(service, entries=10)
+        with pytest.raises(ValueError, match=r"takes labels \{volume\}"):
+            metric_value(service, "clio_device_writes_total{volme=0}")
+        with pytest.raises(ValueError, match="takes labels none"):
+            metric_value(service, "clio_volumes{volume=0}")
+
+    def test_absent_label_value_is_zero(self):
+        service = make_service()
+        write_workload(service, entries=10)
+        assert metric_value(service, "clio_device_writes_total{volume=7}") == 0
+
 
 class TestRules:
     def test_threshold_rule_fires_and_clears(self):

@@ -14,6 +14,7 @@ The harness's contract (docs/WORKLOADS.md):
 
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,11 +196,20 @@ class TestSloOverLongRuns:
         )
         return SloEngine(service, rules=[rule], alert_log=AlertLog(service))
 
+    def _pressure_gauge(self, service):
+        """A test-only gauge family; ``set(value)`` moves what it reads."""
+        value = [0.0]
+        service.metrics.add(
+            "workload_test_pressure",
+            "gauge",
+            "test-only pressure gauge",
+            lambda: [((), value[0])],
+        )
+        return SimpleNamespace(set=lambda new: value.__setitem__(0, new))
+
     def test_alerts_re_arm_across_phases(self):
         service = LogService.create(observability=True)
-        gauge = service.metrics.gauge(
-            "workload_test_pressure", "test-only pressure gauge"
-        )
+        gauge = self._pressure_gauge(service)
         engine = self._engine(service, "workload_test_pressure", 5.0)
 
         # Phase 1: violation -> one alert, still active -> no re-fire.
@@ -226,9 +236,7 @@ class TestSloOverLongRuns:
 
     def test_maybe_evaluate_respects_interval_across_long_gaps(self):
         service = LogService.create(observability=True)
-        gauge = service.metrics.gauge(
-            "workload_test_pressure", "test-only pressure gauge"
-        )
+        gauge = self._pressure_gauge(service)
         engine = self._engine(service, "workload_test_pressure", 5.0)
         gauge.set(10.0)
         assert len(engine.maybe_evaluate(60_000)) == 1
