@@ -55,10 +55,13 @@ done
 rm -rf "$records"
 echo "records ok: every checked-in BENCH_*.json equals its regeneration"
 
-echo "== benchmark of record, one run (every count + the sim fingerprint vs bench/expected.json, exactly) =="
-# run.py exits 0 even on a mismatch, so the grep is the gate.
-python3 bench/run.py --workload history-scan --seed 1 --seconds 15 --trace 0 \
-    | tail -n 1 | grep -q '"correct": true'
+echo "== benchmark of record, one run per path (every count + the sim fingerprint vs bench/expected.json, exactly) =="
+# run.py exits 0 even on a mismatch, so the grep is the gate.  history-scan
+# holds the read path's counts, ingest-batched the group commit's.
+for workload in history-scan ingest-batched; do
+    python3 bench/run.py --workload "$workload" --seed 1 --seconds 15 --trace 0 \
+        | tail -n 1 | grep -q '"correct": true'
+done
 echo "bench ok: counts and fingerprint equal bench/expected.json"
 
 if python -c "import mypy" >/dev/null 2>&1; then

@@ -310,9 +310,8 @@ class BlockBuilder:
             _MAGIC, flags, len(self._fragments), cont_len, self._data_len, 0
         )
         body = b"".join(self._fragments)
-        index = b"".join(
-            struct.pack(">H", len(fragment))
-            for fragment in reversed(self._fragments)
+        index = struct.pack(
+            f">{len(self._fragments)}H", *map(len, reversed(self._fragments))
         )
         gap = (
             self.block_size

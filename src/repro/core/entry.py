@@ -31,6 +31,7 @@ from repro.core.ids import validate_logfile_id
 __all__ = [
     "HeaderForm",
     "LogEntry",
+    "encode_record",
     "DecodedRecord",
     "decode_record",
     "peek_logfile_id",
@@ -39,9 +40,11 @@ __all__ = [
 ]
 
 _U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _U64_U32 = struct.Struct(">QI")
+#: One precompiled header per form, for :func:`encode_record`.
+_TIMESTAMPED_HEADER = struct.Struct(">HQ")
+_FULL_HEADER = struct.Struct(">HQI")
 
 
 class HeaderForm(enum.IntEnum):
@@ -120,15 +123,31 @@ class LogEntry:
 
     def encode(self) -> bytes:
         """Serialize header + data into the record written to the block."""
-        form = self.form
-        first = (form.value << 12) | self.logfile_id
-        parts = [_U16.pack(first)]
-        if form is not HeaderForm.MINIMAL:
-            parts.append(_U64.pack(self.timestamp))
-        if form is HeaderForm.FULL:
-            parts.append(_U32.pack(self.client_seq))
-        parts.append(self.data)
-        return b"".join(parts)
+        record, _ = encode_record(
+            self.logfile_id, self.data, self.timestamp, self.client_seq
+        )
+        return record
+
+
+def encode_record(
+    logfile_id: int,
+    data: bytes,
+    timestamp: int | None = None,
+    client_seq: int | None = None,
+) -> tuple[bytes, int]:
+    """The one record encoder: returns (header + data, header size), the
+    form following from which of ``timestamp`` and ``client_seq`` are
+    present.  The caller has validated ``logfile_id`` (a :class:`LogEntry`
+    or the writer).  The first 16 bits are version:4 | logfile-id:12."""
+    if client_seq is not None:
+        if not 0 <= client_seq < 1 << 32:
+            raise ValueError("client sequence number must fit in 32 bits")
+        header = _FULL_HEADER.pack(0x3000 | logfile_id, timestamp, client_seq)
+        return header + data, _FULL_SIZE
+    if timestamp is not None:
+        header = _TIMESTAMPED_HEADER.pack(0x2000 | logfile_id, timestamp)
+        return header + data, _TIMESTAMPED_SIZE
+    return _U16.pack(0x1000 | logfile_id) + data, _MINIMAL_SIZE
 
 
 @dataclass(frozen=True, slots=True)

@@ -70,6 +70,10 @@ class ReadOnlyService(RuntimeError):
     """A mutating operation was attempted on a read-only mount."""
 
 
+#: What a payload may be; anything else is refused before a charge.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
 class LogService:
     """The extended file service providing log files."""
 
@@ -545,6 +549,8 @@ class LogService:
         self._check_writable()
         logfile_id = self._resolve_target(target)
         self._check_permission(logfile_id, 0o200, "append")
+        if not isinstance(data, _BYTES_LIKE):
+            raise TypeError(f"data must be bytes-like, not {type(data).__name__}")
         store = self.store
         start_ms = store.clock.now_ms
         with store.tracer.span(
@@ -591,6 +597,10 @@ class LogService:
         self._check_permission(logfile_id, 0o200, "append")
         if not batch:
             return []
+        for index, data in enumerate(batch):
+            if not isinstance(data, _BYTES_LIKE):
+                name = type(data).__name__
+                raise TypeError(f"batch[{index}] must be bytes-like, not {name}")
         store = self.store
         start_ms = store.clock.now_ms
         total_bytes = sum(len(data) for data in batch)

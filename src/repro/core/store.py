@@ -148,7 +148,8 @@ class LogStore:
     def charge_us(self, component: str, us: int) -> None:
         """Like :meth:`charge` but in integer microseconds (exact)."""
         self.clock.advance_us(us)
-        self.tracer.charge(component, us / 1000.0)
+        if self.tracer.enabled:
+            self.tracer.charge(component, us / 1000.0)
 
     def charge_many(self, parts: list[tuple[str, float]]) -> None:
         """Charge several components under one clock advance.

@@ -5,9 +5,11 @@ disk location that is known at all times" (Section 2.1).  The writer owns
 the single in-progress *tail block* and is responsible for:
 
 * packing entry records into blocks (fragmenting entries that do not fit,
-  Section 2.1 footnote 7);
+  Section 2.1 footnote 7), with one record packer for every kind of append;
 * forcing the first entry of every block to carry a timestamp (the time
   search relies on it);
+* noting block membership in the entrymap once per block and owner chain
+  (the ``entrymap_maint`` charge of Section 3.2 stays per fragment);
 * emitting entrymap log entries at their well-known positions when a block
   opens on a level boundary (Section 2.1), folding accumulators upward;
 * staging the tail block in battery-backed RAM on forced writes, or — on a
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.block import BlockBuilder
 from repro.core.catalog import CatalogRecord
-from repro.core.entry import LogEntry
+from repro.core.entry import encode_record
 from repro.core.entrymap import UNTRACKED_IDS, EntrymapState
 from repro.core.ids import CATALOG_ID, ENTRYMAP_ID, EntryId, EntryLocation
 from repro.core.store import LogStore
@@ -57,16 +59,18 @@ class TailWriter:
         self._block_addr = -1
         self._block_has_entry_start = False
         self._carry_tracked_ids: frozenset[int] = frozenset()
+        #: The last (state, block, tracked) noted: a fragment repeating it
+        #: skips ``note_membership`` (an idempotent OR).  Dropped whenever a
+        #: block opens or entrymap entries are emitted.
+        self._noted: tuple[EntrymapState, int, frozenset[int]] | None = None
         self._pending_corrupt_reports: list[tuple[int, int]] = []
         self._draining = False
         #: Group-commit state (:meth:`append_batch`): while a batch is in
-        #: flight, timestamps are amortized (one ``timestamp_ms`` charge for
-        #: the whole batch — the values stay unique and monotonic) and the
-        #: per-entry tail-cache re-encode is deferred to the batch end.
-        self._amortize_timestamps = False
+        #: flight, its client timestamps share one ``timestamp_ms`` charge
+        #: (the values stay unique and monotonic) and the per-entry
+        #: tail-cache re-encode is deferred to the batch end.
+        self._in_batch = False
         self._batch_ts_charged = False
-        self._defer_tail_refresh = False
-        self._tail_refresh_pending = False
         #: Tail-block re-encodes performed (one per plain append; one per
         #: *batch* under group commit) — the benchmarks' wall-clock story.
         self.tail_refreshes = 0
@@ -130,24 +134,13 @@ class TailWriter:
         pure WORM configurations).
         """
         tracked = self.store.catalog.tracked(logfile_id)
-        timestamp = None
-        if want_timestamp or client_seq is not None:
-            timestamp = self._make_timestamp()
-        entry = LogEntry(
-            logfile_id=logfile_id,
-            data=data,
-            timestamp=timestamp,
-            client_seq=client_seq,
+        result = self._append_client(
+            logfile_id, data, want_timestamp, client_seq, tracked
         )
-        location, final_entry = self._write_entry(entry, tracked)
-        space = self.store.space
-        space.client_entries += 1
-        space.client_data += len(data)
-        space.entry_headers += final_entry.header_size
         if force:
             self._force()
         self.drain_corrupt_reports()
-        return AppendResult(location=location, timestamp=final_entry.timestamp)
+        return result
 
     def append_batch(
         self,
@@ -161,15 +154,18 @@ class TailWriter:
         """Append a batch of client entries to ``logfile_id`` as one group
         commit.
 
-        The entries land exactly as :meth:`append` would place them (same
-        blocks, same fragmentation, same entrymap entries), but the
-        per-entry fixed work is amortized across the batch: one
-        ``timestamp_ms`` charge covers every timestamp drawn (the values
-        remain unique and strictly increasing), the tail block is re-encoded
-        once at the end instead of once per entry, and ``force=True`` makes
-        the whole batch durable with a single NVRAM store.  If a crash
-        interrupts the batch, the usual prefix-durability rule applies to
-        the entries written so far — a recovered log never has holes.
+        Each entry goes through the same record packer as :meth:`append`
+        and lands exactly where :meth:`append` would place it (same
+        blocks, same fragmentation, same entrymap entries), and every
+        per-fragment charge is made in the same order.  The per-entry fixed
+        work is amortized across the batch: the logfile id is resolved
+        once, one ``timestamp_ms`` charge covers every client timestamp
+        drawn (the values remain unique and strictly increasing), the tail
+        block is re-encoded once at the end instead of once per entry, and
+        ``force=True`` makes the whole batch durable with a single NVRAM
+        store.  If a crash interrupts the batch, the usual prefix-durability
+        rule applies to the entries written so far — a recovered log never
+        has holes.
         """
         if client_seqs is not None and len(client_seqs) != len(payloads):
             raise ValueError(
@@ -179,40 +175,23 @@ class TailWriter:
         if not payloads:
             return []
         tracked = self.store.catalog.tracked(logfile_id)
-        space = self.store.space
         results: list[AppendResult] = []
-        self._amortize_timestamps = True
+        self._in_batch = True
         self._batch_ts_charged = False
-        self._defer_tail_refresh = True
-        self._tail_refresh_pending = False
         try:
             for index, data in enumerate(payloads):
                 client_seq = client_seqs[index] if client_seqs is not None else None
-                timestamp = None
-                if want_timestamps or client_seq is not None:
-                    timestamp = self._make_timestamp()
-                entry = LogEntry(
-                    logfile_id=logfile_id,
-                    data=data,
-                    timestamp=timestamp,
-                    client_seq=client_seq,
-                )
-                location, final_entry = self._write_entry(entry, tracked)
-                space.client_entries += 1
-                space.client_data += len(data)
-                space.entry_headers += final_entry.header_size
                 results.append(
-                    AppendResult(location=location, timestamp=final_entry.timestamp)
+                    self._append_client(
+                        logfile_id, data, want_timestamps, client_seq, tracked
+                    )
                 )
         finally:
             # Even on a mid-batch failure the entries already packed form a
             # consistent prefix: re-encode the tail once so readers see it.
-            self._amortize_timestamps = False
-            self._defer_tail_refresh = False
-            if self._tail_refresh_pending:
-                self._tail_refresh_pending = False
-                if self._builder is not None:
-                    self._refresh_tail_cache()
+            self._in_batch = False
+            if results and self._builder is not None:
+                self._refresh_tail_cache()
         if force:
             self._force()
         self.drain_corrupt_reports()
@@ -226,24 +205,23 @@ class TailWriter:
     ) -> AppendResult:
         """Append a record to the catalog log file (always timestamped;
         forced by default — losing catalog records loses log files)."""
-        entry = LogEntry(
-            logfile_id=CATALOG_ID, data=record.encode(), timestamp=self._make_timestamp()
+        data = record.encode()
+        location, timestamp, header_size = self._pack(
+            CATALOG_ID, data, self._make_timestamp(), None, frozenset({CATALOG_ID})
         )
-        location, final_entry = self._write_entry(entry, frozenset({CATALOG_ID}))
-        self.store.space.catalog += final_entry.record_size
+        self.store.space.catalog += header_size + len(data)
         if force:
             self._force()
         self.drain_corrupt_reports()
-        return AppendResult(location=location, timestamp=final_entry.timestamp)
+        return AppendResult(location, timestamp)
 
     def append_reserved(self, logfile_id: int, payload: bytes) -> AppendResult:
         """Append to another reserved log file (e.g. the corrupted-block log)."""
-        entry = LogEntry(
-            logfile_id=logfile_id, data=payload, timestamp=self._make_timestamp()
-        )
         tracked = frozenset({logfile_id}) - UNTRACKED_IDS
-        location, final_entry = self._write_entry(entry, tracked)
-        return AppendResult(location=location, timestamp=final_entry.timestamp)
+        location, timestamp, _ = self._pack(
+            logfile_id, payload, self._make_timestamp(), None, tracked
+        )
+        return AppendResult(location, timestamp)
 
     def flush(self) -> None:
         """Burn the tail block even if partially filled (volume unmount,
@@ -257,8 +235,8 @@ class TailWriter:
 
     # -- internals -------------------------------------------------------------
 
-    def _make_timestamp(self) -> int:
-        if self._amortize_timestamps:
+    def _make_timestamp(self, amortized: bool = True) -> int:
+        if amortized and self._in_batch:
             if self._batch_ts_charged:
                 # Group commit: the batch already paid its one timestamp
                 # charge; further values are free but still unique (the
@@ -276,23 +254,60 @@ class TailWriter:
     def _state(self) -> EntrymapState:
         return self.store.states[self._volume_index]
 
-    def _write_entry(
-        self, entry: LogEntry, tracked: frozenset[int]
-    ) -> tuple[EntryLocation, LogEntry]:
-        """Pack the entry into the tail, fragmenting across blocks as needed."""
+    def _append_client(
+        self,
+        logfile_id: int,
+        data: bytes,
+        want_timestamp: bool,
+        client_seq: int | None,
+        tracked: frozenset[int],
+    ) -> AppendResult:
+        """One client entry of :meth:`append` or :meth:`append_batch`."""
+        timestamp = None
+        if want_timestamp or client_seq is not None:
+            timestamp = self._make_timestamp()
+        location, timestamp, header_size = self._pack(
+            logfile_id, data, timestamp, client_seq, tracked
+        )
+        space = self.store.space
+        space.client_entries += 1
+        space.client_data += len(data)
+        space.entry_headers += header_size
+        return AppendResult(location, timestamp)
+
+    def _pack(
+        self,
+        logfile_id: int,
+        data: bytes,
+        timestamp: int | None,
+        client_seq: int | None,
+        tracked: frozenset[int],
+    ) -> tuple[EntryLocation, int | None, int]:
+        """The record packer: put one record into the tail, fragmenting it
+        across blocks as needed.  Returns its location, its timestamp and
+        its header size.
+
+        "A header timestamp is mandatory for the first log entry in each
+        block" (Section 2.1): an untimestamped record that would start a
+        block draws one before it is encoded.
+        """
         if self._builder is None:
             self._open_block(cont_in=False)
-        entry = self._upgrade_if_first(entry)
-        record = entry.encode()
-        taken = self._builder.add_record(record, entry.header_size)
-        while taken == 0:
+        while True:
+            if timestamp is None and not self._block_has_entry_start:
+                timestamp = self._make_timestamp()
+            record, header_size = encode_record(
+                logfile_id, data, timestamp, client_seq
+            )
+            taken = self._builder.add_record(record, header_size)
+            if taken:
+                break
             self._burn_current()
             self._open_block(cont_in=False)
-            entry = self._upgrade_if_first(entry)
-            record = entry.encode()
-            taken = self._builder.add_record(record, entry.header_size)
-        first_block = self.store.sequence.to_global(self._volume_index, self._block_addr)
-        slot = self._builder.fragment_count - 1
+        location = EntryLocation(
+            self.store.sequence.to_global(self._volume_index, self._block_addr),
+            self._builder.fragment_count - 1,
+        )
         self._block_has_entry_start = True
         self._note_fragment(tracked)
         self.store.space.size_index += 2
@@ -308,29 +323,17 @@ class TailWriter:
                 # entries due at this block can now be emitted after it.
                 self._emit_due_entrymap_entries()
         self._carry_tracked_ids = frozenset()
-        if self._defer_tail_refresh:
-            self._tail_refresh_pending = True
-        else:
+        if not self._in_batch:
             self._refresh_tail_cache()
         self.store.append_generation += 1
-        return EntryLocation(global_block=first_block, slot=slot), entry
-
-    def _upgrade_if_first(self, entry: LogEntry) -> LogEntry:
-        """Force a timestamp onto the first entry starting in the block
-        ("a header timestamp is mandatory for the first log entry in each
-        block", Section 2.1)."""
-        if self._block_has_entry_start or entry.timestamp is not None:
-            return entry
-        return LogEntry(
-            logfile_id=entry.logfile_id,
-            data=entry.data,
-            timestamp=self._make_timestamp(),
-            client_seq=entry.client_seq,
-        )
+        return location, timestamp, header_size
 
     def _note_fragment(self, tracked: frozenset[int]) -> None:
         if tracked:
-            self._state.note_membership(self._block_addr, tracked)
+            noted = (self._state, self._block_addr, tracked)
+            if noted != self._noted:
+                self._noted = noted
+                noted[0].note_membership(self._block_addr, tracked)
         self.store.charge("entrymap_maint", self.store.costs.entrymap_per_entry_ms)
 
     def _refresh_tail_cache(self) -> None:
@@ -426,10 +429,11 @@ class TailWriter:
         self._block_addr = self._volume.next_data_block
         self._builder = BlockBuilder(self.store.config.block_size, cont_in=cont_in)
         self._block_has_entry_start = False
+        self._noted = None
         if not cont_in:
             # A continuation fragment must be the block's first fragment,
             # so entrymap entries due at a continuation block are emitted
-            # right after that fragment lands (see _write_entry) — they
+            # right after that fragment lands (see _pack) — they
             # stay due until emitted, and the reader's relocation window /
             # lower-level fallback tolerates the displacement.
             self._emit_due_entrymap_entries()
@@ -467,17 +471,7 @@ class TailWriter:
         state = self._state
         due = state.entries_due(self._block_addr)
         if due:
-            # Entrymap entries are the server's own bookkeeping: their
-            # timestamps charge normally even inside a group commit, so a
-            # batch's cost differs from N singles only in the per-entry
-            # fixed costs (IPC, write overhead, client timestamps).
-            amortize, self._amortize_timestamps = self._amortize_timestamps, False
-            try:
-                self._emit_entrymap_entries(state, due)
-            finally:
-                self._amortize_timestamps = amortize
-
-    def _emit_entrymap_entries(self, state: EntrymapState, due) -> None:
+            self._noted = None
         for level, boundary in due:
             if state is not self._state:
                 # The volume changed underneath us (a record spilled across
@@ -490,19 +484,20 @@ class TailWriter:
                 # wrote this entry.
                 continue
             record = state.emit(level, boundary)
-            entry = LogEntry(
-                logfile_id=ENTRYMAP_ID,
-                data=record.encode(),
-                timestamp=self._make_timestamp(),
+            # Entrymap entries are the server's own bookkeeping: their
+            # timestamps charge normally even inside a group commit, so a
+            # batch's cost differs from N singles only in the per-entry
+            # fixed costs (IPC, write overhead, client timestamps).
+            encoded, header_size = encode_record(
+                ENTRYMAP_ID, record.encode(), self._make_timestamp(amortized=False)
             )
-            encoded = entry.encode()
-            taken = self._builder.add_record(encoded, entry.header_size)
+            taken = self._builder.add_record(encoded, header_size)
             while taken == 0:
                 self._burn_current()
                 self._open_block(cont_in=False)
-                taken = self._builder.add_record(encoded, entry.header_size)
+                taken = self._builder.add_record(encoded, header_size)
             self._block_has_entry_start = True
-            self.store.space.entrymap += entry.record_size + 2
+            self.store.space.entrymap += len(encoded) + 2
             while taken < len(encoded):
                 self._burn_current()
                 self._open_block(cont_in=True)

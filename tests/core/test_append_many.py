@@ -7,6 +7,8 @@ write-operation overhead, timestamp acquisition, tail re-encode, NVRAM
 force — once per batch instead of once per entry.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import LogService
@@ -222,6 +224,61 @@ class TestDurability:
         read_back = [e.data for e in recovered.read_entries("/x")]
         assert read_back == batch[: len(read_back)]
         assert len(read_back) > 0
+
+
+class TestPayloadRejection:
+    """A payload that is not bytes-like is refused before any charge: the
+    clock, the space accounting, the tail and the log stay as they were,
+    and the ``TypeError`` names the argument."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda log: log.append("x"), r"^data must be bytes.* not str$"),
+            (lambda log: log.append(7), r"^data must be bytes.* not int$"),
+            (
+                lambda log: log.append_many([b"ok", "bad"]),
+                r"^batch\[1\] must be bytes.* not str$",
+            ),
+            (
+                lambda log: log.append_many([b"ok", b"ok", None], force=True),
+                r"^batch\[2\] must be bytes.* not NoneType$",
+            ),
+        ],
+        ids=["append-str", "append-int", "batch-str", "forced-batch-none"],
+    )
+    def test_rejected_call_changes_nothing(self, call, message):
+        service = make_service()
+        log = service.create_log_file("/x")
+        log.append(b"before")
+        now_us = service.clock.now_us
+        space = dataclasses.replace(service.space_stats)
+        tail = service.writer.tail_image()
+        with pytest.raises(TypeError, match=message):
+            call(log)
+        assert service.clock.now_us == now_us
+        assert service.space_stats == space
+        assert service.writer.tail_image() == tail
+        assert [e.data for e in log.entries()] == [b"before"]
+
+    def test_bytes_like_payloads_accepted(self):
+        service = make_service()
+        log = service.create_log_file("/x")
+        log.append(bytearray(b"ab"))
+        log.append_many([memoryview(b"cd"), bytearray(b"ef"), b"gh"])
+        assert [e.data for e in log.entries()] == [b"ab", b"cd", b"ef", b"gh"]
+
+    def test_wide_memoryview_headers_counted_by_form(self):
+        """A memoryview of 4-byte items: the header size comes from the
+        header form, never from the payload's item count."""
+        from array import array
+
+        wide, plain = make_service(), make_service()
+        payload = array("I", range(50))
+        wide.create_log_file("/x").append_many([memoryview(payload)] * 3)
+        plain.create_log_file("/x").append_many([payload.tobytes()] * 3)
+        assert wide.space_stats.entry_headers == plain.space_stats.entry_headers
+        assert wide.space_stats.size_index == plain.space_stats.size_index
 
 
 class TestAccessControl:

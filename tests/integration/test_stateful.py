@@ -1,7 +1,9 @@
 """Hypothesis stateful testing: the service as a state machine.
 
-Rules interleave appends (forced and not), sublog creation, reads, crash/
-mount cycles, and clean shutdowns; the model tracks, per log file, the
+Rules interleave appends (forced and not), group commits (``append_many``
+batches of 1–40 entries, timestamped or not, forced or not, payloads up
+to larger than a block), sublog creation, reads, crash/mount cycles, and
+clean shutdowns; the model tracks, per log file, the
 full append history and the index of the last forced entry.  Invariants:
 
 * reading always yields a prefix of the history;
@@ -88,6 +90,32 @@ class LogServiceMachine(RuleBasedStateMachine):
         if force:
             # A force makes everything appended so far durable, in every
             # log file (the log is one physical sequence).
+            for p in self.history:
+                self.forced_floor[p] = len(self.history[p])
+
+    @precondition(lambda self: self.history)
+    @rule(
+        data=st.data(),
+        sizes=st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=40),
+        timestamped=st.booleans(),
+        force=st.booleans(),
+    )
+    def append_many(self, data, sizes, timestamped, force):
+        path = data.draw(st.sampled_from(self._paths()))
+        start = len(self.history[path])
+        batch = [
+            path[-1].encode() + b"%d-" % (start + i) + bytes([size % 256]) * size
+            for i, size in enumerate(sizes)
+        ]
+        results = self.service.append_many(
+            path, batch, timestamped=timestamped, force=force
+        )
+        assert len(results) == len(batch)
+        self.history[path].extend(batch)
+        log = self.service.open_log_file(path)
+        direct = [e.data for e in log.entries() if e.logfile_id == log.logfile_id]
+        assert direct == self.history[path]
+        if force:
             for p in self.history:
                 self.forced_floor[p] = len(self.history[p])
 
