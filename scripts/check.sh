@@ -57,8 +57,9 @@ echo "records ok: every checked-in BENCH_*.json equals its regeneration"
 
 echo "== benchmark of record, one run per path (every count + the sim fingerprint vs bench/expected.json, exactly) =="
 # run.py exits 0 even on a mismatch, so the grep is the gate.  history-scan
-# holds the read path's counts, ingest-batched the group commit's.
-for workload in history-scan ingest-batched; do
+# holds the read path's counts, ingest-batched the group commit's, and
+# tail-follow those of reads of a tail block that appends rewrite between them.
+for workload in history-scan ingest-batched tail-follow; do
     python3 bench/run.py --workload "$workload" --seed 1 --seconds 15 --trace 0 \
         | tail -n 1 | grep -q '"correct": true'
 done

@@ -73,8 +73,10 @@ class BlockCache:
 
     # -- core operations ---------------------------------------------------
 
-    def get(self, key: Hashable, loader: Callable[[], bytes]) -> bytes:
-        """Return the cached block, calling ``loader`` on a miss.
+    def get(
+        self, key: Hashable, loader: Callable[..., bytes], *args: Any
+    ) -> bytes:
+        """Return the cached block, calling ``loader(*args)`` on a miss.
 
         The loader's result is inserted (possibly evicting the LRU unpinned
         block) and returned.
@@ -88,7 +90,7 @@ class BlockCache:
             self._entries.move_to_end(key)
             return data
         self.stats.misses += 1
-        data = loader()
+        data = loader(*args)
         self._insert(key, data)
         return data
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -50,6 +49,9 @@ _HEADER_SIZE = _HEADER.size  # 10
 _CRC = struct.Struct(">I")
 _CRC_SIZE = _CRC.size
 _INDEX_ENTRY_SIZE = 2
+#: The size index of an ``n``-fragment block, one precompiled struct per n
+#: (at most one per fragment count the block geometry admits).
+_INDEX: dict[int, struct.Struct] = {}
 #: Fixed per-block overhead (header + CRC trailer), excluding the index.
 BLOCK_OVERHEAD = _HEADER_SIZE + _CRC_SIZE
 
@@ -88,9 +90,10 @@ class ParsedBlock:
         slot → decoded entrymap record (None if it does not decode), for
         complete entrymap records only.
 
-    :class:`~repro.core.reader.LogReader` fills all three lazily.  They
-    need no invalidation rule of their own: the block cache drops a parsed
-    block together with the raw bytes it was parsed from.
+    :class:`~repro.core.reader.LogReader` makes and fills all three on
+    first use.  They need no invalidation rule of their own: the block
+    cache drops a parsed block together with the raw bytes it was parsed
+    from.
     """
 
     __slots__ = (
@@ -99,7 +102,6 @@ class ParsedBlock:
         "image",
         "bounds",
         "fragment_count",
-        "_starts",
         "record_ids",
         "entries",
         "entrymaps",
@@ -112,11 +114,10 @@ class ParsedBlock:
         self.cont_out = cont_out
         self.image = image
         self.bounds = bounds
-        count = self.fragment_count = len(bounds) - 1
-        self._starts = list(range(1 if cont_in else 0, count))
+        self.fragment_count = len(bounds) - 1
         self.record_ids: list[int | None] | None = None
-        self.entries: list[LogEntry | None] = [None] * count
-        self.entrymaps: dict[int, EntrymapRecord | None] = {}
+        self.entries: list[LogEntry | None] | None = None
+        self.entrymaps: dict[int, EntrymapRecord | None] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -133,14 +134,13 @@ class ParsedBlock:
         """Every fragment, sliced out of the image (a fresh copy per call)."""
         return tuple(map(self.fragment, range(self.fragment_count)))
 
-    def entry_start_slots(self) -> list[int]:
-        """Indices of fragments that *begin* an entry in this block (one
-        shared list per block — callers must not mutate it)."""
-        return self._starts
+    def entry_start_slots(self) -> range:
+        """Indices of fragments that *begin* an entry in this block."""
+        return range(self.cont_in, self.fragment_count)
 
     def starts_entry(self, slot: int) -> bool:
         """True if an entry begins at fragment ``slot`` of this block."""
-        return (1 if self.cont_in else 0) <= slot < self.fragment_count
+        return self.cont_in <= slot < self.fragment_count
 
     def is_complete(self, slot: int) -> bool:
         """True if the record starting at ``slot`` ends inside this block."""
@@ -163,7 +163,7 @@ def parse_block(data: bytes) -> ParsedBlock:
         raise BlockFormatError(f"bad block magic 0x{magic:02x}")
     index_end = block_size - _CRC_SIZE
     (stored_crc,) = _CRC.unpack_from(data, index_end)
-    actual_crc = zlib.crc32(memoryview(data)[:index_end])
+    actual_crc = zlib.crc32(data[:index_end])
     if stored_crc != actual_crc:
         raise BlockFormatError(
             f"CRC mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
@@ -176,11 +176,17 @@ def parse_block(data: bytes) -> ParsedBlock:
     # The index runs right-to-left (s_n .. s_1), so one read yields the
     # sizes in reverse; the geometry check above keeps it inside the block.
     # Their running sum from the header end gives every fragment's bounds.
-    sizes = struct.unpack_from(f">{count}H", data, index_end - index_size)
-    bounds = list(accumulate(reversed(sizes), initial=_HEADER_SIZE))
-    if bounds[-1] - _HEADER_SIZE != data_len:
+    index = _INDEX.get(count)
+    if index is None:
+        index = _INDEX[count] = struct.Struct(f">{count}H")
+    end = _HEADER_SIZE
+    bounds = [end]
+    for size in reversed(index.unpack_from(data, index_end - index_size)):
+        end += size
+        bounds.append(end)
+    if end - _HEADER_SIZE != data_len:
         raise BlockFormatError(
-            f"size index sums to {bounds[-1] - _HEADER_SIZE} but data length "
+            f"size index sums to {end - _HEADER_SIZE} but data length "
             f"is {data_len}"
         )
     cont_in = bool(flags & _FLAG_CONT_IN)

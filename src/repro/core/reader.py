@@ -3,9 +3,12 @@
 Reading a log entry has the three steps of Section 3.3: (1) locate the
 block containing the entry (entrymap tree search), (2) read that block
 (cache or device), and (3) locate the entry within the block (scan the
-Figure-1 index).  Every step is instrumented: Table 1's columns — entrymap
-entries examined, block accesses, elapsed (simulated) time — all come from
-the counters maintained here.
+Figure-1 index).  Step 2 is :meth:`LogReader.read_parsed`, the one block
+access: the time probe, the entrymap fetch, the match of a located block
+and each entry served from it make one call each, one counted access
+charged the paper's ~0.6 ms of "access and interpretation".  Table 1's
+columns — entrymap entries examined, block accesses, elapsed (simulated)
+time — all come from the counters maintained here.
 
 The reader is also where the robustness policies live: corrupt blocks are
 reported (the service invalidates them and records never-written corrupt
@@ -18,11 +21,11 @@ surfaces as :class:`TornEntryError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Iterator
 
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
 from repro.core.catalog import CatalogError
-from repro.core.entry import CorruptRecord, LogEntry, decode_record, peek_logfile_id
+from repro.core.entry import SIZE_BY_VERSION, CorruptRecord, LogEntry, decode_record
 from repro.core.entrymap import EntrymapRecord, EntrymapSearch, SearchStats
 from repro.core.ids import ENTRYMAP_ID, EntryLocation
 from repro.core.store import LogStore
@@ -140,8 +143,8 @@ class ReadStats:
 class LogReader:
     """Instrumented read-side of the log service.
 
-    ``written_limit`` callbacks tell the reader how far each volume is
-    written; for the active volume that includes the in-progress tail
+    The writer's ``tail_position`` tells the reader how far each volume is
+    readable; for the active volume that includes the in-progress tail
     block, which the writer keeps pinned in the shared cache.
     """
 
@@ -183,6 +186,9 @@ class LogReader:
         #: One entrymap search per volume, rebuilt when recovery installs a
         #: fresh ``EntrymapState`` for that volume.
         self._searches: dict[int, EntrymapSearch] = {}
+        #: One access's fixed charge, in the integer µs ``advance_ms`` would
+        #: round ``cached_block_ms`` to on every call.
+        self._access_us = int(round(store.costs.cached_block_ms * 1000))
 
     # -- geometry ------------------------------------------------------------
 
@@ -203,66 +209,49 @@ class LogReader:
     # -- raw block access -------------------------------------------------------
 
     def read_parsed(self, volume_index: int, local_block: int) -> ParsedBlock | None:
-        """Read and parse one block via the cache; None if the block is
-        unwritten, invalidated, or corrupt (corruption is reported)."""
-        # ``volume_extent`` inlined, as this runs on every block access; its
-        # one look at the tail also serves the loader.
+        """One counted access to a block, parsed, via the cache; None if
+        the block is unwritten, invalidated, or corrupt (corruption is
+        reported).  A block whose decoded form is pooled costs the access
+        its count and charge and nothing else."""
         store = self.store
-        active_volume, tail_addr = self._tail_position()
-        burned = max(0, store.sequence.volumes[volume_index].next_data_block)
-        at_active = volume_index == active_volume
-        extent = tail_addr + 1 if at_active and tail_addr >= burned else burned
-        if local_block < 0 or local_block >= extent:
-            return None
-        key = store.cache_key(volume_index, local_block)
-        warm = self._warm_parsed(volume_index, local_block, key)
-        if warm is not None:
-            return warm
         cache = store.cache
-
-        # ``_warm_parsed`` has already shown the access to the sequential-
-        # run detector.
+        key = ("log", volume_index, local_block)
         readahead = store.config.readahead_blocks
-        if readahead > 0 and self._seq_run >= _PREFETCH_TRIGGER and key not in cache:
-            self._prefetch(volume_index, local_block, readahead)
-
-        tail_image = self._tail_image if at_active and local_block == tail_addr else None
-
-        def loader() -> bytes:
-            # The writer's image of the tail block, else one device read;
-            # spans only while tracing is on.
-            image = tail_image() if tail_image is not None else None
-            tracer = store.tracer
-            if not tracer.enabled:
-                if image is None:
-                    image = self._read_device(volume_index, local_block)
-                return image
-            with tracer.span(
-                "cache.fill", volume=volume_index, block=local_block
-            ) as fill:
-                if image is not None:
-                    fill.set("source", "tail-image")
-                    return image
-                with tracer.span(
-                    "device.io", op="read", volume=volume_index, block=local_block
-                ):
-                    return self._read_device(volume_index, local_block)
-
+        # Only a block read inside its volume's extent is ever pooled
+        # decoded, and no extent shrinks: a warm block is in bounds.
+        parsed: ParsedBlock | None = cache.get_warm(key)
+        if parsed is not None:
+            if readahead > 0:
+                self._note_access(volume_index, local_block)
+            self.stats.block_accesses += 1
+            store.charge_us("cache_interpret", self._access_us)
+            return parsed
+        # ``volume_extent`` inlined: one look at the tail serves the bound
+        # and the loader.
+        active_volume, tail_addr = self._tail_position()
+        extent = store.sequence.volumes[volume_index].next_data_block
+        if volume_index == active_volume and tail_addr >= extent:
+            extent = tail_addr + 1
+        if not 0 <= local_block < extent:
+            return None
+        if readahead > 0:
+            self._note_access(volume_index, local_block)
+            if self._seq_run >= _PREFETCH_TRIGGER and key not in cache:
+                self._prefetch(volume_index, local_block, readahead)
+        at_tail = volume_index == active_volume and local_block == tail_addr
         try:
-            data = cache.get(key, loader)
+            data = cache.get(key, self._load, volume_index, local_block, at_tail)
         except (UnwrittenBlockError, InvalidatedBlockError):
             return None
         except VolumeOfflineError:
-            if self._on_volume_demand is not None and self._on_volume_demand(
-                volume_index
-            ):
-                data = cache.get(key, loader)
-            else:
+            demand = self._on_volume_demand
+            if demand is None or not demand(volume_index):
                 raise
+            data = cache.get(key, self._load, volume_index, local_block, at_tail)
         self.stats.block_accesses += 1
-        store.charge("cache_interpret", store.costs.cached_block_ms)
-        # No decoded object is pooled for this block (the warm access above
-        # would have returned it), so this access pays the real parse.
+        store.charge_us("cache_interpret", self._access_us)
+        # No decoded object is pooled for this block, so this access pays
+        # the real parse.
         try:
             parsed = parse_block(data)
         except BlockFormatError:
@@ -276,6 +265,23 @@ class LogReader:
         cache.put_parsed(key, parsed)
         return parsed
 
+    def _load(self, volume_index: int, local_block: int, at_tail: bool) -> bytes:
+        """A miss's fill: the writer's image of the tail block, else one
+        device read; spans only while tracing is on."""
+        tail_image = self._tail_image if at_tail else None
+        image = tail_image() if tail_image is not None else None
+        tracer = self.store.tracer
+        if not tracer.enabled:
+            return image if image is not None else self._read_device(volume_index, local_block)
+        with tracer.span("cache.fill", volume=volume_index, block=local_block) as fill:
+            if image is not None:
+                fill.set("source", "tail-image")
+                return image
+            with tracer.span(
+                "device.io", op="read", volume=volume_index, block=local_block
+            ):
+                return self._read_device(volume_index, local_block)
+
     def _read_device(self, volume_index: int, local_block: int) -> bytes:
         volume = self.store.sequence.volumes[volume_index]
         busy_before = volume.device.stats.busy_ms
@@ -283,26 +289,6 @@ class LogReader:
         self.stats.device_reads += 1
         self.store.charge("device", volume.device.stats.busy_ms - busy_before)
         return data
-
-    def _warm_parsed(
-        self, volume_index: int, local_block: int, key: Hashable
-    ) -> ParsedBlock | None:
-        """One access to a readable block whose decoded form is pooled.
-
-        Counts and charges exactly what :meth:`read_parsed` does for a
-        block that is resident and decoded — the paper's ~0.6 ms "access
-        and interpretation" of a cached block — without touching the raw
-        bytes.  Returns None, having counted nothing, when the block has no
-        pooled decode; the caller then goes through ``read_parsed``.
-        """
-        store = self.store
-        if store.config.readahead_blocks > 0:
-            self._note_access(volume_index, local_block)
-        parsed: ParsedBlock | None = store.cache.get_warm(key)
-        if parsed is not None:
-            self.stats.block_accesses += 1
-            store.charge("cache_interpret", store.costs.cached_block_ms)
-        return parsed
 
     def read_parsed_global(self, global_block: int) -> ParsedBlock | None:
         try:
@@ -359,27 +345,36 @@ class LogReader:
 
     def entry_at(self, location: EntryLocation) -> LogEntry:
         """Read the (possibly fragmented) entry starting at ``location``."""
-        parsed = self.read_parsed_global(location.global_block)
+        try:
+            volume_index, local = self.store.sequence.to_local(location.global_block)
+        except BlockOutOfRange:
+            raise TornEntryError(f"block {location.global_block} unreadable") from None
+        return self._entry_in(volume_index, local, location)
+
+    def _entry_in(
+        self, volume_index: int, local_block: int, location: EntryLocation
+    ) -> LogEntry:
+        """The entry starting at ``location``, whose block is
+        ``(volume_index, local_block)``: one access to that block.  A
+        record that ends inside the block is decoded once per resident
+        block; a fragmented one is reassembled through further block reads
+        every time."""
+        parsed = self.read_parsed(volume_index, local_block)
         if parsed is None:
             raise TornEntryError(f"block {location.global_block} unreadable")
-        return self._entry_in(parsed, location)
-
-    def _entry_in(self, parsed: ParsedBlock, location: EntryLocation) -> LogEntry:
-        """The entry starting at ``location``, whose block — ``parsed`` —
-        the caller has just accessed.  A record that ends inside the block
-        is decoded once per resident block; a fragmented one is reassembled
-        through further block reads every time."""
         slot = location.slot
-        if not parsed.starts_entry(slot):
+        count = parsed.fragment_count
+        if not parsed.cont_in <= slot < count:
             raise TornEntryError(
                 f"no entry starts at slot {slot} of block {location.global_block}"
             )
-        in_block = parsed.is_complete(slot)
-        if in_block:
-            entry = parsed.entries[slot]
+        in_block = not (parsed.cont_out and slot == count - 1)
+        entries = parsed.entries
+        if in_block and entries is not None:
+            entry = entries[slot]
             if entry is not None:
                 return entry
-        record = parsed.fragment(slot)
+        record = parsed.image[parsed.bounds[slot] : parsed.bounds[slot + 1]]
         complete = in_block
         next_block = location.global_block + 1
         while not complete:
@@ -398,6 +393,8 @@ class LogReader:
         except CorruptRecord as exc:
             raise TornEntryError(str(exc)) from exc
         if in_block:
+            if parsed.entries is None:
+                parsed.entries = [None] * count
             parsed.entries[slot] = entry
         return entry
 
@@ -412,13 +409,16 @@ class LogReader:
         header fields are right and its data is the part held here.
         Returns None if undecodable.
         """
-        entry = parsed.entries[slot]
+        if parsed.entries is None:
+            parsed.entries = [None] * parsed.fragment_count
+        entries = parsed.entries
+        entry = entries[slot]
         if entry is None:
             try:
                 entry = decode_record(parsed.fragment(slot)).entry
             except CorruptRecord:
                 return None
-            parsed.entries[slot] = entry
+            entries[slot] = entry
         return entry
 
     def record_ids(self, parsed: ParsedBlock) -> list[int | None]:
@@ -426,17 +426,20 @@ class LogReader:
 
         None for a continuation-in fragment and for a record whose header
         does not validate.  Every id in a block is peeked on the first call
-        — a header check in the block image, nothing copied — and kept, so
-        filtering a block by log file never decodes a record.
+        — each header checked in the block image against the version
+        table, as :func:`~repro.core.entry.decode_record` checks it,
+        nothing copied — and kept, so filtering a block by log file never
+        decodes a record.
         """
         if parsed.record_ids is None:
             image, bounds = parsed.image, parsed.bounds
-            ids: list[int | None] = [None] * parsed.fragment_count
-            for slot in parsed.entry_start_slots():
-                try:
-                    ids[slot] = peek_logfile_id(image, bounds[slot], bounds[slot + 1])
-                except CorruptRecord:
-                    pass
+            count = parsed.fragment_count
+            ids: list[int | None] = [None] * count
+            for slot in range(parsed.cont_in, count):
+                start = bounds[slot]
+                header_size = SIZE_BY_VERSION.get(image[start] >> 4)
+                if header_size is not None and bounds[slot + 1] - start >= header_size:
+                    ids[slot] = ((image[start] & 0x0F) << 8) | image[start + 1]
             parsed.record_ids = ids
         return parsed.record_ids
 
@@ -518,9 +521,8 @@ class LogReader:
             parsed = self.read_parsed(volume_index, local)
             if parsed is None:
                 continue
-            ids = self.record_ids(parsed)
-            for slot in parsed.entry_start_slots():
-                if ids[slot] != ENTRYMAP_ID:
+            for slot, owner in enumerate(self.record_ids(parsed)):
+                if owner != ENTRYMAP_ID:
                     continue
                 record = self._entrymap_at(parsed, slot, volume_index, local)
                 if (
@@ -540,21 +542,23 @@ class LogReader:
         fragmented one pays its continuation reads on every fetch."""
         if not parsed.is_complete(slot):
             location = EntryLocation(
-                global_block=self.store.sequence.to_global(volume_index, local_block),
-                slot=slot,
+                self.store.sequence.to_global(volume_index, local_block), slot
             )
             try:
-                return EntrymapRecord.decode(self.entry_at(location).data)
+                entry = self._entry_in(volume_index, local_block, location)
+                return EntrymapRecord.decode(entry.data)
             except (TornEntryError, ValueError):
                 return None
+        if parsed.entrymaps is None:
+            parsed.entrymaps = {}
         memo = parsed.entrymaps
         if slot in memo:
             return memo[slot]
         record: EntrymapRecord | None = None
-        entry = self.entry_header_at(parsed, slot)
-        if entry is not None:
+        header = self.entry_header_at(parsed, slot)
+        if header is not None:
             try:
-                record = EntrymapRecord.decode(entry.data)
+                record = EntrymapRecord.decode(header.data)
             except ValueError:
                 pass
         memo[slot] = record
@@ -578,35 +582,38 @@ class LogReader:
     def locate_prev_global(self, logfile_id: int, before_global: int) -> int | None:
         """Greatest readable global block < ``before_global`` with entries
         of ``logfile_id`` (descending through predecessor volumes)."""
-        memoized = self._memo_get("prev", logfile_id, before_global)
-        if memoized != _MEMO_MISS:
-            self.stats.locate_memo_hits += 1
-            return memoized
-        store = self.store
-        if store.instruments is None and not store.tracer.enabled:
-            found = self._locate_prev_impl(logfile_id, before_global)
-        else:
-            found = self._locate_observed(
-                "prev", self._locate_prev_impl, logfile_id, before_global
-            )
-        self._memo_put("prev", logfile_id, before_global, found)
-        return found
+        return self._locate(("prev", logfile_id, before_global), self._locate_prev_impl)
 
-    def _memo_get(self, direction: str, logfile_id: int, position: int) -> int | None:
-        """Look up a memoized locate result, dropping the memo whenever an
-        append has moved the log tail since it was filled."""
+    def locate_next_global(self, logfile_id: int, start_global: int) -> int | None:
+        """Smallest readable global block >= ``start_global`` with entries
+        of ``logfile_id`` (ascending through successor volumes)."""
+        return self._locate(("next", logfile_id, start_global), self._locate_next_impl)
+
+    def _locate(
+        self, key: tuple[str, int, int], impl: Callable[[int, int], int | None]
+    ) -> int | None:
+        """One locate ``(direction, logfile_id, position)``, answered from
+        the memo when it can be.  The memo is dropped whenever an append
+        has moved the log tail since it was filled."""
+        memo = self._locate_memo
         generation = self.store.append_generation
         if generation != self._memo_generation:
-            self._locate_memo.clear()
+            memo.clear()
             self._memo_generation = generation
-        return self._locate_memo.get((direction, logfile_id, position), _MEMO_MISS)
-
-    def _memo_put(
-        self, direction: str, logfile_id: int, position: int, found: int | None
-    ) -> None:
-        if len(self._locate_memo) >= _MEMO_CAPACITY:
-            self._locate_memo.clear()
-        self._locate_memo[(direction, logfile_id, position)] = found
+        found = memo.get(key, _MEMO_MISS)
+        if found != _MEMO_MISS:
+            self.stats.locate_memo_hits += 1
+            return found
+        direction, logfile_id, position = key
+        store = self.store
+        if store.instruments is None and not store.tracer.enabled:
+            found = impl(logfile_id, position)
+        else:
+            found = self._locate_observed(direction, impl, logfile_id, position)
+        if len(memo) >= _MEMO_CAPACITY:
+            memo.clear()
+        memo[key] = found
+        return found
 
     def _locate_observed(
         self,
@@ -652,23 +659,6 @@ class LogReader:
             if volume_index >= 0:
                 local_before = self.volume_extent(volume_index)
         return None
-
-    def locate_next_global(self, logfile_id: int, start_global: int) -> int | None:
-        """Smallest readable global block >= ``start_global`` with entries
-        of ``logfile_id`` (ascending through successor volumes)."""
-        memoized = self._memo_get("next", logfile_id, start_global)
-        if memoized != _MEMO_MISS:
-            self.stats.locate_memo_hits += 1
-            return memoized
-        store = self.store
-        if store.instruments is None and not store.tracer.enabled:
-            found = self._locate_next_impl(logfile_id, start_global)
-        else:
-            found = self._locate_observed(
-                "next", self._locate_next_impl, logfile_id, start_global
-            )
-        self._memo_put("next", logfile_id, start_global, found)
-        return found
 
     def _locate_next_impl(self, logfile_id: int, start_global: int) -> int | None:
         sequence = self.store.sequence
@@ -719,76 +709,74 @@ class LogReader:
         ``start_global``/``start_slot`` give the first position considered;
         with ``reverse=True`` iteration runs backward from that position
         (inclusive).  Torn entries at the log tail are skipped and counted.
+
+        Each located block costs one access to match it, and each entry
+        served from it one more, as a client reading entry by entry makes
+        it; while the block stays resident and decoded that access is the
+        warm one and the entry comes straight out of the block's memo.
         """
         if reverse:
-            yield from self._iter_reverse(logfile_id, start_global, start_slot)
-        else:
-            yield from self._iter_forward(logfile_id, start_global, start_slot)
+            return self._iter_reverse(logfile_id, start_global, start_slot)
+        return self._iter_forward(logfile_id, start_global, start_slot)
 
-    def _block_matches(self, global_block: int, logfile_id: int) -> list[int]:
+    def _block_matches(
+        self, volume_index: int, local_block: int, logfile_id: int
+    ) -> list[int]:
         """Slots of the entries starting in a block that belong to
         ``logfile_id`` — one block access, no record decoded."""
-        parsed = self.read_parsed_global(global_block)
+        parsed = self.read_parsed(volume_index, local_block)
         if parsed is None:
             return []
         belongs = self._belongs
         return [
             slot
             for slot, owner in enumerate(self.record_ids(parsed))
-            if owner is not None and belongs(owner, logfile_id)
+            if owner == logfile_id or (owner is not None and belongs(owner, logfile_id))
         ]
-
-    def _serve(self, global_block: int, slots: list[int]) -> Iterator[ReadEntry]:
-        """Yield the entries starting at ``slots`` of one readable block.
-
-        Each entry is one block access, as a client reading entry by entry
-        makes it; while the block stays resident and decoded that access is
-        the warm one and the entry comes straight out of the block's memo.
-        When it does not — the block was evicted, or was the tail and an
-        append rewrote it, since the last entry was yielded — the entry
-        takes the full :meth:`entry_at` path.
-        """
-        if not slots:
-            return
-        volume_index, local = self.store.sequence.to_local(global_block)
-        key = self.store.cache_key(volume_index, local)
-        for slot in slots:
-            location = EntryLocation(global_block=global_block, slot=slot)
-            try:
-                parsed = self._warm_parsed(volume_index, local, key)
-                if parsed is None:
-                    entry = self.entry_at(location)
-                else:
-                    entry = self._entry_in(parsed, location)
-            except TornEntryError:
-                self.stats.torn_entries_skipped += 1
-                continue
-            yield ReadEntry(location=location, entry=entry)
 
     def _iter_forward(
         self, logfile_id: int, start_global: int, start_slot: int
     ) -> Iterator[ReadEntry]:
+        to_local = self.store.sequence.to_local
+        entry_in = self._entry_in
         current = self.locate_next_global(logfile_id, start_global)
         while current is not None:
-            slots = self._block_matches(current, logfile_id)
+            volume_index, local = to_local(current)
+            slots = self._block_matches(volume_index, local, logfile_id)
             if current == start_global:
                 slots = [slot for slot in slots if slot >= start_slot]
-            yield from self._serve(current, slots)
+            for slot in slots:
+                location = EntryLocation(current, slot)
+                try:
+                    entry = entry_in(volume_index, local, location)
+                except TornEntryError:
+                    self.stats.torn_entries_skipped += 1
+                    continue
+                yield ReadEntry(location, entry)
             current = self.locate_next_global(logfile_id, current + 1)
 
     def _iter_reverse(
         self, logfile_id: int, start_global: int, start_slot: int
     ) -> Iterator[ReadEntry]:
-        extent = self.global_extent()
-        start_global = min(start_global, extent - 1)
+        to_local = self.store.sequence.to_local
+        entry_in = self._entry_in
+        start_global = min(start_global, self.global_extent() - 1)
         if start_global < 0:
             return
         current: int | None = start_global
-        if not self._block_matches(start_global, logfile_id):
+        if not self._block_matches(*to_local(start_global), logfile_id):
             current = self.locate_prev_global(logfile_id, start_global)
         while current is not None:
-            slots = self._block_matches(current, logfile_id)
+            volume_index, local = to_local(current)
+            slots = self._block_matches(volume_index, local, logfile_id)
             if current == start_global:
                 slots = [slot for slot in slots if slot <= start_slot]
-            yield from self._serve(current, slots[::-1])
+            for slot in reversed(slots):
+                location = EntryLocation(current, slot)
+                try:
+                    entry = entry_in(volume_index, local, location)
+                except TornEntryError:
+                    self.stats.torn_entries_skipped += 1
+                    continue
+                yield ReadEntry(location, entry)
             current = self.locate_prev_global(logfile_id, current)

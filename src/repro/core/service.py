@@ -70,8 +70,21 @@ class ReadOnlyService(RuntimeError):
     """A mutating operation was attempted on a read-only mount."""
 
 
-#: What a payload may be; anything else is refused before a charge.
-_BYTES_LIKE = (bytes, bytearray, memoryview)
+def _payload(data: object, index: int | None = None) -> bytes | bytearray | memoryview:
+    """``data`` (``batch[index]`` of a batch) if it is bytes-like, a
+    memoryview as a flat view of its bytes, so every length taken of it
+    counts bytes, not items; anything else is refused before a charge."""
+    if isinstance(data, memoryview):
+        return data.cast("B")
+    if not isinstance(data, (bytes, bytearray)):
+        name = "data" if index is None else f"batch[{index}]"
+        raise TypeError(f"{name} must be bytes-like, not {type(data).__name__}")
+    return data
+
+
+def _check_client_seq(client_seq: int | None, name: str) -> None:
+    if client_seq is not None and not 0 <= client_seq < 1 << 32:
+        raise ValueError(f"{name} must fit in 32 bits, got {client_seq}")
 
 
 class LogService:
@@ -549,8 +562,9 @@ class LogService:
         self._check_writable()
         logfile_id = self._resolve_target(target)
         self._check_permission(logfile_id, 0o200, "append")
-        if not isinstance(data, _BYTES_LIKE):
-            raise TypeError(f"data must be bytes-like, not {type(data).__name__}")
+        data = _payload(data)
+        if client_seq is not None:
+            _check_client_seq(client_seq, "client_seq")
         store = self.store
         start_ms = store.clock.now_ms
         with store.tracer.span(
@@ -597,10 +611,15 @@ class LogService:
         self._check_permission(logfile_id, 0o200, "append")
         if not batch:
             return []
-        for index, data in enumerate(batch):
-            if not isinstance(data, _BYTES_LIKE):
-                name = type(data).__name__
-                raise TypeError(f"batch[{index}] must be bytes-like, not {name}")
+        batch = [_payload(data, index) for index, data in enumerate(batch)]
+        if client_seqs is not None:
+            if len(client_seqs) != len(batch):
+                raise ValueError(
+                    f"client_seqs has {len(client_seqs)} items for "
+                    f"{len(batch)} payloads"
+                )
+            for index, client_seq in enumerate(client_seqs):
+                _check_client_seq(client_seq, f"client_seqs[{index}]")
         store = self.store
         start_ms = store.clock.now_ms
         total_bytes = sum(len(data) for data in batch)

@@ -37,17 +37,13 @@ class TimeIndex:
 
         None for unreadable blocks and for blocks wholly occupied by the
         middle of a fragmented entry (those have no entry start).  Headers
-        are peeked in place (or read from the decoded memo): a probe builds
-        no entry and copies no payload.
+        are peeked in place: a probe builds no entry and copies no payload.
         """
         parsed = self.reader.read_parsed_global(global_block)
         if parsed is None:
             return None
-        image, bounds, entries = parsed.image, parsed.bounds, parsed.entries
-        for slot in parsed.entry_start_slots():
-            entry = entries[slot]
-            if entry is not None:
-                return entry.timestamp
+        image, bounds = parsed.image, parsed.bounds
+        for slot in range(parsed.cont_in, parsed.fragment_count):
             try:
                 return peek_timestamp(image, bounds[slot], bounds[slot + 1])
             except CorruptRecord:

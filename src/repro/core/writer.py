@@ -167,11 +167,6 @@ class TailWriter:
         rule applies to the entries written so far — a recovered log never
         has holes.
         """
-        if client_seqs is not None and len(client_seqs) != len(payloads):
-            raise ValueError(
-                f"client_seqs has {len(client_seqs)} items for "
-                f"{len(payloads)} payloads"
-            )
         if not payloads:
             return []
         tracked = self.store.catalog.tracked(logfile_id)

@@ -21,6 +21,7 @@ j lives at global address ``base(k) + j``.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.worm.device import WormDevice
@@ -415,13 +416,11 @@ class VolumeSequence:
         """Map a global data-block address to ``(volume_index, local_block)``."""
         if global_block < 0 or not self.volumes:
             raise BlockOutOfRange(global_block, self.total_data_blocks)
-        for idx in range(len(self.volumes) - 1, -1, -1):
-            if global_block >= self._bases[idx]:
-                local = global_block - self._bases[idx]
-                if local >= self.volumes[idx].data_capacity:
-                    raise BlockOutOfRange(global_block, self.total_data_blocks)
-                return idx, local
-        raise BlockOutOfRange(global_block, self.total_data_blocks)
+        idx = bisect_right(self._bases, global_block) - 1
+        local = global_block - self._bases[idx]
+        if local >= self.volumes[idx].data_capacity:
+            raise BlockOutOfRange(global_block, self.total_data_blocks)
+        return idx, local
 
     def to_global(self, volume_index: int, local_block: int) -> int:
         if not 0 <= volume_index < len(self.volumes):

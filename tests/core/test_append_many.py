@@ -280,6 +280,67 @@ class TestPayloadRejection:
         assert wide.space_stats.entry_headers == plain.space_stats.entry_headers
         assert wide.space_stats.size_index == plain.space_stats.size_index
 
+    def test_wide_memoryview_counted_by_bytes(self):
+        """A memoryview of 4-byte items is charged, counted and stored as
+        the bytes it holds, exactly like those bytes appended as ``bytes``."""
+        from array import array
+
+        wide, plain = make_service(), make_service()
+        payload = array("I", [1, 2])
+        wide_log = wide.create_log_file("/x")
+        plain_log = plain.create_log_file("/x")
+        wide_log.append(memoryview(payload))
+        wide_log.append_many([memoryview(payload)] * 2)
+        plain_log.append(payload.tobytes())
+        plain_log.append_many([payload.tobytes()] * 2)
+        assert wide.space_stats.client_data == 3 * 8
+        assert wide.space_stats == plain.space_stats
+        assert wide.clock.now_us == plain.clock.now_us
+        assert [e.data for e in wide_log.entries()] == [payload.tobytes()] * 3
+
+
+class TestClientSeqRejection:
+    """A client sequence number that does not fit its 32-bit header field,
+    or a ``client_seqs`` of the wrong length, is refused before any charge:
+    the clock, the space accounting, the tail and the log stay as they
+    were, and the ``ValueError`` names the argument."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda log: log.append(b"x", client_seq=1 << 32),
+                r"^client_seq must fit in 32 bits",
+            ),
+            (
+                lambda log: log.append(b"x", client_seq=-1, force=True),
+                r"^client_seq must fit in 32 bits",
+            ),
+            (
+                lambda log: log.append_many([b"a", b"b"], client_seqs=[1, 1 << 32]),
+                r"^client_seqs\[1\] must fit in 32 bits",
+            ),
+            (
+                lambda log: log.append_many([b"a", b"b"], client_seqs=[1]),
+                r"^client_seqs has 1 items for 2 payloads$",
+            ),
+        ],
+        ids=["append-too-wide", "forced-append-negative", "batch-item", "batch-length"],
+    )
+    def test_rejected_call_changes_nothing(self, call, message):
+        service = make_service()
+        log = service.create_log_file("/x")
+        log.append(b"before")
+        now_us = service.clock.now_us
+        space = dataclasses.replace(service.space_stats)
+        tail = service.writer.tail_image()
+        with pytest.raises(ValueError, match=message):
+            call(log)
+        assert service.clock.now_us == now_us
+        assert service.space_stats == space
+        assert service.writer.tail_image() == tail
+        assert [e.data for e in log.entries()] == [b"before"]
+
 
 class TestAccessControl:
     def test_append_many_checks_permissions(self):

@@ -131,7 +131,17 @@ class TestFragmentation:
     def test_entry_start_slots_skip_continuation(self):
         images = pack_blocks([record(size=150), record(size=4)])
         last = parse_block(images[-1])
-        assert last.entry_start_slots() == [1]
+        assert list(last.entry_start_slots()) == [1]
+
+    def test_entry_start_slots_cannot_be_changed_by_a_caller(self):
+        images = pack_blocks([record(size=150), record(size=4), record(size=4)])
+        last = parse_block(images[-1])
+        handed_out = last.entry_start_slots()
+        with pytest.raises((TypeError, AttributeError)):
+            handed_out.append(0)
+        with pytest.raises(TypeError):
+            handed_out[0] = 0
+        assert list(last.entry_start_slots()) == [1, 2]
 
     def test_is_complete_flags(self):
         images = pack_blocks([record(size=150)])

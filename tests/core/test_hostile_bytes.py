@@ -4,8 +4,9 @@ For any input, ``parse_block`` either returns a block or raises its own
 ``BlockFormatError``, and ``decode_record`` / ``peek_logfile_id`` /
 ``peek_timestamp`` either succeed or raise ``CorruptRecord`` — never
 ``struct.error``, ``IndexError`` or a ``ValueError`` of another kind.  The
-header peeks the decoded tier and the time search use must accept and
-reject exactly what the full decode does.  ``EntrymapRecord.decode`` raises
+header peeks the decoded tier and the time search use, and the reader's
+per-block id peek, must accept and reject exactly what the full decode
+does.  ``EntrymapRecord.decode`` raises
 only ``ValueError`` (what the reader and ``fsck`` catch),
 ``CatalogRecord.decode`` only ``CatalogError`` (what catalog replay and
 ``fsck`` catch) and ``VolumeHeader.decode`` only ``VolumeSequenceError``.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import LogService
 from repro.core.block import (
     MIN_BLOCK_SIZE,
     BlockBuilder,
@@ -44,6 +46,19 @@ BLOCK = 128
 def _restamp(image: bytes) -> bytes:
     """The image with its CRC trailer made valid again."""
     return image[:-4] + struct.pack(">I", zlib.crc32(image[:-4]))
+
+
+@st.composite
+def garbage_record_images(draw):
+    """A CRC-valid block whose records may be garbage: any bytes, so an
+    unknown version nibble or fewer bytes than the header form needs."""
+    builder = BlockBuilder(BLOCK, cont_in=draw(st.booleans()))
+    if builder.cont_in:
+        builder.add_continuation(draw(st.binary(min_size=1, max_size=20)))
+    for record in draw(st.lists(st.binary(min_size=1, max_size=16), max_size=6)):
+        if builder.cont_out or not builder.add_record(record, min(2, len(record))):
+            break
+    return builder.encode()
 
 
 @st.composite
@@ -163,7 +178,7 @@ class TestParseBlock:
     def test_valid_images_parse(self, image):
         parsed = parse_block(image)
         assert sum(len(f) for f in parsed.fragments) <= BLOCK
-        assert parsed.entry_start_slots() == list(
+        assert list(parsed.entry_start_slots()) == list(
             range(1 if parsed.cont_in else 0, parsed.fragment_count)
         )
 
@@ -181,6 +196,23 @@ class TestParseBlock:
                 peek_logfile_id(parsed.fragments[slot])
             except CorruptRecord:
                 pass
+
+    @settings(max_examples=300)
+    @given(garbage_record_images())
+    def test_record_ids_keep_what_the_record_peek_validates(self, image):
+        """The reader's per-block id peek, which checks every header in
+        place, keeps exactly the ids ``peek_logfile_id`` validates."""
+        parsed = parse_block(image)
+        expected = [None] * parsed.fragment_count
+        for slot in parsed.entry_start_slots():
+            try:
+                expected[slot] = peek_logfile_id(parsed.fragments[slot])
+            except CorruptRecord:
+                pass
+        reader = LogService.create(
+            block_size=256, degree_n=4, volume_capacity_blocks=8
+        ).reader
+        assert reader.record_ids(parsed) == expected
 
     def test_fragment_count_past_the_block_is_a_format_error(self):
         """A count field so large the index would start before the block

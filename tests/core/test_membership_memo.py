@@ -186,12 +186,13 @@ def test_block_filter_equals_old_belongs_after_recovery(parents, data):
     remains = service.crash()
     service, _ = LogService.mount(remains.devices, remains.nvram)
     catalog, reader = service.store.catalog, service.reader
+    sequence = service.store.sequence
     wanted_ids = ids + [UNKNOWN, FIRST_CLIENT_ID + len(parents)]
     for global_block in range(reader.global_extent()):
         parsed = reader.read_parsed_global(global_block)
         owners = [] if parsed is None else reader.record_ids(parsed)
         for wanted in wanted_ids:
-            assert reader._block_matches(global_block, wanted) == [
+            assert reader._block_matches(*sequence.to_local(global_block), wanted) == [
                 slot
                 for slot, owner in enumerate(owners)
                 if owner is not None and old_belongs(catalog, owner, wanted)
