@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""The combined file/log server and atomic file updates (paper Section 6).
+"""The combined file/log server (paper Sections 3.1 and 6).
 
-One server, one shared buffer pool, two file types — plus the paper's
-planned extension, implemented: atomic update of regular files, using a
-log file for recovery.
+One server, one shared buffer pool, two file types, and the same utility
+code (UIO) working on both.
 
 Run:  python examples/combined_server.py
 """
 
-from repro.apps import AtomicFileUpdater
 from repro.combined import CombinedServer
-from repro.core import LogService
 from repro.fs import uio_copy
 
 
@@ -34,31 +31,6 @@ def main() -> None:
     print("== shared buffer pool ==")
     kinds = {key[0] for key in server.cache._entries}
     print(f"  cache namespaces in one pool: {sorted(kinds)}")
-
-    print("== atomic multi-file update, journaled through a log file ==")
-    updater = AtomicFileUpdater(server.fs, server.logs)
-    update = updater.begin()
-    update.stage("/accounts/alice", 0, b"balance=50")
-    update.stage("/accounts/bob", 0, b"balance=150")
-    updater.commit(update)
-    print(f"  alice: {server.open_file('/accounts/alice').read()!r}")
-    print(f"  bob:   {server.open_file('/accounts/bob').read()!r}")
-
-    print("== crash between COMMIT and application ==")
-    update2 = updater.begin()
-    update2.stage("/accounts/alice", 0, b"balance=00")
-    update2.stage("/accounts/bob", 0, b"balance=200")
-    updater.commit(update2, apply=False)  # durable intent, never applied
-    print("  (server dies here; the transfer is committed but unapplied)")
-
-    remains = server.logs.crash()
-    recovered_logs, _ = LogService.mount(remains.devices, remains.nvram)
-    fresh_updater = AtomicFileUpdater(server.fs, recovered_logs)
-    redone = fresh_updater.recover()
-    print(f"  recovery redid {redone} update(s)")
-    print(f"  alice: {server.open_file('/accounts/alice').read()!r}")
-    print(f"  bob:   {server.open_file('/accounts/bob').read()!r}")
-    assert server.open_file("/accounts/bob").read() == b"balance=200"
 
 
 if __name__ == "__main__":

@@ -56,10 +56,12 @@ rm -rf "$records"
 echo "records ok: every checked-in BENCH_*.json equals its regeneration"
 
 echo "== benchmark of record, one run per path (every count + the sim fingerprint vs bench/expected.json, exactly) =="
-# run.py exits 0 even on a mismatch, so the grep is the gate.  history-scan
-# holds the read path's counts, ingest-batched the group commit's, and
-# tail-follow those of reads of a tail block that appends rewrite between them.
-for workload in history-scan ingest-batched tail-follow; do
+# run.py exits 0 even on a mismatch, so the grep is the gate.  These are the
+# four workloads of the CI job: commit-forced holds the forced append's
+# counts, history-scan the read path's, ingest-batched the group commit's,
+# and tail-follow those of reads of a tail block that appends rewrite
+# between them.
+for workload in commit-forced history-scan ingest-batched tail-follow; do
     python3 bench/run.py --workload "$workload" --seed 1 --seconds 15 --trace 0 \
         | tail -n 1 | grep -q '"correct": true'
 done
@@ -87,6 +89,7 @@ echo "  obs/:                            $(count src/repro/obs)"
 echo "  lint/:                           $(count src/repro/lint)"
 echo "  cli.py:                          $(count src/repro/cli.py)"
 echo "src/repro:                         $(count src/repro)"
+echo "apps group (apps fs baselines workloads analysis combined.py): $(count src/repro/apps src/repro/fs src/repro/baselines src/repro/workloads src/repro/analysis src/repro/combined.py)"
 echo "bench:                             $(count bench)"
 echo "import repro.cli loads:            $(PYTHONPATH=src python -c '
 import sys, repro.cli

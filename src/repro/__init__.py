@@ -7,7 +7,7 @@ The public API surface:
 * :mod:`repro.worm` — write-once devices, volumes and volume sequences.
 * :mod:`repro.cache` — the shared block cache (buffer pool).
 * :mod:`repro.fs` — the conventional file system substrate and UIO layer.
-* :mod:`repro.apps` — history-based applications (Section 4).
+* :mod:`repro.apps` — the history file server and transaction log (Section 4).
 * :mod:`repro.baselines` — comparators from Sections 1 and 5.
 * :mod:`repro.analysis` — the paper's closed-form cost models.
 * :mod:`repro.vsystem` — simulated clock / V-System cost model.

@@ -1,31 +1,13 @@
-"""History-based applications (Section 4) and log-service clients."""
+"""History-based applications (Section 4): the history file server and the
+transaction log."""
 
-from repro.apps.atomic_fs import AtomicFileUpdater, AtomicUpdate
-from repro.apps.audit import AfterHoursMonitor, AuditEvent, AuditTrail, FailedLoginMonitor
 from repro.apps.history_fs import HistoryFileServer, HistoryFsStats
-from repro.apps.login_log import AccessLogger, Session
-from repro.apps.mail import MailAgent, MailSystem, Message
-from repro.apps.perfmon import MetricsLog, Sample, SeriesStats
 from repro.apps.txn import Transaction, TransactionManager, TxnAborted
 
 __all__ = [
-    "AtomicFileUpdater",
-    "AtomicUpdate",
     "HistoryFileServer",
     "HistoryFsStats",
-    "MailSystem",
-    "MailAgent",
-    "Message",
-    "AuditTrail",
-    "AuditEvent",
-    "FailedLoginMonitor",
-    "AfterHoursMonitor",
     "TransactionManager",
     "Transaction",
     "TxnAborted",
-    "MetricsLog",
-    "Sample",
-    "SeriesStats",
-    "AccessLogger",
-    "Session",
 ]

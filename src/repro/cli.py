@@ -115,7 +115,11 @@ def _cmd_init(args) -> int:
 
 def _cmd_create(args) -> int:
     service = _mount(args.store)
-    log = service.create_log_file(args.path, permissions=args.mode)
+    try:
+        log = service.create_log_file(args.path, permissions=args.mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"created {log.path} (log file id {log.logfile_id})")
     return 0
 

@@ -352,7 +352,7 @@ class Catalog:
 
     @staticmethod
     def encode_mode(permissions: int) -> bytes:
-        return struct.pack(">H", permissions & 0o7777)
+        return struct.pack(">H", permissions)
 
     def _apply_set_attribute(self, record: CatalogRecord) -> None:
         info = self.info(record.logfile_id)

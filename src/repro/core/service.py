@@ -87,6 +87,11 @@ def _check_client_seq(client_seq: int | None, name: str) -> None:
         raise ValueError(f"{name} must fit in 32 bits, got {client_seq}")
 
 
+def _check_permissions(permissions: int) -> None:
+    if not 0 <= permissions <= 0o7777:
+        raise ValueError(f"permissions must be in 0..0o7777, got {permissions:#o}")
+
+
 class LogService:
     """The extended file service providing log files."""
 
@@ -453,6 +458,7 @@ class LogService:
         record is forced to the catalog log file before returning.
         """
         self._check_writable()
+        _check_permissions(permissions)
         catalog = self.store.catalog
         components = split_path(path)
         if not components:
@@ -506,6 +512,7 @@ class LogService:
         """Change a log file's access permissions; like every attribute
         change, logged in the catalog log file at the time of the change."""
         self._check_writable()
+        _check_permissions(permissions)
         logfile_id = self._resolve_target(target)
         record = self.store.catalog.make_set_attribute_record(
             logfile_id,
@@ -685,14 +692,19 @@ class LogService:
         backward.
         """
         self._check_alive()
-        logfile_id = self._resolve_target(target)
-        self._check_permission(logfile_id, 0o400, "read")
-        self._charge_read_call()
         if sum(bound is not None for bound in (since, before, after)) > 1:
             raise ValueError("specify at most one of since/before/after")
         if after is not None:
             if reverse:
                 raise ValueError("after= only supports forward iteration")
+            if not isinstance(after, EntryLocation):
+                raise TypeError(
+                    f"after must be an EntryLocation, not {type(after).__name__}"
+                )
+        logfile_id = self._resolve_target(target)
+        self._check_permission(logfile_id, 0o400, "read")
+        self._charge_read_call()
+        if after is not None:
             return self.reader.iter_entries(
                 logfile_id,
                 start_global=after.global_block,
@@ -747,6 +759,8 @@ class LogService:
         """Resolve an asynchronously written entry by (sequence number,
         client timestamp), tolerating clock skew up to ``max_skew_us``."""
         self._check_alive()
+        if max_skew_us < 0:
+            raise ValueError(f"max_skew_us must be >= 0, got {max_skew_us}")
         logfile_id = self._resolve_target(target)
         self._charge_read_call()
         position = self.time_index.find_client_entry(
@@ -789,13 +803,21 @@ class LogService:
     def take_volume_offline(self, volume_index: int) -> None:
         """Dismount a sealed predecessor volume (archival shelf storage)."""
         self._check_alive()
-        self.store.sequence.volumes[volume_index].take_offline()
+        self._volume(volume_index).take_offline()
         self.store.journal.emit("volume.offline", volume=volume_index)
 
     def bring_volume_online(self, volume_index: int) -> None:
         self._check_alive()
-        self.store.sequence.volumes[volume_index].bring_online()
+        self._volume(volume_index).bring_online()
         self.store.journal.emit("volume.online", volume=volume_index)
+
+    def _volume(self, volume_index: int) -> LogVolume:
+        volumes = self.store.sequence.volumes
+        if not 0 <= volume_index < len(volumes):
+            raise ValueError(
+                f"volume_index must be in 0..{len(volumes) - 1}, got {volume_index}"
+            )
+        return volumes[volume_index]
 
     def _handle_volume_demand(self, volume_index: int) -> bool:
         """Automatic on-demand mounting: consult the operator hook."""

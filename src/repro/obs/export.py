@@ -2,7 +2,7 @@
 
 ``prometheus_text`` renders a registry in the Prometheus text exposition
 format (version 0.0.4) — the format every scrape-based monitoring stack
-understands (``clio stats --format prometheus``, ``examples/self_monitor.py``);
+understands (``clio stats --format prometheus``);
 ``json_snapshot`` is the structured form ``clio stats --format json`` prints.
 """
 

@@ -1,8 +1,8 @@
 """Persist completed span trees to a ``/traces`` sublog — traces dogfooded.
 
-Metric samples and alerts already live in the append-only store itself
-(:class:`~repro.apps.perfmon.MetricsLog`, :class:`~repro.obs.slo.AlertLog`);
-this module gives traces the same treatment.  The write-once medium is the
+Alerts already live in the append-only store itself
+(:class:`~repro.obs.slo.AlertLog`, under ``/alerts``); this module gives
+traces the same treatment.  The write-once medium is the
 natural home for an audit trail — an immutable record of what each request
 caused, including the device work performed *after* the client reply
 (Section 3.3's delayed-write window) — and the encoding is sorted-key JSON,

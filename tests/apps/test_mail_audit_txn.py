@@ -1,18 +1,8 @@
-"""Tests for the mail system, audit monitors, transaction manager, and
-access logger applications."""
+"""Tests for the transaction manager application."""
 
 import pytest
 
-from repro.apps import (
-    AccessLogger,
-    AfterHoursMonitor,
-    AuditTrail,
-    FailedLoginMonitor,
-    MailAgent,
-    MailSystem,
-    TransactionManager,
-    TxnAborted,
-)
+from repro.apps import TransactionManager, TxnAborted
 from repro.core import LogService
 
 
@@ -20,153 +10,6 @@ def make_service(**kwargs):
     defaults = dict(block_size=512, degree_n=4, volume_capacity_blocks=2048)
     defaults.update(kwargs)
     return LogService.create(**defaults)
-
-
-class TestMail:
-    def test_deliver_and_sync(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        system.deliver("smith", "jones", "hi", b"hello smith")
-        assert agent.sync() == 1
-        messages = agent.list_messages()
-        assert len(messages) == 1
-        assert messages[0].sender == "jones"
-        assert messages[0].body == b"hello smith"
-
-    def test_mailboxes_isolated(self):
-        system = MailSystem(make_service())
-        system.deliver("smith", "a", "s1", b"to smith")
-        system.deliver("jones", "b", "s2", b"to jones")
-        smith = MailAgent(system, "smith")
-        smith.sync()
-        assert [m.body for m in smith.list_messages()] == [b"to smith"]
-
-    def test_all_mail_via_parent_log(self):
-        system = MailSystem(make_service())
-        system.deliver("smith", "x", "s", b"1")
-        system.deliver("jones", "x", "s", b"2")
-        assert len(system.all_mail()) == 2
-
-    def test_incremental_sync(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        system.deliver("smith", "x", "one", b"1")
-        assert agent.sync() == 1
-        system.deliver("smith", "x", "two", b"2")
-        assert agent.sync() == 1  # only the new message is pulled
-        assert len(agent.list_messages()) == 2
-
-    def test_hide_keeps_history(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        system.deliver("smith", "x", "s", b"visible")
-        agent.sync()
-        ts = agent.list_messages()[0].timestamp
-        agent.hide(ts)
-        assert agent.list_messages() == []
-        # The message is still in the permanent history.
-        assert [m.body for m in agent.search_history()] == [b"visible"]
-
-    def test_hide_unknown_raises(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        with pytest.raises(KeyError):
-            agent.hide(123)
-
-    def test_agent_recovery_from_history(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        for i in range(5):
-            system.deliver("smith", "x", f"s{i}", f"m{i}".encode())
-        agent.sync()
-        agent.crash()
-        assert agent.list_messages() == []
-        assert agent.recover() == 5
-        assert len(agent.list_messages()) == 5
-
-    def test_search_by_sender(self):
-        system = MailSystem(make_service())
-        agent = MailAgent(system, "smith")
-        system.deliver("smith", "alice", "a", b"1")
-        system.deliver("smith", "bob", "b", b"2")
-        system.deliver("smith", "alice", "c", b"3")
-        assert [m.body for m in agent.search_history(sender="alice")] == [b"1", b"3"]
-
-    def test_mail_survives_server_crash(self):
-        service = make_service()
-        system = MailSystem(service)
-        system.deliver("smith", "x", "s", b"precious")
-        remains = service.crash()
-        mounted, _ = LogService.mount(remains.devices, remains.nvram)
-        system2 = MailSystem(mounted)
-        agent = MailAgent(system2, "smith")
-        agent.sync()
-        assert [m.body for m in agent.list_messages()] == [b"precious"]
-
-
-class TestAudit:
-    def test_failed_login_pattern_detected(self):
-        service = make_service()
-        trail = AuditTrail(service)
-        for _ in range(3):
-            trail.record("login_failed", "mallory", "bad password")
-        alerts = FailedLoginMonitor(trail, threshold=3).scan()
-        assert ("mallory", 3) in alerts
-
-    def test_success_resets_counter(self):
-        service = make_service()
-        trail = AuditTrail(service)
-        trail.record("login_failed", "alice")
-        trail.record("login_failed", "alice")
-        trail.record("login_ok", "alice")
-        trail.record("login_failed", "alice")
-        assert FailedLoginMonitor(trail, threshold=3).scan() == []
-
-    def test_incremental_scans_use_checkpoint(self):
-        service = make_service()
-        trail = AuditTrail(service)
-        monitor = FailedLoginMonitor(trail, threshold=2)
-        trail.record("login_failed", "eve")
-        assert monitor.scan() == []
-        trail.record("login_failed", "eve")
-        alerts = monitor.scan()  # second scan only reads the new event
-        assert ("eve", 2) in alerts
-
-    def test_window_expiry(self):
-        service = make_service()
-        trail = AuditTrail(service)
-        monitor = FailedLoginMonitor(trail, threshold=2, window_us=1_000_000)
-        trail.record("login_failed", "eve")
-        service.clock.advance_ms(5_000)  # 5 s: outside the 1 s window
-        trail.record("login_failed", "eve")
-        assert monitor.scan() == []
-
-    def test_after_hours_monitor(self):
-        service = make_service()
-        service.clock.advance_ms(3 * 3_600_000)  # 03:00
-        trail = AuditTrail(service)
-        trail.record("privilege_change", "root", "su")
-        alerts = AfterHoursMonitor(trail).scan()
-        assert len(alerts) == 1
-        assert alerts[0].subject == "root"
-
-    def test_daytime_activity_not_flagged(self):
-        service = make_service()
-        service.clock.advance_ms(12 * 3_600_000)  # noon
-        trail = AuditTrail(service)
-        trail.record("privilege_change", "root", "su")
-        assert AfterHoursMonitor(trail).scan() == []
-
-    def test_audit_survives_crash(self):
-        service = make_service()
-        trail = AuditTrail(service)
-        trail.record("login_failed", "mallory")
-        remains = service.crash()
-        mounted, _ = LogService.mount(remains.devices, remains.nvram)
-        trail2 = AuditTrail(mounted)
-        events = [event for _, event in trail2.events()]
-        assert len(events) == 1
-        assert events[0].subject == "mallory"
 
 
 class TestTransactions:
@@ -248,40 +91,3 @@ class TestTransactions:
         fresh.recover()
         assert fresh.begin().txn_id > txn.txn_id
 
-
-class TestAccessLogger:
-    def test_sessions_paired(self):
-        service = make_service()
-        logger = AccessLogger(service)
-        logger.login("smith", "sun3-01")
-        service.clock.advance_ms(60_000)
-        logger.logout("smith", "sun3-01")
-        sessions = logger.sessions("smith")
-        assert len(sessions) == 1
-        assert sessions[0].duration_us >= 60_000_000
-
-    def test_open_session_has_no_logout(self):
-        service = make_service()
-        logger = AccessLogger(service)
-        logger.login("smith", "sun3-02")
-        sessions = logger.sessions("smith")
-        assert sessions[0].logout_ts is None
-
-    def test_concurrent_hosts(self):
-        service = make_service()
-        logger = AccessLogger(service)
-        logger.login("smith", "h1")
-        logger.login("smith", "h2")
-        logger.logout("smith", "h1")
-        sessions = logger.sessions("smith")
-        closed = [s for s in sessions if s.logout_ts is not None]
-        open_ = [s for s in sessions if s.logout_ts is None]
-        assert len(closed) == 1 and closed[0].host == "h1"
-        assert len(open_) == 1 and open_[0].host == "h2"
-
-    def test_events_in_system_counts_all_users(self):
-        service = make_service()
-        logger = AccessLogger(service)
-        logger.login("a", "h")
-        logger.login("b", "h")
-        assert logger.events_in_system(since=0) == 2

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.apps import (
-    AuditTrail,
-    FailedLoginMonitor,
-    HistoryFileServer,
-    MailAgent,
-    MailSystem,
-    TransactionManager,
-)
+from repro.apps import HistoryFileServer, TransactionManager
 from repro.core import LogService
 from repro.core.fsck import check_service
 from repro.workloads import EntryStream, uniform_size, zipf_weights
@@ -70,18 +63,12 @@ class TestMixedWorkload:
         assert got == expected
 
     def test_all_applications_share_one_service(self):
-        """Mail + audit + transactions + history FS on one volume
-        sequence, then a crash, then everything recovers."""
+        """Transactions + history FS on one volume sequence, then a crash,
+        then everything recovers."""
         service = make_service(volume_capacity_blocks=2048)
-        mail = MailSystem(service)
-        trail = AuditTrail(service)
         txns = TransactionManager(service)
         hfs = HistoryFileServer(service)
 
-        mail.deliver("smith", "jones", "s", b"mail body")
-        trail.record("login_failed", "eve")
-        trail.record("login_failed", "eve")
-        trail.record("login_failed", "eve")
         txn = txns.begin()
         txn.write(b"k", b"v")
         txns.commit(txn)
@@ -89,14 +76,6 @@ class TestMixedWorkload:
 
         remains = service.crash()
         mounted, _ = LogService.mount(remains.devices, remains.nvram)
-
-        agent = MailAgent(MailSystem(mounted), "smith")
-        agent.sync()
-        assert [m.body for m in agent.list_messages()] == [b"mail body"]
-
-        trail2 = AuditTrail(mounted)
-        alerts = FailedLoginMonitor(trail2, threshold=3).scan()
-        assert ("eve", 3) in alerts
 
         txns2 = TransactionManager(mounted)
         assert txns2.recover() == 1

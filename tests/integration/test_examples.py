@@ -27,8 +27,6 @@ def test_expected_examples_present():
     assert {
         "quickstart",
         "crash_recovery",
-        "mail_history",
         "time_travel_fs",
-        "audit_monitor",
         "archival_jukebox",
     } <= names

@@ -229,6 +229,14 @@ class TestCli:
         self.run("init", store)
         assert self.run("init", store) == 1
 
+    def test_create_mode_out_of_range_is_an_error(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        self.run("init", store, "--block-size", "256", "--capacity", "64")
+        capsys.readouterr()
+        assert self.run("create", store, "/app", "--mode", "17777") == 2
+        assert capsys.readouterr().err.startswith("error: permissions must be")
+        assert self.run("create", store, "/app", "--mode", "7777") == 0
+
     def test_mount_missing_store_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             self.run("cat", str(tmp_path / "nowhere"), "/x")
