@@ -158,6 +158,17 @@ class DecodedRecord:
     record_size: int
 
 
+#: Slot setters: :func:`decode_record` fills both types without ``__init__``,
+#: as no header ``_header_size`` passes could fail ``LogEntry.__post_init__``.
+_set_id, _set_data, _set_timestamp, _set_client_seq = (
+    vars(LogEntry)[name].__set__
+    for name in ("logfile_id", "data", "timestamp", "client_seq")
+)
+_set_entry, _set_record_size = (
+    vars(DecodedRecord)[name].__set__ for name in ("entry", "record_size")
+)
+
+
 def _header_size(record: bytes, start: int, end: int) -> int:
     """Validate the header of ``record[start:end]`` and return its size;
     raises :class:`CorruptRecord` exactly when :func:`decode_record` would."""
@@ -201,14 +212,17 @@ def decode_record(record: bytes) -> DecodedRecord:
     known form or the record is shorter than its header.
     """
     header_size = _header_size(record, 0, len(record))
-    logfile_id = ((record[0] & 0x0F) << 8) | record[1]
-    timestamp = None
-    client_seq = None
+    timestamp = client_seq = None
     if header_size == _TIMESTAMPED_SIZE:
         (timestamp,) = _U64.unpack_from(record, 2)
     elif header_size == _FULL_SIZE:
         timestamp, client_seq = _U64_U32.unpack_from(record, 2)
-    # Positional arguments: this runs once per entry served to a reader,
-    # and keyword ones cost a measurable share of it.
-    entry = LogEntry(logfile_id, record[header_size:], timestamp, client_seq)
-    return DecodedRecord(entry, len(record))
+    entry = LogEntry.__new__(LogEntry)
+    _set_id(entry, ((record[0] & 0x0F) << 8) | record[1])
+    _set_data(entry, record[header_size:])
+    _set_timestamp(entry, timestamp)
+    _set_client_seq(entry, client_seq)
+    decoded = DecodedRecord.__new__(DecodedRecord)
+    _set_entry(decoded, entry)
+    _set_record_size(decoded, len(record))
+    return decoded

@@ -113,3 +113,17 @@ class EntryLocation:
             raise ValueError("global_block must be non-negative")
         if self.slot < 0:
             raise ValueError("slot must be non-negative")
+
+
+_set_global_block, _set_slot = (
+    vars(EntryLocation)[name].__set__ for name in ("global_block", "slot")
+)
+
+
+def _served_location(global_block: int, slot: int) -> EntryLocation:
+    """An :class:`EntryLocation` the reader has just read an entry at (both
+    fields non-negative by construction), built without ``__post_init__``."""
+    location = EntryLocation.__new__(EntryLocation)
+    _set_global_block(location, global_block)
+    _set_slot(location, slot)
+    return location

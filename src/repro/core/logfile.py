@@ -96,6 +96,8 @@ class LogFile:
         """The newest ``count`` entries, oldest first — the dominant access
         pattern ("the most frequent accesses to large logs are to those
         entries that were written most recently")."""
+        if not isinstance(count, int):
+            raise TypeError(f"count must be an int, not {type(count).__name__}")
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:

@@ -20,14 +20,14 @@ surfaces as :class:`TornEntryError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Iterator
 
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
 from repro.core.catalog import CatalogError
 from repro.core.entry import SIZE_BY_VERSION, CorruptRecord, LogEntry, decode_record
 from repro.core.entrymap import EntrymapRecord, EntrymapSearch, SearchStats
-from repro.core.ids import ENTRYMAP_ID, EntryLocation
+from repro.core.ids import ENTRYMAP_ID, EntryLocation, _served_location
 from repro.core.store import LogStore
 from repro.worm.errors import (
     BlockOutOfRange,
@@ -81,6 +81,17 @@ class ReadEntry:
         return self.entry.logfile_id
 
 
+_set_location, _set_entry = (vars(ReadEntry)[name].__set__ for name in ("location", "entry"))
+
+
+def _served(location: EntryLocation, entry: LogEntry) -> ReadEntry:
+    """A :class:`ReadEntry` the scan has just read, built without ``__init__``."""
+    served = ReadEntry.__new__(ReadEntry)
+    _set_location(served, location)
+    _set_entry(served, entry)
+    return served
+
+
 @dataclass(slots=True)
 class ReadStats:
     """Cumulative read-side instrumentation."""
@@ -102,41 +113,20 @@ class ReadStats:
     search: SearchStats = field(default_factory=SearchStats)
 
     def snapshot(self) -> "ReadStats":
-        return ReadStats(
-            block_accesses=self.block_accesses,
-            device_reads=self.device_reads,
-            corrupt_blocks_found=self.corrupt_blocks_found,
-            corrupt_records_found=self.corrupt_records_found,
-            torn_entries_skipped=self.torn_entries_skipped,
-            blocks_parsed=self.blocks_parsed,
-            locate_memo_hits=self.locate_memo_hits,
-            search=SearchStats(
-                entrymap_entries_examined=self.search.entrymap_entries_examined,
-                accumulator_examinations=self.search.accumulator_examinations,
-                fallback_blocks_scanned=self.search.fallback_blocks_scanned,
-            ),
-        )
+        return replace(self, search=replace(self.search))
 
     def delta(self, earlier: "ReadStats") -> "ReadStats":
+        """Counters accumulated since ``earlier`` (a prior snapshot)."""
+
+        def minus(now: Any, then: Any) -> dict[str, Any]:
+            return {
+                counter.name: getattr(now, counter.name) - getattr(then, counter.name)
+                for counter in fields(now)
+                if counter.name != "search"
+            }
+
         return ReadStats(
-            block_accesses=self.block_accesses - earlier.block_accesses,
-            device_reads=self.device_reads - earlier.device_reads,
-            corrupt_blocks_found=self.corrupt_blocks_found
-            - earlier.corrupt_blocks_found,
-            corrupt_records_found=self.corrupt_records_found
-            - earlier.corrupt_records_found,
-            torn_entries_skipped=self.torn_entries_skipped
-            - earlier.torn_entries_skipped,
-            blocks_parsed=self.blocks_parsed - earlier.blocks_parsed,
-            locate_memo_hits=self.locate_memo_hits - earlier.locate_memo_hits,
-            search=SearchStats(
-                entrymap_entries_examined=self.search.entrymap_entries_examined
-                - earlier.search.entrymap_entries_examined,
-                accumulator_examinations=self.search.accumulator_examinations
-                - earlier.search.accumulator_examinations,
-                fallback_blocks_scanned=self.search.fallback_blocks_scanned
-                - earlier.search.fallback_blocks_scanned,
-            ),
+            **minus(self, earlier), search=SearchStats(**minus(self.search, earlier.search))
         )
 
 
@@ -662,24 +652,29 @@ class LogReader:
 
     def _locate_next_impl(self, logfile_id: int, start_global: int) -> int | None:
         sequence = self.store.sequence
-        extent = self.global_extent()
-        if start_global >= extent:
+        last = len(sequence.volumes) - 1
+        limit = self.volume_extent(last)
+        if start_global >= sequence.volume_base(last) + limit:
             return None
         start_global = max(0, start_global)
         if logfile_id == 0:
             # Every block belongs to the volume sequence log file.
             return start_global
         volume_index, local = sequence.to_local(start_global)
-        while volume_index < len(sequence.volumes):
+        # A search may report corruption, and so append: only a search that
+        # starts in the last volume uses the extent read above.
+        if volume_index != last:
             limit = self.volume_extent(volume_index)
+        while True:
             found = self.volume_search(volume_index).locate_next(
                 logfile_id, local, limit, self.stats.search
             )
             if found is not None:
                 return sequence.to_global(volume_index, found)
             volume_index += 1
-            local = 0
-        return None
+            if volume_index >= len(sequence.volumes):
+                return None
+            local, limit = 0, self.volume_extent(volume_index)
 
     # -- filtered iteration --------------------------------------------------------------------
 
@@ -746,13 +741,13 @@ class LogReader:
             if current == start_global:
                 slots = [slot for slot in slots if slot >= start_slot]
             for slot in slots:
-                location = EntryLocation(current, slot)
+                location = _served_location(current, slot)
                 try:
                     entry = entry_in(volume_index, local, location)
                 except TornEntryError:
                     self.stats.torn_entries_skipped += 1
                     continue
-                yield ReadEntry(location, entry)
+                yield _served(location, entry)
             current = self.locate_next_global(logfile_id, current + 1)
 
     def _iter_reverse(
@@ -772,11 +767,11 @@ class LogReader:
             if current == start_global:
                 slots = [slot for slot in slots if slot <= start_slot]
             for slot in reversed(slots):
-                location = EntryLocation(current, slot)
+                location = _served_location(current, slot)
                 try:
                     entry = entry_in(volume_index, local, location)
                 except TornEntryError:
                     self.stats.torn_entries_skipped += 1
                     continue
-                yield ReadEntry(location, entry)
+                yield _served(location, entry)
             current = self.locate_prev_global(logfile_id, current)

@@ -464,14 +464,15 @@ class LogService:
         if not components:
             raise ValueError("cannot create '/': it is the volume sequence log file")
         parent_id = catalog.resolve(parent_path(path))
-        logfile_id = catalog.allocate_id()
+        # Validated before its id is taken: a refused create burns no id.
         record = catalog.make_create_record(
-            logfile_id=logfile_id,
+            logfile_id=catalog.next_id,
             name=components[-1],
             parent_id=parent_id,
             permissions=permissions,
             created_ts=self.store.clock.now_us,
         )
+        logfile_id = catalog.allocate_id()
         self._charge_write(len(record.encode()))
         self.writer.append_catalog_record(record, force=True)
         catalog.apply(record)
@@ -502,6 +503,8 @@ class LogService:
         """Change a log-file attribute; the change is logged in the catalog
         log file at the time of the change (Section 2.2)."""
         self._check_writable()
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise TypeError(f"value must be bytes-like, not {type(value).__name__}")
         logfile_id = self._resolve_target(target)
         record = self.store.catalog.make_set_attribute_record(logfile_id, key, value)
         self._charge_write(len(record.encode()))
@@ -701,6 +704,9 @@ class LogService:
                 raise TypeError(
                     f"after must be an EntryLocation, not {type(after).__name__}"
                 )
+        for name, bound in (("since", since), ("before", before)):
+            if bound is not None and not isinstance(bound, int):
+                raise TypeError(f"{name} must be an int, not {type(bound).__name__}")
         logfile_id = self._resolve_target(target)
         self._check_permission(logfile_id, 0o400, "read")
         self._charge_read_call()
@@ -739,6 +745,8 @@ class LogService:
     def read_entry(self, target, entry_id: EntryId) -> ReadEntry | None:
         """Fetch the entry a synchronous write identified (Section 2.1)."""
         self._check_alive()
+        if not isinstance(entry_id, EntryId):
+            raise TypeError(f"entry_id must be an EntryId, not {type(entry_id).__name__}")
         logfile_id = self._resolve_target(target)
         self._charge_read_call()
         with self.store.tracer.span(
@@ -759,6 +767,8 @@ class LogService:
         """Resolve an asynchronously written entry by (sequence number,
         client timestamp), tolerating clock skew up to ``max_skew_us``."""
         self._check_alive()
+        if not isinstance(client_id, ClientEntryId):
+            raise TypeError(f"client_id must be a ClientEntryId, not {type(client_id).__name__}")
         if max_skew_us < 0:
             raise ValueError(f"max_skew_us must be >= 0, got {max_skew_us}")
         logfile_id = self._resolve_target(target)

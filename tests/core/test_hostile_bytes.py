@@ -12,6 +12,7 @@ only ``ValueError`` (what the reader and ``fsck`` catch),
 ``fsck`` catch) and ``VolumeHeader.decode`` only ``VolumeSequenceError``.
 """
 
+import dataclasses
 import struct
 import zlib
 
@@ -30,6 +31,7 @@ from repro.core.block import (
 from repro.core.catalog import CatalogError, CatalogOp, CatalogRecord
 from repro.core.entry import (
     CorruptRecord,
+    DecodedRecord,
     HeaderForm,
     LogEntry,
     decode_record,
@@ -213,6 +215,36 @@ class TestParseBlock:
             block_size=256, degree_n=4, volume_capacity_blocks=8
         ).reader
         assert reader.record_ids(parsed) == expected
+
+    @settings(max_examples=300)
+    @given(garbage_record_images())
+    def test_decode_builds_what_the_validating_constructor_builds(self, image):
+        """``decode_record`` fills its entry without ``__post_init__``: it
+        refuses exactly the records whose header is not a known form with
+        room for it, and any other record decodes to the entry the
+        validating constructor builds from the header's fields."""
+        sizes = {form.value: form.header_size for form in HeaderForm}
+        parsed = parse_block(image)
+        for record in parsed.fragments:
+            version = record[0] >> 4 if record else 0
+            if version not in sizes or len(record) < sizes[version]:
+                with pytest.raises(CorruptRecord):
+                    decode_record(record)
+                continue
+            logfile_id, timestamp, client_seq = struct.unpack_from(
+                ">HQI", record.ljust(14, b"\0")
+            )
+            expected = LogEntry(
+                logfile_id & 0x0FFF,
+                record[sizes[version] :],
+                timestamp if version > HeaderForm.MINIMAL else None,
+                client_seq if version == HeaderForm.FULL else None,
+            )
+            decoded = decode_record(record)
+            assert decoded == DecodedRecord(expected, len(record))
+            assert hash(decoded.entry) == hash(expected)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                decoded.entry.data = b""
 
     def test_fragment_count_past_the_block_is_a_format_error(self):
         """A count field so large the index would start before the block

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.core import ClientEntryId, LogService
+from repro.core.catalog import CatalogError
 
 REFUSED = [
     # (id, call(service, log, location), error type, named argument)
@@ -46,6 +47,21 @@ REFUSED = [
      ValueError, "after"),
     ("read-after-not-a-location",
      lambda s, log, at: s.read_entries(log, after="junk"), TypeError, "after"),
+    ("read-since-not-an-int",
+     lambda s, log, at: s.read_entries(log, since="x"), TypeError, "since"),
+    ("read-before-not-an-int",
+     lambda s, log, at: s.read_entries(log, before="x", reverse=True),
+     TypeError, "before"),
+    ("read-entry-not-an-id",
+     lambda s, log, at: log.read("x"), TypeError, "entry_id"),
+    ("find-not-a-client-id",
+     lambda s, log, at: log.find("x"), TypeError, "client_id"),
+    ("tail-count-not-an-int",
+     lambda s, log, at: log.tail("x"), TypeError, "count"),
+    ("create-existing-name",
+     lambda s, log, at: s.create_log_file("/app"), CatalogError, "name"),
+    ("set-attribute-not-bytes",
+     lambda s, log, at: s.set_attribute(log, "k", "str"), TypeError, "value"),
     ("find-negative-skew",
      lambda s, log, at: s.find_client_entry(
          log, ClientEntryId(7, s.clock.now_us), max_skew_us=-1),
@@ -109,3 +125,6 @@ def test_boundary_arguments_accepted():
     assert list(service.read_entries(log, after=location)) != []
     exact = ClientEntryId(59, service.clock.now_us)
     assert service.find_client_entry(log, exact, max_skew_us=0) is None
+    everything = list(service.read_entries(log))
+    assert list(service.read_entries(log, since=-5)) == everything
+    assert log.tail(0) == []
