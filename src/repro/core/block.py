@@ -49,9 +49,20 @@ _HEADER_SIZE = _HEADER.size  # 10
 _CRC = struct.Struct(">I")
 _CRC_SIZE = _CRC.size
 _INDEX_ENTRY_SIZE = 2
-#: The size index of an ``n``-fragment block, one precompiled struct per n
-#: (at most one per fragment count the block geometry admits).
-_INDEX: dict[int, struct.Struct] = {}
+
+
+class _IndexStructs(dict[int, struct.Struct]):
+    """The size index of an ``n``-fragment block, one precompiled struct per
+    n, made on first use (at most one per fragment count the block geometry
+    admits)."""
+
+    def __missing__(self, count: int) -> struct.Struct:
+        index = self[count] = struct.Struct(f">{count}H")
+        return index
+
+
+_INDEX = _IndexStructs()
+
 #: Fixed per-block overhead (header + CRC trailer), excluding the index.
 BLOCK_OVERHEAD = _HEADER_SIZE + _CRC_SIZE
 
@@ -176,9 +187,7 @@ def parse_block(data: bytes) -> ParsedBlock:
     # The index runs right-to-left (s_n .. s_1), so one read yields the
     # sizes in reverse; the geometry check above keeps it inside the block.
     # Their running sum from the header end gives every fragment's bounds.
-    index = _INDEX.get(count)
-    if index is None:
-        index = _INDEX[count] = struct.Struct(f">{count}H")
+    index = _INDEX[count]
     end = _HEADER_SIZE
     bounds = [end]
     for size in reversed(index.unpack_from(data, index_end - index_size)):
@@ -263,17 +272,19 @@ class BlockBuilder:
         """
         if self.cont_out:
             raise RuntimeError("block already ends with a continuing fragment")
-        if header_size > len(record):
+        take = len(record)
+        if header_size > take:
             raise ValueError("header_size exceeds record length")
         free = self.free_bytes
         if free < header_size:
             return 0
-        take = min(free, len(record))
-        self._fragments.append(record[:take])
+        if take > free:
+            take = free
+            record = record[:free]
+            self.cont_out = True
+        self._fragments.append(record)
         self._data_len += take
         self._image = None
-        if take < len(record):
-            self.cont_out = True
         return take
 
     def add_continuation(self, remainder: bytes) -> int:
@@ -303,35 +314,30 @@ class BlockBuilder:
         """Produce the full block image (free space zero-filled, CRC set)."""
         if self._image is not None:
             return self._image
+        fragments = self._fragments
+        count = len(fragments)
         flags = 0
         cont_len = 0
         if self.cont_in:
-            if not self._fragments:
+            if not fragments:
                 raise RuntimeError("continuation block encoded with no fragments")
             flags |= _FLAG_CONT_IN
-            cont_len = len(self._fragments[0])
+            cont_len = len(fragments[0])
         if self.cont_out:
             flags |= _FLAG_CONT_OUT
-        header = _HEADER.pack(
-            _MAGIC, flags, len(self._fragments), cont_len, self._data_len, 0
-        )
-        body = b"".join(self._fragments)
-        index = struct.pack(
-            f">{len(self._fragments)}H", *map(len, reversed(self._fragments))
-        )
-        gap = (
-            self.block_size
-            - _HEADER_SIZE
-            - len(body)
-            - len(index)
-            - _CRC_SIZE
-        )
+        gap = self.free_bytes + _INDEX_ENTRY_SIZE
         if gap < 0:
             raise RuntimeError("block overfilled — builder accounting bug")
-        image_wo_crc = header + body + b"\x00" * gap + index
-        crc = zlib.crc32(image_wo_crc)
-        self._image = image_wo_crc + struct.pack(">I", crc)
-        return self._image
+        header = _HEADER.pack(_MAGIC, flags, count, cont_len, self._data_len, 0)
+        sizes = _INDEX[count].pack(*map(len, reversed(fragments)))
+        image = b"".join((header, *fragments, bytes(gap), sizes))
+        if len(image) != self.block_size - _CRC_SIZE:
+            raise RuntimeError(
+                f"block image is {len(image) + _CRC_SIZE} bytes, not "
+                f"{self.block_size} — builder accounting bug"
+            )
+        self._image = image = image + _CRC.pack(zlib.crc32(image))
+        return image
 
     @classmethod
     def from_image(cls, data: bytes) -> "BlockBuilder":

@@ -83,7 +83,11 @@ def _payload(data: object, index: int | None = None) -> bytes | bytearray | memo
 
 
 def _check_client_seq(client_seq: int | None, name: str) -> None:
-    if client_seq is not None and not 0 <= client_seq < 1 << 32:
+    if client_seq is None:
+        return
+    if not isinstance(client_seq, int):
+        raise TypeError(f"{name} must be an int, not {type(client_seq).__name__}")
+    if not 0 <= client_seq < 1 << 32:
         raise ValueError(f"{name} must fit in 32 bits, got {client_seq}")
 
 
@@ -503,6 +507,8 @@ class LogService:
         """Change a log-file attribute; the change is logged in the catalog
         log file at the time of the change (Section 2.2)."""
         self._check_writable()
+        if not isinstance(key, str):
+            raise TypeError(f"key must be a str, not {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise TypeError(f"value must be bytes-like, not {type(value).__name__}")
         logfile_id = self._resolve_target(target)
@@ -573,8 +579,7 @@ class LogService:
         logfile_id = self._resolve_target(target)
         self._check_permission(logfile_id, 0o200, "append")
         data = _payload(data)
-        if client_seq is not None:
-            _check_client_seq(client_seq, "client_seq")
+        _check_client_seq(client_seq, "client_seq")
         store = self.store
         start_ms = store.clock.now_ms
         with store.tracer.span(
@@ -800,6 +805,8 @@ class LogService:
         positive window lets detected sequential scans fetch that many
         blocks per device operation (one seek amortized over the window).
         """
+        if not isinstance(blocks, int):
+            raise TypeError(f"blocks must be an int, not {type(blocks).__name__}")
         if blocks < 0:
             raise ValueError(f"readahead_blocks must be >= 0, got {blocks}")
         from dataclasses import replace

@@ -5,7 +5,11 @@ disk location that is known at all times" (Section 2.1).  The writer owns
 the single in-progress *tail block* and is responsible for:
 
 * packing entry records into blocks (fragmenting entries that do not fit,
-  Section 2.1 footnote 7), with one record packer for every kind of append;
+  Section 2.1 footnote 7), with one record packer for every kind of append:
+  it draws the timestamp, places the record and counts its bytes, and a
+  record that fits whole in the open block goes straight through it;
+* trusting its arguments: the service checks them before any charge, so
+  the packer builds its locations and results without re-validation;
 * forcing the first entry of every block to carry a timestamp (the time
   search relies on it);
 * noting block membership in the entrymap once per block and owner chain
@@ -26,7 +30,15 @@ from repro.core.block import BlockBuilder
 from repro.core.catalog import CatalogRecord
 from repro.core.entry import encode_record
 from repro.core.entrymap import UNTRACKED_IDS, EntrymapState
-from repro.core.ids import CATALOG_ID, ENTRYMAP_ID, EntryId, EntryLocation
+from repro.core.ids import (
+    CATALOG_ID,
+    ENTRYMAP_ID,
+    FIRST_CLIENT_ID,
+    VOLUME_SEQUENCE_ID,
+    EntryId,
+    EntryLocation,
+    _served_location,
+)
 from repro.core.store import LogStore
 from repro.worm.errors import CorruptBlockError, StorageError
 from repro.worm.volume import LogVolume
@@ -47,6 +59,19 @@ class AppendResult:
         if self.timestamp is None:
             return None
         return EntryId(self.timestamp)
+
+
+_set_location, _set_timestamp = (
+    vars(AppendResult)[name].__set__ for name in ("location", "timestamp")
+)
+
+
+def _packed(location: EntryLocation, timestamp: int | None) -> AppendResult:
+    """An :class:`AppendResult` the packer has just made, built without ``__init__``."""
+    result = AppendResult.__new__(AppendResult)
+    _set_location(result, location)
+    _set_timestamp(result, timestamp)
+    return result
 
 
 class TailWriter:
@@ -134,9 +159,7 @@ class TailWriter:
         pure WORM configurations).
         """
         tracked = self.store.catalog.tracked(logfile_id)
-        result = self._append_client(
-            logfile_id, data, want_timestamp, client_seq, tracked
-        )
+        result = self._pack(logfile_id, data, want_timestamp, client_seq, tracked)
         if force:
             self._force()
         self.drain_corrupt_reports()
@@ -170,17 +193,15 @@ class TailWriter:
         if not payloads:
             return []
         tracked = self.store.catalog.tracked(logfile_id)
+        if client_seqs is None:
+            client_seqs = [None] * len(payloads)
+        pack = self._pack
         results: list[AppendResult] = []
         self._in_batch = True
         self._batch_ts_charged = False
         try:
-            for index, data in enumerate(payloads):
-                client_seq = client_seqs[index] if client_seqs is not None else None
-                results.append(
-                    self._append_client(
-                        logfile_id, data, want_timestamps, client_seq, tracked
-                    )
-                )
+            for data, client_seq in zip(payloads, client_seqs, strict=True):
+                results.append(pack(logfile_id, data, want_timestamps, client_seq, tracked))
         finally:
             # Even on a mid-batch failure the entries already packed form a
             # consistent prefix: re-encode the tail once so readers see it.
@@ -200,23 +221,18 @@ class TailWriter:
     ) -> AppendResult:
         """Append a record to the catalog log file (always timestamped;
         forced by default — losing catalog records loses log files)."""
-        data = record.encode()
-        location, timestamp, header_size = self._pack(
-            CATALOG_ID, data, self._make_timestamp(), None, frozenset({CATALOG_ID})
+        result = self._pack(
+            CATALOG_ID, record.encode(), True, None, frozenset({CATALOG_ID})
         )
-        self.store.space.catalog += header_size + len(data)
         if force:
             self._force()
         self.drain_corrupt_reports()
-        return AppendResult(location, timestamp)
+        return result
 
     def append_reserved(self, logfile_id: int, payload: bytes) -> AppendResult:
         """Append to another reserved log file (e.g. the corrupted-block log)."""
         tracked = frozenset({logfile_id}) - UNTRACKED_IDS
-        location, timestamp, _ = self._pack(
-            logfile_id, payload, self._make_timestamp(), None, tracked
-        )
-        return AppendResult(location, timestamp)
+        return self._pack(logfile_id, payload, True, None, tracked)
 
     def flush(self) -> None:
         """Burn the tail block even if partially filled (volume unmount,
@@ -242,14 +258,10 @@ class TailWriter:
         return self.store.clock.timestamp()
 
     @property
-    def _volume(self) -> LogVolume:
-        return self.store.sequence.volumes[self._volume_index]
-
-    @property
     def _state(self) -> EntrymapState:
         return self.store.states[self._volume_index]
 
-    def _append_client(
+    def _pack(
         self,
         logfile_id: int,
         data: bytes,
@@ -257,78 +269,81 @@ class TailWriter:
         client_seq: int | None,
         tracked: frozenset[int],
     ) -> AppendResult:
-        """One client entry of :meth:`append` or :meth:`append_batch`."""
-        timestamp = None
-        if want_timestamp or client_seq is not None:
-            timestamp = self._make_timestamp()
-        location, timestamp, header_size = self._pack(
-            logfile_id, data, timestamp, client_seq, tracked
-        )
-        space = self.store.space
-        space.client_entries += 1
-        space.client_data += len(data)
-        space.entry_headers += header_size
-        return AppendResult(location, timestamp)
+        """The record packer, every append's one path: draw the timestamp,
+        put the record into the tail, fragmenting it across blocks as
+        needed, and count its bytes (a client log file's entry, or a
+        catalog record).  Its arguments were checked at the service
+        boundary.
 
-    def _pack(
-        self,
-        logfile_id: int,
-        data: bytes,
-        timestamp: int | None,
-        client_seq: int | None,
-        tracked: frozenset[int],
-    ) -> tuple[EntryLocation, int | None, int]:
-        """The record packer: put one record into the tail, fragmenting it
-        across blocks as needed.  Returns its location, its timestamp and
-        its header size.
-
+        A record that fits whole in the open block goes straight through;
+        opening a block, a burn and a fragment's continuations branch off.
         "A header timestamp is mandatory for the first log entry in each
         block" (Section 2.1): an untimestamped record that would start a
         block draws one before it is encoded.
         """
-        if self._builder is None:
+        store = self.store
+        timestamp = None
+        if want_timestamp or client_seq is not None:
+            timestamp = self._make_timestamp()
+        builder = self._builder
+        if builder is None:
             self._open_block(cont_in=False)
+            builder = self._builder
         while True:
             if timestamp is None and not self._block_has_entry_start:
                 timestamp = self._make_timestamp()
             record, header_size = encode_record(
                 logfile_id, data, timestamp, client_seq
             )
-            taken = self._builder.add_record(record, header_size)
+            taken = builder.add_record(record, header_size)
             if taken:
                 break
             self._burn_current()
             self._open_block(cont_in=False)
-        location = EntryLocation(
-            self.store.sequence.to_global(self._volume_index, self._block_addr),
-            self._builder.fragment_count - 1,
+            builder = self._builder
+        location = _served_location(
+            store.sequence.to_global(self._volume_index, self._block_addr),
+            builder.fragment_count - 1,
         )
         self._block_has_entry_start = True
         self._note_fragment(tracked)
-        self.store.space.size_index += 2
-        while taken < len(record):
+        space = store.space
+        space.size_index += 2
+        if taken < len(record):
             self._carry_tracked_ids = tracked
-            self._burn_current()
-            self._open_block(cont_in=True)
-            taken += self._builder.add_continuation(record[taken:])
-            self._note_fragment(tracked)
-            self.store.space.size_index += 2
-            if not self._builder.cont_out:
-                # The continuation fragment is in place; any entrymap
-                # entries due at this block can now be emitted after it.
-                self._emit_due_entrymap_entries()
-        self._carry_tracked_ids = frozenset()
+            while taken < len(record):
+                self._burn_current()
+                self._open_block(cont_in=True)
+                taken += self._builder.add_continuation(record[taken:])
+                self._note_fragment(tracked)
+                space.size_index += 2
+                if not self._builder.cont_out:
+                    # The continuation fragment is in place; any entrymap
+                    # entries due at this block can now be emitted after it.
+                    self._emit_due_entrymap_entries()
+            self._carry_tracked_ids = frozenset()
         if not self._in_batch:
             self._refresh_tail_cache()
-        self.store.append_generation += 1
-        return location, timestamp, header_size
+        store.append_generation += 1
+        if logfile_id >= FIRST_CLIENT_ID or logfile_id == VOLUME_SEQUENCE_ID:
+            # A log file clients append to: the root or one they created.
+            space.client_entries += 1
+            space.client_data += len(data)
+            space.entry_headers += header_size
+        elif logfile_id == CATALOG_ID:
+            space.catalog += len(record)
+        return _packed(location, timestamp)
 
     def _note_fragment(self, tracked: frozenset[int]) -> None:
         if tracked:
-            noted = (self._state, self._block_addr, tracked)
-            if noted != self._noted:
-                self._noted = noted
-                noted[0].note_membership(self._block_addr, tracked)
+            state = self.store.states[self._volume_index]
+            block = self._block_addr
+            noted = self._noted
+            if noted is None or noted[0] is not state or noted[1] != block or (
+                noted[2] is not tracked and noted[2] != tracked
+            ):
+                self._noted = (state, block, tracked)
+                state.note_membership(block, tracked)
         self.store.charge("entrymap_maint", self.store.costs.entrymap_per_entry_ms)
 
     def _refresh_tail_cache(self) -> None:
@@ -346,35 +361,33 @@ class TailWriter:
         bad address are harmless false positives (the reader skips
         invalidated blocks).
         """
+        store = self.store
+        volume_index = self._volume_index
+        volume = store.sequence.volumes[volume_index]
         image = self._builder.encode()
-        with self.store.tracer.span(
-            "device.io", op="write", volume=self._volume_index
-        ) as sp:
+        with store.tracer.span("device.io", op="write", volume=volume_index) as sp:
             while True:
                 try:
-                    local = self._volume.append_data_block(image)
+                    local = volume.append_data_block(image)
                     break
                 except CorruptBlockError as exc:
                     bad_local = exc.block - 1  # device block -> data block
-                    self._volume.invalidate_data_block(bad_local)
-                    self._pending_corrupt_reports.append(
-                        (self._volume_index, bad_local)
-                    )
+                    volume.invalidate_data_block(bad_local)
+                    self._pending_corrupt_reports.append((volume_index, bad_local))
             sp.set("block", local)
+        cache = store.cache
         if local != self._block_addr:
             # Relocated past one or more corrupt blocks: drop the stale
             # tail images cached under the skipped addresses and re-note
             # the memberships under the block's final address.
             for stale in range(self._block_addr, local):
-                self.store.cache.invalidate(
-                    self.store.cache_key(self._volume_index, stale)
-                )
+                cache.invalidate(store.cache_key(volume_index, stale))
             self._renote_members(image, local)
             self._block_addr = local
-        self.store.cache.put(self.store.cache_key(self._volume_index, local), image)
-        self.store.space.blocks_written += 1
-        if self.store.nvram is not None:
-            self.store.nvram.clear()
+        cache.put(store.cache_key(volume_index, local), image)
+        store.space.blocks_written += 1
+        if store.nvram is not None:
+            store.nvram.clear()
         self._builder = None
         self._block_has_entry_start = False
 
@@ -419,9 +432,10 @@ class TailWriter:
     def _open_block(self, cont_in: bool) -> None:
         """Open the next tail block, extending the volume sequence if the
         active volume is full, and emit any entrymap entries now due."""
-        if self._volume.is_full:
-            self._extend_sequence()
-        self._block_addr = self._volume.next_data_block
+        volume = self.store.sequence.volumes[self._volume_index]
+        if volume.is_full:
+            volume = self._extend_sequence()
+        self._block_addr = volume.next_data_block
         self._builder = BlockBuilder(self.store.config.block_size, cont_in=cont_in)
         self._block_has_entry_start = False
         self._noted = None
@@ -433,8 +447,8 @@ class TailWriter:
             # lower-level fallback tolerates the displacement.
             self._emit_due_entrymap_entries()
 
-    def _extend_sequence(self) -> None:
-        """Load a (previously unused) successor volume (Section 2.1)."""
+    def _extend_sequence(self) -> LogVolume:
+        """Load and return a (previously unused) successor volume (Section 2.1)."""
         try:
             device = self.store.make_device()
         except StorageError as exc:
@@ -447,13 +461,14 @@ class TailWriter:
                 error=type(exc).__name__,
             )
             raise
-        self.store.sequence.create_volume(device, created_ts=self.store.clock.now_us)
+        volume = self.store.sequence.create_volume(device, created_ts=self.store.clock.now_us)
         self._volume_index = len(self.store.sequence.volumes) - 1
         self.store.states.append(
-            EntrymapState(self.store.config.degree_n, self._volume.data_capacity)
+            EntrymapState(self.store.config.degree_n, volume.data_capacity)
         )
         self.store.journal.watch_device(self._volume_index, device)
         self.store.journal.emit("volume.extend", volume=self._volume_index)
+        return volume
 
     def _emit_due_entrymap_entries(self) -> None:
         """Write the entrymap log entries whose well-known position is the

@@ -82,6 +82,16 @@ class TestBuilderBasics:
         assert s1 == 5
         assert s2 == 9
 
+    @pytest.mark.parametrize("drift", [-1, 1])
+    def test_encode_refuses_fragments_its_count_disagrees_with(self, drift):
+        """The image length is checked against the fragment bytes joined,
+        not only against the builder's running data count."""
+        builder = BlockBuilder(BS)
+        builder.add_record(record(size=5), 2)
+        builder._data_len += drift
+        with pytest.raises(RuntimeError, match="accounting bug"):
+            builder.encode()
+
     def test_min_block_size_enforced(self):
         with pytest.raises(ValueError):
             BlockBuilder(MIN_BLOCK_SIZE - 1)

@@ -23,14 +23,17 @@ the blocks themselves (``LogReader.block_members``, what recovery
 rebuilds from).
 """
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LogService
 from repro.core.entrymap import EntrymapRecord
-from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID
+from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID, EntryLocation
+from repro.core.writer import AppendResult
 
 BLOCK = 512
 DEGREE = 4
@@ -83,22 +86,30 @@ def check_level1_against_media(service):
         assert state.acc[1] == level1_from_media(service, volume, open_group)
 
 
-def run_twins(stream):
+def run_twins(stream, results=None):
     """Feed ``stream`` — (path index, sizes, timestamped, with_seqs, force)
-    batches — to both twins, check they agree, and return the batched one."""
+    batches — to both twins, check they agree, and return the batched one.
+
+    ``with_seqs`` is a bool for the whole batch or one flag per entry; the
+    batched twin's results are appended to ``results`` when it is given."""
     batched, singles = make_twin(), make_twin()
     seq = 0
     for path_index, sizes, timestamped, with_seqs, force in stream:
         path = PATHS[path_index]
         payloads = [bytes([(seq + i) % 256]) * size for i, size in enumerate(sizes)]
-        seqs = list(range(seq, seq + len(sizes))) if with_seqs else None
+        if with_seqs is True:
+            seqs = list(range(seq, seq + len(sizes)))
+        elif with_seqs:
+            seqs = [seq + i if flag else None for i, flag in enumerate(with_seqs)]
+        else:
+            seqs = None
         seq += len(sizes)
-        got = [
-            result.location
-            for result in batched.append_many(
-                path, payloads, timestamped=timestamped, client_seqs=seqs, force=force
-            )
-        ]
+        packed = batched.append_many(
+            path, payloads, timestamped=timestamped, client_seqs=seqs, force=force
+        )
+        if results is not None:
+            results.extend(packed)
+        got = [result.location for result in packed]
         want = [
             singles.append(
                 path,
@@ -165,3 +176,80 @@ def test_seeded_stream_covers_boundaries_and_rollover():
         if (parsed := reader.read_parsed(volume, local)) is not None and parsed.cont_in
     ]
     assert continued_boundaries
+
+
+#: The header size of a timestamped record (no client sequence number).
+TIMESTAMPED_HEADER = 10
+
+
+def edge_stream():
+    """Batches whose sizes are chosen, record by record, against the open
+    block of a probe twin fed the same records as singles (placement is the
+    same either way), so that in the first batch
+
+    * a record is one byte too long to fit whole in the open block, so it
+      fragments, leaving one byte for the next block;
+    * a record then leaves exactly a timestamped header's room, so the next
+      record places only its header and continues;
+    * a record ends exactly at the open block's last free byte;
+
+    and the second batch mixes client sequence numbers with
+    ``timestamped=False``, so its bare records both draw a block-start
+    timestamp and ride behind one.
+    """
+    probe = make_twin()
+
+    def free():
+        return probe.writer._builder.free_bytes
+
+    def put(size):
+        probe.append(PATHS[0], bytes(size))
+        sizes.append(size)
+
+    sizes = []
+    put(40)
+    put(free() - TIMESTAMPED_HEADER + 1)  # one byte too long: fragments
+    put(free() - TIMESTAMPED_HEADER - 2 - TIMESTAMPED_HEADER)  # leaves 10
+    put(100)  # only its header fits
+    put(free() - TIMESTAMPED_HEADER)  # ends at the last free byte
+    put(30)
+    mixed = (True, False, False, True, False, False, True, False)
+    return [
+        (0, sizes, True, False, False),
+        (3, [20, 600, 5, 5, 300, 1100, 7, 480], False, mixed, True),
+    ]
+
+
+def test_whole_record_branch_at_its_edges():
+    results = []
+    service = run_twins(edge_stream(), results)
+    reader = service.reader
+    sequence = service.store.sequence
+
+    def block_of(result):
+        return reader.read_parsed(*sequence.to_local(result.location.global_block))
+
+    too_long, header_only, exact = map(block_of, (results[1], results[3], results[4]))
+    assert too_long.cont_out and results[1].location.slot == too_long.fragment_count - 1
+    after = sequence.to_local(results[1].location.global_block + 1)
+    assert len(reader.read_parsed(*after).fragment(0)) == 1
+    assert results[2].location.global_block == results[3].location.global_block
+    assert header_only.cont_out
+    assert len(header_only.fragment(header_only.fragment_count - 1)) == TIMESTAMPED_HEADER
+    used = exact.bounds[-1] - exact.bounds[0] + 2 * exact.fragment_count
+    assert used == BLOCK - 14 and not exact.cont_out
+    assert results[4].location.slot == exact.fragment_count - 1
+    assert any(result.timestamp is None for result in results)
+    for result in results:
+        location = result.location
+        rebuilt = AppendResult(
+            EntryLocation(location.global_block, location.slot), result.timestamp
+        )
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert result.entry_id == rebuilt.entry_id
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.timestamp = 0
+        assert reader.entry_at(location).timestamp == result.timestamp
+    locations = [result.location for result in results]
+    rebuilt = [EntryLocation(loc.global_block, loc.slot) for loc in locations]
+    assert sorted(locations) == sorted(rebuilt) == locations

@@ -62,6 +62,18 @@ REFUSED = [
      lambda s, log, at: s.create_log_file("/app"), CatalogError, "name"),
     ("set-attribute-not-bytes",
      lambda s, log, at: s.set_attribute(log, "k", "str"), TypeError, "value"),
+    ("set-attribute-key-not-a-str",
+     lambda s, log, at: s.set_attribute(log, 5, b"v"), TypeError, "key"),
+    ("append-client-seq-float",
+     lambda s, log, at: s.append(log, b"x", client_seq=2.0), TypeError, "client_seq"),
+    ("append-client-seq-str",
+     lambda s, log, at: s.append(log, b"x", client_seq="7"), TypeError, "client_seq"),
+    ("append-many-client-seq-float",
+     lambda s, log, at: s.append_many(
+         log, [b"one", b"two", b"three"], client_seqs=[1, 2, 3.5]),
+     TypeError, r"client_seqs\[2\]"),
+    ("readahead-not-an-int",
+     lambda s, log, at: s.configure_readahead("x"), TypeError, "blocks"),
     ("find-negative-skew",
      lambda s, log, at: s.find_client_entry(
          log, ClientEntryId(7, s.clock.now_us), max_skew_us=-1),
@@ -111,6 +123,18 @@ def test_refused_call_changes_nothing(call, error, argument):
     with pytest.raises(error, match=argument):
         call(service, log, location)
     assert state(service) == before
+
+
+def test_refused_batch_lands_no_entry():
+    """A batch refused for its third client sequence number lands none of
+    the two before it."""
+    service, log, _ = make_service()
+    entries = list(service.read_entries(log))
+    landed = service.space_stats.client_entries
+    with pytest.raises(TypeError, match=r"client_seqs\[2\]"):
+        service.append_many(log, [b"one", b"two", b"three"], client_seqs=[1, 2, 3.5])
+    assert list(service.read_entries(log)) == entries
+    assert service.space_stats.client_entries == landed
 
 
 def test_boundary_arguments_accepted():
