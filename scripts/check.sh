@@ -78,7 +78,7 @@ if python -c "import mypy" >/dev/null 2>&1; then
         src/repro/core/entry.py src/repro/core/block.py \
         src/repro/core/catalog.py src/repro/core/sublog.py \
         src/repro/core/timeindex.py src/repro/core/recovery.py \
-        src/repro/core/reader.py
+        src/repro/core/reader.py src/repro/core/entrymap.py
 else
     echo "== mypy not installed; skipping type check =="
 fi

@@ -149,10 +149,6 @@ class ParsedBlock:
         """Indices of fragments that *begin* an entry in this block."""
         return range(self.cont_in, self.fragment_count)
 
-    def starts_entry(self, slot: int) -> bool:
-        """True if an entry begins at fragment ``slot`` of this block."""
-        return self.cont_in <= slot < self.fragment_count
-
     def is_complete(self, slot: int) -> bool:
         """True if the record starting at ``slot`` ends inside this block."""
         return not (self.cont_out and slot == self.fragment_count - 1)

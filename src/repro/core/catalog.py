@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.entrymap import UNTRACKED_IDS
 from repro.core.ids import (
@@ -96,46 +96,50 @@ class CatalogRecord:
     @classmethod
     def decode(cls, payload: bytes) -> "CatalogRecord":
         try:
-            op, logfile_id, parent_id, permissions, created_ts = _FIXED.unpack_from(
-                payload, 0
-            )
+            # op, logfile_id, parent_id, permissions, created_ts
+            fixed = _FIXED.unpack_from(payload, 0)
         except struct.error as exc:
             raise CatalogError(f"catalog record truncated: {exc}") from None
-        offset = _FIXED.size
-
-        def take() -> bytes:
-            nonlocal offset
-            try:
-                (length,) = struct.unpack_from(">H", payload, offset)
-            except struct.error as exc:
-                raise CatalogError(f"catalog record truncated: {exc}") from None
-            offset += 2
-            value = payload[offset : offset + length]
-            if len(value) != length:
-                raise CatalogError("catalog record truncated")
-            offset += length
-            return value
-
+        name, offset = _take(payload, _FIXED.size)
+        key, offset = _take(payload, offset)
         try:
-            name = take().decode()
-            key = take().decode()
-            op = CatalogOp(op)
-        except ValueError as exc:  # UnicodeDecodeError included
+            name_text = name.decode()
+            key_text = key.decode()
+        except UnicodeDecodeError as exc:
             # Garbage that parsed as lengths: a non-UTF-8 name or key, or
             # an op byte outside CatalogOp, is damage like truncation, so
             # replay and fsck skip it.
             raise CatalogError(f"catalog record malformed: {exc}") from None
-        value = bytes(take())
-        return cls(
-            op=op,
-            logfile_id=logfile_id,
-            parent_id=parent_id,
-            permissions=permissions,
-            created_ts=created_ts,
-            name=name,
-            key=key,
-            value=value,
-        )
+        op = _OPS.get(fixed[0])
+        if op is None:
+            raise CatalogError(
+                f"catalog record malformed: {fixed[0]} is not a valid CatalogOp"
+            )
+        value, _ = _take(payload, offset)
+        # Filled slot by slot: every field is checked above.
+        record = cls.__new__(cls)
+        values = (op, *fixed[1:], name_text, key_text, bytes(value))
+        for setter, field_value in zip(_SETTERS, values):
+            setter(record, field_value)
+        return record
+
+
+_OPS = {member.value: member for member in CatalogOp}
+_LENGTH = struct.Struct(">H")
+_SETTERS = [vars(CatalogRecord)[f.name].__set__ for f in fields(CatalogRecord)]
+
+
+def _take(payload: bytes, offset: int) -> tuple[bytes, int]:
+    """The length-prefixed field at ``offset``, and the offset past it."""
+    try:
+        (length,) = _LENGTH.unpack_from(payload, offset)
+    except struct.error as exc:
+        raise CatalogError(f"catalog record truncated: {exc}") from None
+    offset += 2
+    value = payload[offset : offset + length]
+    if len(value) != length:
+        raise CatalogError("catalog record truncated")
+    return value, offset + length
 
 
 @dataclass(slots=True)
@@ -220,17 +224,15 @@ class Catalog:
         return list(self.chain(logfile_id))
 
     def chain(self, logfile_id: int) -> tuple[int, ...]:
-        """:meth:`ancestors`, memoized; an unknown id raises and memoizes
-        nothing."""
+        """:meth:`ancestors`, memoized — each id's from its parent's; an
+        unknown id raises and memoizes nothing."""
         chain = self._chains.get(logfile_id)
         if chain is None:
-            walk: list[int] = []
             info = self.info(logfile_id)
-            while not info.is_root:
-                walk.append(info.logfile_id)
-                info = self.info(info.parent_id)
-            walk.append(info.logfile_id)
-            chain = self._chains[logfile_id] = tuple(walk)
+            chain = (logfile_id,)
+            if not info.is_root:
+                chain += self.chain(info.parent_id)
+            self._chains[logfile_id] = chain
         return chain
 
     def tracked(self, logfile_id: int) -> frozenset[int]:
@@ -246,10 +248,9 @@ class Catalog:
         """:meth:`tracked` for an owner id read off the medium: an id the
         catalog has never seen (garbage carrying a valid header, or an
         entry whose CREATE was lost) belongs to itself alone."""
-        try:
+        if logfile_id in self._by_id:
             return self.tracked(logfile_id)
-        except CatalogError:
-            return frozenset((logfile_id,)) - UNTRACKED_IDS
+        return frozenset((logfile_id,)) - UNTRACKED_IDS
 
     def all_ids(self) -> list[int]:
         return sorted(self._by_id)

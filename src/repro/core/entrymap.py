@@ -32,7 +32,7 @@ carries a self-contained tree.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 from repro.core.ids import ENTRYMAP_ID, VOLUME_SEQUENCE_ID
@@ -43,6 +43,8 @@ __all__ = [
     "EntrymapSearch",
     "SearchStats",
     "UNTRACKED_IDS",
+    "coverage_of",
+    "fold_group",
     "max_level_for",
 ]
 
@@ -53,6 +55,8 @@ UNTRACKED_IDS = frozenset({VOLUME_SEQUENCE_ID, ENTRYMAP_ID})
 
 _FIXED = struct.Struct(">BHQH")  # level, degree, cover_start, logfile count
 _PAIR_ID = struct.Struct(">H")
+#: ``(logfile id, bitmap bytes)`` per bitmap width, compiled on first use.
+_PAIRS: dict[int, struct.Struct] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,20 +105,44 @@ class EntrymapRecord:
         if level < 1 or degree < 2:
             raise ValueError(f"bad entrymap record (level={level}, N={degree})")
         bitmap_bytes = (degree + 7) // 8
-        offset = _FIXED.size
-        expected = offset + count * (2 + bitmap_bytes)
+        expected = _FIXED.size + count * (2 + bitmap_bytes)
         if len(payload) < expected:
             raise ValueError(
                 f"entrymap record truncated: {len(payload)} < {expected} bytes"
             )
-        bitmaps = {}
-        for _ in range(count):
-            (logfile_id,) = _PAIR_ID.unpack_from(payload, offset)
-            offset += 2
-            bitmap = int.from_bytes(payload[offset : offset + bitmap_bytes], "big")
-            offset += bitmap_bytes
-            bitmaps[logfile_id] = bitmap
-        return cls(level=level, degree=degree, cover_start=cover_start, bitmaps=bitmaps)
+        pairs = _PAIRS.get(bitmap_bytes)
+        if pairs is None:
+            pairs = _PAIRS[bitmap_bytes] = struct.Struct(f">H{bitmap_bytes}s")
+        from_bytes = int.from_bytes  # big-endian by default
+        bitmaps = {
+            logfile_id: from_bytes(bitmap)
+            for logfile_id, bitmap in pairs.iter_unpack(payload[_FIXED.size : expected])
+        }
+        # Filled slot by slot: the frozen __init__ pays a setattr per field.
+        record = cls.__new__(cls)
+        for setter, value in zip(_SETTERS, (level, degree, cover_start, bitmaps)):
+            setter(record, value)
+        return record
+
+
+_SETTERS = [vars(EntrymapRecord)[f.name].__set__ for f in fields(EntrymapRecord)]
+
+
+def coverage_of(payload: bytes) -> tuple[int, int] | None:
+    """An encoded record's ``(level, cover_start)``, bitmaps not decoded."""
+    if len(payload) < _FIXED.size:
+        return None
+    level, _degree, cover_start, _count = _FIXED.unpack_from(payload, 0)
+    return level, cover_start
+
+
+def fold_group(upper: dict[int, int], logfile_ids: Iterable[int], bit: int) -> None:
+    """OR ``bit`` (one group of the level above) into ``upper``'s bitmap
+    of every log file in ``logfile_ids`` — the fold of Figure 2's tree that
+    emission and recovery both make."""
+    get = upper.get
+    for logfile_id in logfile_ids:
+        upper[logfile_id] = get(logfile_id, 0) | bit
 
 
 def max_level_for(degree: int, data_capacity: int) -> int:
@@ -134,11 +162,6 @@ class SearchStats:
     entrymap_entries_examined: int = 0
     accumulator_examinations: int = 0
     fallback_blocks_scanned: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.entrymap_entries_examined += other.entrymap_entries_examined
-        self.accumulator_examinations += other.accumulator_examinations
-        self.fallback_blocks_scanned += other.fallback_blocks_scanned
 
 
 class EntrymapState:
@@ -202,9 +225,13 @@ class EntrymapState:
         block address may be past its boundary when invalidated blocks were
         skipped — the entry is still emitted, covering its nominal range.
         """
-        due = []
+        next_emit = self.next_emit
+        # Nothing is due at N-1 of N block opens: one look at the boundaries.
+        if self.max_level == 0 or opening_block < min(next_emit[1:]):
+            return []
+        due: list[tuple[int, int]] = []
         for level in range(1, self.max_level + 1):
-            boundary = self.next_emit[level]
+            boundary = next_emit[level]
             while boundary <= opening_block:
                 due.append((level, boundary))
                 boundary += self.degree**level
@@ -231,10 +258,7 @@ class EntrymapState:
         )
         if level < self.max_level and record.bitmaps:
             group_index = ((boundary - span) % (span * self.degree)) // span
-            bit = 1 << group_index
-            upper = self.acc[level + 1]
-            for logfile_id in record.bitmaps:
-                upper[logfile_id] = upper.get(logfile_id, 0) | bit
+            fold_group(self.acc[level + 1], record.bitmaps, 1 << group_index)
         self.acc[level].clear()
         self.next_emit[level] = boundary + span
         if level == 1 and self._pending_level1:
@@ -351,7 +375,7 @@ class EntrymapSearch:
         stats: SearchStats,
     ) -> int | None:
         """Direct block-scan fallback over [start, stop)."""
-        blocks = range(start, stop)
+        blocks: Iterable[int] = range(start, stop)
         if reverse:
             blocks = reversed(blocks)
         for block in blocks:

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 from repro.core.block import BlockFormatError, ParsedBlock, parse_block
 from repro.core.catalog import CatalogError
 from repro.core.entry import SIZE_BY_VERSION, CorruptRecord, LogEntry, decode_record
-from repro.core.entrymap import EntrymapRecord, EntrymapSearch, SearchStats
+from repro.core.entrymap import EntrymapRecord, EntrymapSearch, SearchStats, coverage_of
 from repro.core.ids import ENTRYMAP_ID, EntryLocation, _served_location
 from repro.core.store import LogStore
 from repro.worm.errors import (
@@ -505,31 +505,34 @@ class LogReader:
         scan a bounded relocation window before giving up.
         """
         window = self.store.config.entrymap_relocation_window
-        span = self.store.states[volume_index].degree ** level
-        extent = self.volume_extent(volume_index)
-        for local in range(boundary, min(boundary + window, extent)):
+        wanted = (level, boundary - self.store.states[volume_index].degree ** level)
+        # Past the volume's extent a block reads as None, uncounted.
+        for local in range(boundary, boundary + window):
             parsed = self.read_parsed(volume_index, local)
             if parsed is None:
                 continue
             for slot, owner in enumerate(self.record_ids(parsed)):
                 if owner != ENTRYMAP_ID:
                     continue
-                record = self._entrymap_at(parsed, slot, volume_index, local)
-                if (
-                    record is not None
-                    and record.level == level
-                    and record.cover_start == boundary - span
-                ):
+                record = self._entrymap_at(parsed, slot, volume_index, local, wanted)
+                if record is not None and (record.level, record.cover_start) == wanted:
                     return record
         return None
 
     def _entrymap_at(
-        self, parsed: ParsedBlock, slot: int, volume_index: int, local_block: int
+        self,
+        parsed: ParsedBlock,
+        slot: int,
+        volume_index: int,
+        local_block: int,
+        wanted: tuple[int, int],
     ) -> EntrymapRecord | None:
         """The entrymap record starting at ``slot``; None if it is torn or
         does not decode.  A record that ends inside the block is decoded in
-        place — no extra block access — and once per resident block; a
-        fragmented one pays its continuation reads on every fetch."""
+        place — no extra block access — once per resident block, and not
+        before a fetch wants its ``(level, cover_start)``, which its fixed
+        header tells; a fragmented one pays its continuation reads on every
+        fetch."""
         if not parsed.is_complete(slot):
             location = EntryLocation(
                 self.store.sequence.to_global(volume_index, local_block), slot
@@ -547,6 +550,8 @@ class LogReader:
         record: EntrymapRecord | None = None
         header = self.entry_header_at(parsed, slot)
         if header is not None:
+            if coverage_of(header.data) not in (None, wanted):
+                return None
             try:
                 record = EntrymapRecord.decode(header.data)
             except ValueError:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.catalog import Catalog, CatalogError, CatalogRecord
-from repro.core.entrymap import EntrymapState
+from repro.core.entrymap import EntrymapState, fold_group
 from repro.core.ids import CATALOG_ID, CORRUPTED_BLOCK_ID
 from repro.core.reader import LogReader
 from repro.core.store import LogStore
@@ -106,6 +107,7 @@ def rebuild_entrymap_state(
     """
     volume = store.sequence.volumes[volume_index]
     degree = volume.degree_n
+    previous = store.states[volume_index]
     state = EntrymapState(degree, volume.data_capacity)
     store.states[volume_index] = state
     stats = stats if stats is not None else VolumeRecoveryStats()
@@ -134,42 +136,48 @@ def rebuild_entrymap_state(
     # record's information is reconstructed from the level below, down to
     # a direct block scan ("at the cost of some additional searching of
     # the lower levels", Section 2.3.2).
-    def logfiles_in_group(level: int, boundary: int) -> set[int]:
-        span = degree**level
-        if level >= 1:
-            stats.entrymap_records_read += 1
-            record = reader._fetch_entrymap(volume_index, level, boundary)
-            if record is not None:
-                return set(record.bitmaps)
-        if level <= 1:
-            found: set[int] = set()
+    missing = 0  # records that did not read back
+
+    def logfiles_in_group(level: int, boundary: int) -> Iterable[int]:
+        nonlocal missing
+        stats.entrymap_records_read += 1
+        record = reader._fetch_entrymap(volume_index, level, boundary)
+        if record is not None:
+            return record.bitmaps
+        missing += 1
+        found: set[int] = set()
+        if level == 1:
             for block in range(max(0, boundary - degree), boundary):
                 stats.level1_blocks_scanned += 1
                 members = reader.block_members(volume_index, block)
                 if members:
                     found.update(members)
             return found
-        sub_span = degree ** (level - 1)
-        found = set()
+        span, sub_span = degree**level, degree ** (level - 1)
         for sub_boundary in range(boundary - span + sub_span, boundary + 1, sub_span):
             found.update(logfiles_in_group(level - 1, sub_boundary))
         return found
 
+    # Pass two follows pass one over the same boundaries (an entry emitted
+    # in between would move ``next_emit``) and reads the same records: a
+    # level whose records all read back keeps pass one's fold, as only a
+    # group re-derived from its blocks depends on the catalog.
+    earlier = previous if previous.next_emit == state.next_emit else None
     for level in range(2, state.max_level + 1):
         span = degree**level
         sub_span = degree ** (level - 1)
         level_start = (last_opened_block // span) * span
         last_sub = (last_opened_block // sub_span) * sub_span
-        boundary = level_start + sub_span
-        while boundary <= last_sub:
-            logfiles = logfiles_in_group(level - 1, boundary)
-            if logfiles:
-                group_index = ((boundary - sub_span) % span) // sub_span
-                bit = 1 << group_index
-                upper = state.acc[level]
-                for logfile_id in logfiles:
-                    upper[logfile_id] = upper.get(logfile_id, 0) | bit
-            boundary += sub_span
+        missing_before = missing
+        groups = [
+            logfiles_in_group(level - 1, boundary)
+            for boundary in range(level_start + sub_span, last_sub + 1, sub_span)
+        ]
+        if earlier is not None and missing == missing_before:
+            state.acc[level] = dict(earlier.acc[level])
+            continue
+        for group_index, logfile_ids in enumerate(groups):
+            fold_group(state.acc[level], logfile_ids, 1 << group_index)
     return state
 
 

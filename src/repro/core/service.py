@@ -91,6 +91,13 @@ def _check_client_seq(client_seq: int | None, name: str) -> None:
         raise ValueError(f"{name} must fit in 32 bits, got {client_seq}")
 
 
+def _check_readahead(blocks: int, name: str) -> None:
+    if not isinstance(blocks, int):
+        raise TypeError(f"{name} must be an int, not {type(blocks).__name__}")
+    if blocks < 0:
+        raise ValueError(f"{name} must be >= 0, got {blocks}")
+
+
 def _check_permissions(permissions: int) -> None:
     if not 0 <= permissions <= 0o7777:
         raise ValueError(f"permissions must be in 0..0o7777, got {permissions:#o}")
@@ -158,6 +165,7 @@ class LogService:
         """
         from repro.worm.geometry import NULL_GEOMETRY
 
+        _check_readahead(readahead_blocks, "readahead_blocks")
         config = StoreConfig(
             block_size=block_size,
             degree_n=degree_n,
@@ -236,6 +244,7 @@ class LogService:
         """
         if not devices:
             raise ValueError("mount requires at least one device")
+        _check_readahead(readahead_blocks, "readahead_blocks")
         volumes = sorted(
             (LogVolume.mount(device) for device in devices),
             key=lambda volume: volume.header.volume_index,
@@ -401,9 +410,9 @@ class LogService:
             )
 
             # The level-1 rescan above ran before the catalog existed, so sublog
-            # ancestor bits may be missing from the accumulators; redo the
-            # reconstruction now that names resolve (cheap — everything is
-            # cached).  The benchmark-relevant costs were counted in pass one.
+            # ancestor bits may be missing from the accumulators; redo it now
+            # that names resolve.  Every access of pass one is made and charged
+            # again (warm while cached); the report counts pass one only.
             for index in range(len(store.sequence.volumes)):
                 rebuild_entrymap_state(store, self.reader, index, tails[index])
 
@@ -805,10 +814,7 @@ class LogService:
         positive window lets detected sequential scans fetch that many
         blocks per device operation (one seek amortized over the window).
         """
-        if not isinstance(blocks, int):
-            raise TypeError(f"blocks must be an int, not {type(blocks).__name__}")
-        if blocks < 0:
-            raise ValueError(f"readahead_blocks must be >= 0, got {blocks}")
+        _check_readahead(blocks, "blocks")
         from dataclasses import replace
 
         self.store.config = replace(self.store.config, readahead_blocks=blocks)

@@ -6,9 +6,14 @@ Two bugs were found during development, both now locked in:
    lower-level accumulators (the nested partial groups);
 2. membership notes for blocks past a not-yet-emitted boundary (deferred
    emission) must be parked, not swallowed by the pending emission.
+
+``entries_due`` returns early when no boundary is due; a property test
+holds that answer to the walk over every level it short-cuts.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.entrymap import EntrymapSearch, EntrymapState, SearchStats
 
@@ -103,3 +108,52 @@ class TestDeferredEmissionParking:
         drive(state, [set()] * 4)
         state.note_membership(4, {0, 1})  # volume-sequence + entrymap ids
         assert state._pending_level1 == []
+
+
+def full_walk(state, opening_block):
+    """What ``entries_due`` answers, walking every level every time."""
+    due = []
+    for level in range(1, state.max_level + 1):
+        boundary = state.next_emit[level]
+        while boundary <= opening_block:
+            due.append((level, boundary))
+            boundary += state.degree**level
+    return sorted(due, key=lambda pair: (pair[1], pair[0]))
+
+
+class TestEntriesDueEarlyReturn:
+    @settings(max_examples=200)
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 300),
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(-2, 400)),
+            max_size=60,
+        ),
+    )
+    def test_matches_the_full_walk_as_the_writer_drives_it(
+        self, degree, capacity, steps
+    ):
+        """Blocks open in order, some skipped (invalidated), and only a
+        prefix of what is due gets emitted: the rest stays due, deferred."""
+        state = EntrymapState(degree, capacity)
+        block = 0
+        for advance, emitted, probe in steps:
+            block += advance
+            assert state.entries_due(probe) == full_walk(state, probe)
+            due = state.entries_due(block)
+            assert due == full_walk(state, block)
+            for level, boundary in due[:emitted]:
+                if boundary == state.next_emit[level]:
+                    state.emit(level, boundary)
+
+    @given(st.integers(2, 6), st.integers(0, 300), st.data())
+    def test_matches_the_full_walk_for_any_boundaries(self, degree, capacity, data):
+        """Recovery sets the boundaries directly; any values hold."""
+        state = EntrymapState(degree, capacity)
+        levels = state.max_level
+        state.next_emit[1:] = data.draw(
+            st.lists(st.integers(0, 400), min_size=levels, max_size=levels)
+        )
+        probe = data.draw(st.integers(-2, 500))
+        assert state.entries_due(probe) == full_walk(state, probe)

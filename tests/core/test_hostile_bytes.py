@@ -261,17 +261,56 @@ class TestParseBlock:
 
 @st.composite
 def entrymap_records(draw):
-    degree = draw(st.integers(2, 40))
+    # Degrees 2..64 give every bitmap width from 1 to 8 bytes; a record of
+    # the benchmark of record carries 34 bitmaps.
+    degree = draw(st.integers(2, 64))
     return EntrymapRecord(
         level=draw(st.integers(1, 5)),
         degree=degree,
         cover_start=draw(st.integers(0, (1 << 64) - 1)),
         bitmaps=draw(
             st.dictionaries(
-                st.integers(0, 4095), st.integers(0, (1 << degree) - 1), max_size=5
+                st.integers(0, 4095), st.integers(0, (1 << degree) - 1), max_size=40
             )
         ),
     )
+
+
+@st.composite
+def entrymap_payloads(draw):
+    """Encoded-looking records no encoder makes: any level byte, repeated
+    ids, bitmap bits past the degree, trailing bytes, a cut anywhere."""
+    degree = draw(st.integers(0, 70))
+    width = (degree + 7) // 8
+    count = draw(st.integers(0, 40))
+    payload = struct.pack(
+        ">BHQH", draw(st.integers(0, 255)), degree, draw(st.integers(0, 1 << 20)), count
+    )
+    for logfile_id in draw(st.lists(st.integers(0, 12), min_size=count, max_size=count)):
+        payload += struct.pack(">H", logfile_id)
+        payload += draw(st.binary(min_size=width, max_size=width))
+    payload += draw(st.binary(max_size=6))
+    if draw(st.booleans()):
+        payload = payload[: draw(st.integers(0, len(payload)))]
+    return payload
+
+
+def _reference_entrymap_decode(payload: bytes) -> EntrymapRecord:
+    """The record format read one (id, bitmap) pair at a time."""
+    if len(payload) < 13:
+        raise ValueError("no header")
+    level, degree, cover_start, count = struct.unpack_from(">BHQH", payload, 0)
+    if level < 1 or degree < 2:
+        raise ValueError("bad header")
+    width = (degree + 7) // 8
+    if len(payload) < 13 + count * (2 + width):
+        raise ValueError("truncated")
+    bitmaps = {}
+    for pair in range(count):
+        offset = 13 + pair * (2 + width)
+        (logfile_id,) = struct.unpack_from(">H", payload, offset)
+        bitmaps[logfile_id] = int.from_bytes(payload[offset + 2 : offset + 2 + width], "big")
+    return EntrymapRecord(level, degree, cover_start, bitmaps)
 
 
 def _entrymap_or_value_error(payload: bytes) -> EntrymapRecord | None:
@@ -282,18 +321,44 @@ def _entrymap_or_value_error(payload: bytes) -> EntrymapRecord | None:
         return None
 
 
+def _same_as_reference(payload: bytes) -> None:
+    """``decode`` answers exactly what the per-pair reference answers —
+    the same record, its bitmaps in the same order, or a ValueError."""
+    record = _entrymap_or_value_error(payload)
+    try:
+        reference = _reference_entrymap_decode(payload)
+    except ValueError:
+        assert record is None
+        return
+    assert record == reference
+    assert list(record.bitmaps.items()) == list(reference.bitmaps.items())
+
+
 class TestEntrymapRecord:
     @settings(max_examples=300)
     @given(st.binary(max_size=80))
     def test_arbitrary_bytes(self, payload):
-        _entrymap_or_value_error(payload)
+        _same_as_reference(payload)
+
+    @settings(max_examples=300)
+    @given(entrymap_payloads())
+    def test_hostile_payloads_match_the_reference(self, payload):
+        _same_as_reference(payload)
 
     @given(entrymap_records(), st.data())
     def test_truncated_records(self, record, data):
         encoded = record.encode()
         assert EntrymapRecord.decode(encoded) == record
+        _same_as_reference(encoded)
         cut = data.draw(st.integers(0, len(encoded) - 1))
         assert _entrymap_or_value_error(encoded[:cut]) is None
+
+    def test_every_width_round_trips(self):
+        for degree in range(2, 65):
+            bitmaps = {8 + pair: (1 << degree) - 1 >> pair % degree for pair in range(40)}
+            record = EntrymapRecord(2, degree, 1 << 40, bitmaps)
+            _same_as_reference(record.encode())
+            assert EntrymapRecord.decode(record.encode()) == record
 
     def test_short_payload_is_a_value_error(self):
         for length in range(13):

@@ -74,6 +74,25 @@ REFUSED = [
      TypeError, r"client_seqs\[2\]"),
     ("readahead-not-an-int",
      lambda s, log, at: s.configure_readahead("x"), TypeError, "blocks"),
+    # Already refused; the rows beside them hold create and mount to the
+    # same check, made before a volume is created or mounted (here: the
+    # live service's own devices).
+    ("readahead-float",
+     lambda s, log, at: s.configure_readahead(2.5), TypeError, "blocks"),
+    ("readahead-negative",
+     lambda s, log, at: s.configure_readahead(-2), ValueError, "blocks"),
+    ("create-readahead-float",
+     lambda s, log, at: LogService.create(readahead_blocks=2.5),
+     TypeError, "readahead_blocks"),
+    ("create-readahead-negative",
+     lambda s, log, at: LogService.create(readahead_blocks=-2),
+     ValueError, "readahead_blocks"),
+    ("mount-readahead-float",
+     lambda s, log, at: LogService.mount(s.devices, readahead_blocks=2.5),
+     TypeError, "readahead_blocks"),
+    ("mount-readahead-negative",
+     lambda s, log, at: LogService.mount(s.devices, readahead_blocks=-2),
+     ValueError, "readahead_blocks"),
     ("find-negative-skew",
      lambda s, log, at: s.find_client_entry(
          log, ClientEntryId(7, s.clock.now_us), max_skew_us=-1),
